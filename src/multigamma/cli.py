@@ -90,6 +90,24 @@ def parse_int_list(text: str) -> list[int]:
     return items
 
 
+# Options whose value may begin with "-" (a negative or complex number).
+# argparse reads "-7/4" as an option string of its own unless it is attached
+# to its option with "=".
+_SIGNED_VALUE_OPTIONS = ("--z", "--from", "--to", "--step")
+
+
+def _bind_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite ["--z", "-7/4"] as ["--z=-7/4"] for the options above."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] in _SIGNED_VALUE_OPTIONS
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); usage errors are 1
         raise UsageError(message)
@@ -457,8 +475,10 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_signed_values(list(argv)))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,6 +20,18 @@ All log values are accumulated additively from principal logs of individual
 factors; the imaginary part is therefore path-dependent (it is not reduced
 modulo 2 pi), and exactness claims attach to exp(value) and to real parts on
 the positive real axis.
+
+The product sweep runs in fixed point.  Each log G_k value of the integer and
+the shifted lattices is a Python int scaled by 2^(p+g): p is the working
+precision in bits and g = N.bit_length() guard bits for the ladder top
+N = truncation_n.  Logs are taken only on level 0, log n and log(z+n), at
+the working precision and then floored onto that grid; the real and
+imaginary parts of the levels above and of the partial sums are exact integer
+sums of those values, and flooring a row of N logs adds less than 2^-p in
+total.  Values return to
+mpf/mpc only at ladder checkpoints.  A call builds its shifted lattice once,
+bottom-up: the starting value of each level comes from a Gauss sweep over
+the levels already built.
 """
 
 from __future__ import annotations
@@ -29,9 +41,11 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Any, Sequence, Union
 
 import mpmath
+from mpmath.libmp import to_fixed
 
 from .constants import Precision, hurwitz_zeta_sderiv, zeta_prime_neg
 from .conventions import ConventionSet, UNRESOLVED
@@ -263,51 +277,87 @@ def _check_not_singular(r: int, zm) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Lattice log tables
+# Fixed-point lattice
 # ---------------------------------------------------------------------------
 
-# _INT_TABLES[dps][k][n] = log G_k(n), n >= 1 (index 0 unused); grown on demand.
-_INT_TABLES: dict[int, list[list]] = {}
 
+def _fixed_bits(cfg: EvalConfig) -> int:
+    """Fractional bits of the fixed-point lattice: working bits plus guard bits.
 
-def _integer_log_table(dps: int, levels: int, n_max: int) -> list[list]:
-    """log G_k(n) for 0 <= k < levels, 1 <= n <= n_max, via the recurrence.
-
-    G_k(1) = 1 and G_k(n+1) = G_{k-1}(n) G_k(n); level 0 is log n directly.
+    Each level-0 log is floored onto the grid 2^-bits; the levels above and
+    the partial sums are exact integer sums of those values.  N.bit_length()
+    guard bits, N = truncation_n, keep what flooring a row of N logs adds
+    below 2^-p in total, p the working precision in bits.
     """
+    return (mpmath.libmp.dps_to_prec(cfg.precision.working_dps)
+            + cfg.truncation_n.bit_length())
+
+
+def _to_fixed(x, bits: int) -> tuple[int, int]:
+    """(re, im) of an mpf/mpc as Python ints scaled by 2^bits (floor)."""
+    if isinstance(x, mpmath.mpc):
+        re, im = x._mpc_
+        return to_fixed(re, bits), to_fixed(im, bits)
+    return to_fixed(x._mpf_, bits), 0
+
+
+def _from_fixed(re: int, im: int, bits: int, cplx: bool):
+    """mpf (or mpc, when cplx) at the working precision from scaled ints."""
+    value = mpmath.mpf((re, -bits))
+    return mpmath.mpc(value, mpmath.mpf((im, -bits))) if cplx else value
+
+
+# _INT_TABLES[(dps, bits)][k][n] = log G_k(n) scaled by 2^bits, n >= 1 (index 0
+# unused); grown on demand.
+_INT_TABLES: dict[tuple[int, int], list[list]] = {}
+
+
+def _integer_log_table(cfg: EvalConfig, levels: int, n_max: int) -> list[list]:
+    """log G_k(n) for 0 <= k < levels, 1 <= n <= n_max, as fixed-point ints.
+
+    G_k(1) = 1 and G_k(n+1) = G_{k-1}(n) G_k(n); level 0 is log n directly,
+    the levels above are exact integer running sums of it.
+    """
+    dps = cfg.precision.working_dps
+    bits = _fixed_bits(cfg)
     with mpmath.workdps(dps):
-        tabs = _INT_TABLES.setdefault(dps, [])
+        tabs = _INT_TABLES.setdefault((dps, bits), [])
         while len(tabs) < levels:
-            tabs.append([None, mpmath.mpf(0)] if len(tabs) > 0 else [None])
+            tabs.append([None, 0] if tabs else [None])
         row0 = tabs[0]
-        for n in range(len(row0), n_max + 1):
-            row0.append(mpmath.log(n))
+        row0.extend(to_fixed(mpmath.log(n)._mpf_, bits) for n in range(len(row0), n_max + 1))
         for k in range(1, levels):
-            row = tabs[k]
-            below = tabs[k - 1]
-            for n in range(len(row), n_max + 1):
-                row.append(row[n - 1] + below[n - 1])
+            row, below = tabs[k], tabs[k - 1]
+            row.extend(list(accumulate(below[len(row) - 1:n_max], initial=row[-1]))[1:])
         return tabs
 
 
 def _shifted_log_rows(r: int, zm, cfg: EvalConfig, n_max: int) -> list:
     """log G_k(z+n) for 0 <= k <= r-1, n = 1..n_max (list index n-1).
 
-    Level 0 is log(z+n) directly; level k >= 1 starts from the extrapolated
-    log G_k(z+1) and walks the recurrence.  The starting values enter the
-    level-r product sum with O(N)-fold amplification, so they are computed at
-    a higher extrapolation order than the caller's and memoized.
+    Each level is a pair (re, im) of fixed-point int rows, built bottom-up in
+    one pass: level 0 is log(z+n) directly; level k >= 1 starts from
+    log G_k(z+1), extrapolated from a Gauss sweep over the levels already
+    built, and walks the recurrence as an exact running sum.  The starting
+    values enter the level-r product sum with O(N)-fold amplification, so
+    they are computed at a higher extrapolation order than the caller's and
+    memoized.  A starting value not yet memoized needs the whole ladder, so
+    the rows then reach truncation_n whatever n_max is.
+
+    The imaginary row is kept for real z too: log(z+n) carries i pi wherever
+    z+n < 0.
     """
-    rows = []
-    row0 = [mpmath.log(zm + n) for n in range(1, n_max + 1)]
-    rows.append(row0)
+    bits = _fixed_bits(cfg)
+    if any(_extrap_key(k, zm, cfg, _BASE_ORDER) not in _EXTRAP_CACHE for k in range(1, r)):
+        n_max = max(n_max, cfg.truncation_n)
+    re0, im0 = zip(*(_to_fixed(mpmath.log(zm + n), bits) for n in range(1, n_max + 1)))
+    rows = [(list(re0), list(im0))]
     for k in range(1, r):
-        base = _gauss_extrapolated(k, zm, cfg, order=_BASE_ORDER).value
-        below = rows[k - 1]
-        row = [base]
-        for n in range(1, n_max):
-            row.append(row[n - 1] + below[n - 1])
-        rows.append(row)
+        base = _gauss_extrapolated(k, zm, cfg, order=_BASE_ORDER, rows=rows).value
+        base_re, base_im = _to_fixed(base, bits)
+        below_re, below_im = rows[-1]
+        rows.append((list(accumulate(below_re[:n_max - 1], initial=base_re)),
+                     list(accumulate(below_im[:n_max - 1], initial=base_im))))
     return rows
 
 
@@ -317,40 +367,50 @@ def _shifted_log_rows(r: int, zm, cfg: EvalConfig, n_max: int) -> list:
 
 
 def _partial_checkpoints(method: str, r: int, zm, cfg: EvalConfig,
-                         ns: Sequence[int]) -> list[LogValue]:
+                         ns: Sequence[int], rows: list) -> list[LogValue]:
     """Partial-product log values at each checkpoint N in ns, one shared sweep.
 
     gauss: sum_{n<=N} [log G_{r-1}(n) - log G_{r-1}(z+n)]
            + sum_k binom(z, r-k) log G_k(N+1).
     euler: the same quantity accumulated factor-by-factor, the correction
-           distributed as telescoping ratios (G_k(n+1)/G_k(n))^binom(z, r-k).
+           distributed as telescoping ratios (G_k(n+1)/G_k(n))^binom(z, r-k),
+           each rounded onto the fixed-point grid.
+
+    rows are _shifted_log_rows(r, zm, cfg, n) with n >= max(ns).  The sums run
+    exactly over fixed-point ints; values become mpf/mpc only at checkpoints,
+    where gauss also adds its corrections at the working precision.
     """
     n_top = ns[-1]
-    dps = cfg.precision.working_dps
-    with mpmath.workdps(dps):
-        int_tabs = _integer_log_table(dps, r, n_top + 1)
-        shifted = _shifted_log_rows(r, zm, cfg, n_top)
+    bits = _fixed_bits(cfg)
+    with mpmath.workdps(cfg.precision.working_dps):
+        int_tabs = _integer_log_table(cfg, r, n_top + 1)
         top_int = int_tabs[r - 1]
-        top_shift = shifted[r - 1]
+        shift_re, shift_im = rows[r - 1]
         exponents = [binom_poly(r - k).evaluate(zm) for k in range(r)]
+        cplx = isinstance(zm, mpmath.mpc) or any(shift_im[:n_top])
+        telescoped = []  # euler: (0 for re or 1 for im, per-n correction terms)
+        if method == "euler":
+            for k, exponent in enumerate(exponents):
+                tab = int_tabs[k]
+                for part, e in enumerate(_to_fixed(exponent, bits)):
+                    if e:
+                        telescoped.append((part, [(e * (tab[n + 1] - tab[n])) >> bits
+                                                  for n in range(1, n_top + 1)]))
 
         out = []
-        checkpoints = set(ns)
-        running = mpmath.mpf(0)
-        for n in range(1, n_top + 1):
-            term = top_int[n] - top_shift[n - 1]
-            if method == "euler":
+        running = [0, 0]
+        lo = 0
+        for n in ns:
+            running[0] += sum(top_int[lo + 1:n + 1]) - sum(shift_re[lo:n])
+            running[1] -= sum(shift_im[lo:n])
+            for part, terms in telescoped:
+                running[part] += sum(terms[lo:n])
+            lo = n
+            value = _from_fixed(*running, bits, cplx)
+            if method == "gauss":
                 for k in range(r):
-                    term += exponents[k] * (int_tabs[k][n + 1] - int_tabs[k][n])
-            running += term
-            if n in checkpoints:
-                if method == "gauss":
-                    value = running
-                    for k in range(r):
-                        value += exponents[k] * int_tabs[k][n + 1]
-                    out.append(LogValue(value=+value, method="gauss"))
-                else:
-                    out.append(LogValue(value=+running, method="euler"))
+                    value += exponents[k] * mpmath.mpf((int_tabs[k][n + 1], -bits))
+            out.append(LogValue(value=+value, method=method))
         return out
 
 
@@ -361,6 +421,15 @@ def _validated_r_n(r: int, n: int) -> None:
         raise ValueError("truncation N must be >= 1")
 
 
+def _single_partial(method: str, r: int, z: ComplexLike, n: int, cfg: EvalConfig) -> LogValue:
+    _validated_r_n(r, n)
+    with mpmath.workdps(cfg.precision.working_dps):
+        zm = _to_mp(z)
+        _check_not_singular(r, zm + 1)
+        rows = _shifted_log_rows(r, zm, cfg, n)
+        return _partial_checkpoints(method, r, zm, cfg, [n], rows)[0]
+
+
 def gauss_partial(r: int, z: ComplexLike, n: int, cfg: EvalConfig = EvalConfig()) -> LogValue:
     """log of the N-th Gauss bracket for log G_r(z+1).
 
@@ -368,11 +437,7 @@ def gauss_partial(r: int, z: ComplexLike, n: int, cfg: EvalConfig = EvalConfig()
     computed additively in O(N r): all integer levels are maintained in one
     recurrence sweep, the shifted lattice likewise.
     """
-    _validated_r_n(r, n)
-    with mpmath.workdps(cfg.precision.working_dps):
-        zm = _to_mp(z)
-        _check_not_singular(r, zm + 1)
-        return _partial_checkpoints("gauss", r, zm, cfg, [n])[0]
+    return _single_partial("gauss", r, z, n, cfg)
 
 
 def euler_partial(r: int, z: ComplexLike, n: int, cfg: EvalConfig = EvalConfig()) -> LogValue:
@@ -382,11 +447,7 @@ def euler_partial(r: int, z: ComplexLike, n: int, cfg: EvalConfig = EvalConfig()
     per-n as telescoping ratios, giving a different accumulation order and an
     independent rounding path.
     """
-    _validated_r_n(r, n)
-    with mpmath.workdps(cfg.precision.working_dps):
-        zm = _to_mp(z)
-        _check_not_singular(r, zm + 1)
-        return _partial_checkpoints("euler", r, zm, cfg, [n])[0]
+    return _single_partial("euler", r, z, n, cfg)
 
 
 def extrapolate(seq: Sequence[LogValue], order: int) -> LogValue:
@@ -424,32 +485,32 @@ def _ladder_ns(n_top: int) -> list[int]:
 _EXTRAP_CACHE: dict[tuple, LogValue] = {}
 
 
-def _gauss_extrapolated(r: int, zm, cfg: EvalConfig, order: int | None = None) -> LogValue:
-    """Extrapolated Gauss-product value of log G_r(z+1), memoized per (r, z, cfg)."""
+def _extrap_key(r: int, zm, cfg: EvalConfig, order: int) -> tuple:
+    return (r, cfg.precision.working_dps, cfg.truncation_n, order, _z_key(zm))
+
+
+def _gauss_extrapolated(r: int, zm, cfg: EvalConfig, order: int | None = None,
+                        rows: list | None = None) -> LogValue:
+    """Extrapolated Gauss-product value of log G_r(z+1), memoized per (r, z, cfg).
+
+    rows: levels 0..r-1 of the shifted lattice reaching truncation_n, when
+    the caller has built them already; otherwise they are built here.
+    """
     if order is None:
         order = cfg.extrapolation_order
-    dps = cfg.precision.working_dps
-    key = (r, dps, cfg.truncation_n, order, _z_key(zm))
+    key = _extrap_key(r, zm, cfg, order)
     hit = _EXTRAP_CACHE.get(key)
     if hit is not None:
         return hit
     ns = _ladder_ns(cfg.truncation_n)
     order = min(order, len(ns) - 1)
-    with mpmath.workdps(dps):
-        values = _partial_checkpoints("gauss", r, zm, cfg, ns)
+    with mpmath.workdps(cfg.precision.working_dps):
+        if rows is None:
+            rows = _shifted_log_rows(r, zm, cfg, cfg.truncation_n)
+        values = _partial_checkpoints("gauss", r, zm, cfg, ns, rows)
         result = extrapolate(values, order)
     _EXTRAP_CACHE[key] = result
     return result
-
-
-def _euler_extrapolated(r: int, zm, cfg: EvalConfig, order: int | None = None) -> LogValue:
-    if order is None:
-        order = cfg.extrapolation_order
-    ns = _ladder_ns(cfg.truncation_n)
-    order = min(order, len(ns) - 1)
-    with mpmath.workdps(cfg.precision.working_dps):
-        values = _partial_checkpoints("euler", r, zm, cfg, ns)
-        return extrapolate(values, order)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,19 @@ def test_usage_errors_exit_1():
         assert err.strip(), argv
 
 
+def test_negative_values_after_a_space_parse_like_attached_ones():
+    # argparse reads "-7/4" as an option string unless the CLI binds it
+    for spaced, attached in (
+        (["eval", "--r", "3", "--z", "-7/4"], ["eval", "--r", "3", "--z=-7/4"]),
+        (["eval", "--r", "1", "--z", "-1/2+3i"], ["eval", "--r", "1", "--z=-1/2+3i"]),
+        (["table", "--r", "1", "--from", "-5/2", "--to", "-1/2", "--step", "1"],
+         ["table", "--r", "1", "--from=-5/2", "--to=-1/2", "--step=1"]),
+    ):
+        code, out, err = run(spaced + FAST)
+        assert code == 0, (spaced, err)
+        assert run(attached + FAST) == (0, out, err), attached
+
+
 def test_help_returns_zero():
     buf = io.StringIO()
     with redirect_stdout(buf):

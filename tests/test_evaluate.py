@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multigamma import evaluate
 from multigamma.constants import Precision, zeta_prime_neg
 from multigamma.conventions import ConventionSet
 from multigamma.evaluate import (
@@ -169,6 +170,75 @@ def test_gauss_and_euler_partials_agree_to_rounding():
                     g = gauss_partial(r, z, n, CFG).value
                     e = euler_partial(r, z, n, CFG).value
                     assert abs(g - e) <= 1e-22 * max(1, abs(g)), (r, z, n)
+
+
+def bracket_from_loggamma(r, z, n):
+    """log of the N-th Gauss bracket for G_r(z+1), r = 1 or 2, from loggamma.
+
+    prod_{m<=N} G_{r-1}(m)/G_{r-1}(z+m) * prod_{k<r} G_k(N+1)^binom(z, r-k),
+    with G_0(x) = x and G_1 = Gamma.
+    """
+    lg = mpmath.loggamma
+    if r == 1:
+        return lg(n + 1) + lg(z + 1) - lg(z + n + 1) + z * mpmath.log(n + 1)
+    return (mpmath.fsum(lg(m) - lg(z + m) for m in range(1, n + 1))
+            + z * (z - 1) / 2 * mpmath.log(n + 1) + z * lg(n + 1))
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_partials_match_the_bracket_summed_from_loggamma(digits):
+    # At r = 2 the shifted lattice starts from the extrapolated log G_1(z+1).
+    # Its error enters each of the N bracket terms once and the N = 1 bracket
+    # once, so p(N) - N p(1) is compared, in which it cancels.  z = -7/4 has
+    # z+1 < 0: a sweep that drops that term's i pi flips the sign of exp.
+    cfg = EvalConfig(precision=Precision(digits=digits))
+    n = 2**10
+    for z in (Fraction(29, 4), Fraction(-7, 4), mpmath.mpc(1.5, 0.5)):
+        with mpmath.workdps(digits + 20):
+            zm = z if isinstance(z, mpmath.mpc) else mpmath.mpf(z.numerator) / z.denominator
+            want = {r: bracket_from_loggamma(r, zm, n) - n * bracket_from_loggamma(r, zm, 1)
+                    for r in (1, 2)}
+        for r in (1, 2):
+            for partial in (gauss_partial, euler_partial):
+                top, first = partial(r, z, n, cfg).value, partial(r, z, 1, cfg).value
+                with mpmath.workdps(digits + 20):
+                    rel = abs(mpmath.exp(top - n * first - want[r]) - 1)
+                assert rel < mpmath.mpf(10) ** -digits, (r, z, partial.__name__, rel)
+
+
+def test_single_partial_equals_its_ladder_checkpoint(monkeypatch):
+    # On a fresh z the level-1 base is not memoized, so gauss_partial builds
+    # the lattice up to truncation_n to extrapolate it; the N = 2^10 value
+    # must not depend on how far the lattice reaches.
+    z = Fraction(37, 16)
+    single = gauss_partial(2, z, 2**10, CFG30).value
+    ladders = []
+
+    def recording(seq, order):
+        ladders.append([item.value for item in seq])
+        return extrapolate(seq, order)
+
+    monkeypatch.setattr(evaluate, "extrapolate", recording)
+    log_multigamma(2, z + 1, CFG30)
+    assert len(ladders) == 1  # the base came from the memo
+    # the ladder doubles N up to truncation_n = 2^14
+    assert ladders[0][-5] == single
+
+
+def test_one_call_takes_one_row_of_logs(monkeypatch):
+    # Every level of the shifted lattice derives from the one row log(z+n),
+    # n <= N; with the integer tables warm it is all the logs a call takes.
+    log_multigamma(1, Fraction(7, 2), CFG30)
+    calls = []
+    real_log = mpmath.log
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_log(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "log", counting)
+    log_multigamma(4, Fraction(41, 16), CFG30)
+    assert len(calls) <= CFG30.truncation_n + 64
 
 
 def test_three_routes_agree_within_stated_errors():
