@@ -27,12 +27,13 @@ from .evaluate import (
     EvalConfig,
     SingularInputError,
     calibrate_conventions,
-    euler_partial,
-    gauss_partial,
-    extrapolate,
     log_multigamma,
     multiplication_residual,
+    product_extrapolated,
 )
+# Not called here; bench/tracing.py wraps these names on this module and
+# fails on a missing one.
+from .evaluate import euler_partial, extrapolate, gauss_partial  # noqa: F401
 from .exact_poly import check_identities
 
 DEFAULT_CONVENTIONS_PATH = "./multigamma-conventions.json"
@@ -117,10 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="multigamma", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tolerance_default):
+    def common(p):
         p.add_argument("--precision", type=int, default=30,
                        help="decimal digits (default 30)")
-        p.add_argument("--tolerance", type=float, default=tolerance_default)
+        p.add_argument("--tolerance", type=float, default=1e-8)
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--conventions", default=None,
                        help=f"conventions file (default {DEFAULT_CONVENTIONS_PATH}, "
@@ -129,28 +130,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate log G_r(z) and G_r(z)")
     p_eval.add_argument("--r", type=int, required=True)
     p_eval.add_argument("--z", required=True)
-    common(p_eval, 1e-8)
+    common(p_eval)
 
     p_table = sub.add_parser("table", help="tabulate log G_r over a grid")
     p_table.add_argument("--r", type=int, required=True)
     p_table.add_argument("--from", dest="z_from", required=True)
     p_table.add_argument("--to", dest="z_to", required=True)
     p_table.add_argument("--step", required=True)
-    common(p_table, 1e-8)
+    common(p_table)
 
     p_verify = sub.add_parser("verify", help="run identity suites")
     p_verify.add_argument("--suite", choices=("symbolic", "numeric", "all"),
                           default="all")
     p_verify.add_argument("--r-max", dest="r_max", type=int, default=4)
     p_verify.add_argument("--p", default="2,3", help="comma list of orders p")
-    common(p_verify, None)  # default depends on suite; resolved later
+    common(p_verify)
 
     p_cal = sub.add_parser("calibrate", help="resolve and persist conventions")
-    common(p_cal, 1e-8)
+    common(p_cal)
 
     p_const = sub.add_parser("constants", help="print zeta'(-j) constants")
     p_const.add_argument("--j", default="0,1,2", help="comma list of j >= 0")
-    common(p_const, 1e-8)
+    common(p_const)
 
     return parser
 
@@ -181,8 +182,7 @@ def load_conventions(args) -> ConventionSet:
 def make_config(args, conventions=None) -> EvalConfig:
     if args.precision < 10:
         raise UsageError("--precision must be at least 10")
-    tol = args.tolerance if args.tolerance is not None else 1e-8
-    kwargs = dict(precision=Precision(digits=args.precision), tolerance=tol)
+    kwargs = dict(precision=Precision(digits=args.precision), tolerance=args.tolerance)
     if conventions is not None:
         kwargs["conventions"] = conventions
     try:
@@ -329,7 +329,7 @@ def _report(identity: str, params: dict, residual, tolerance: float) -> dict:
     }
 
 
-def numeric_reports(args, cfg: EvalConfig, p_list: list[int], tol: float) -> list[dict]:
+def numeric_reports(args, cfg: EvalConfig, p_list: list[int]) -> list[dict]:
     reports = []
     dps = cfg.precision.working_dps
     r_top = max(1, min(args.r_max, 3))
@@ -341,17 +341,16 @@ def numeric_reports(args, cfg: EvalConfig, p_list: list[int], tol: float) -> lis
                 lhs = log_multigamma(r, zm + 1, cfg).value
                 rhs = log_multigamma(r - 1, zm, cfg).value + log_multigamma(r, zm, cfg).value
                 reports.append(_report(
-                    "recurrence", {"r": r, "z": str(zq)}, abs(lhs - rhs), tol))
+                    "recurrence", {"r": r, "z": str(zq)}, abs(lhs - rhs), cfg.tolerance))
         # cross-route: Euler and Gauss extrapolants of the same limit
         for r in range(1, min(r_top, 2) + 1):
             for zq in (Fraction(1, 2), Fraction(3, 2)):
                 zm = to_mp((zq, Fraction(0)), dps)
-                ns = [cfg.truncation_n >> i for i in range(5)]
-                g = extrapolate([gauss_partial(r, zm, n, cfg) for n in ns[::-1]], 4)
-                e = extrapolate([euler_partial(r, zm, n, cfg) for n in ns[::-1]], 4)
+                g = product_extrapolated("gauss", r, zm, cfg)
+                e = product_extrapolated("euler", r, zm, cfg)
                 rel = abs(g.value - e.value) / max(1, abs(g.value))
                 reports.append(_report(
-                    "euler_vs_gauss", {"r": r, "z": str(zq)}, rel, tol))
+                    "euler_vs_gauss", {"r": r, "z": str(zq)}, rel, cfg.tolerance))
         # convexity: the (r+1)-th forward difference of log G_r(z+1) at
         # integer nodes collapses to log(1+1/z) >= 0
         for r in (1, 2):
@@ -365,7 +364,7 @@ def numeric_reports(args, cfg: EvalConfig, p_list: list[int], tol: float) -> lis
                 # residual: how far below zero the difference dips
                 reports.append(_report(
                     "log_convexity", {"r": r, "z": str(z0)},
-                    max(mpmath.mpf(0), -mpmath.re(acc)), tol))
+                    max(mpmath.mpf(0), -mpmath.re(acc)), cfg.tolerance))
         # multiplication formula
         for r in range(1, min(r_top, 2) + 1):
             for p in p_list:
@@ -373,7 +372,7 @@ def numeric_reports(args, cfg: EvalConfig, p_list: list[int], tol: float) -> lis
                     rep = multiplication_residual(r, p, to_mp((zq, Fraction(0)), dps), cfg)
                     reports.append(_report(
                         "multiplication", {"r": r, "p": p, "z": str(zq)},
-                        rep.residual, tol))
+                        rep.residual, cfg.tolerance))
     return reports
 
 
@@ -388,9 +387,8 @@ def cmd_verify(args) -> int:
             reports.append(rep.to_json_obj())
     if suite in ("numeric", "all"):
         conv = load_conventions(args)  # hard error when missing — no silent default
-        tol = args.tolerance if args.tolerance is not None else 1e-8
         cfg = make_config(args, conventions=conv)
-        reports.extend(numeric_reports(args, cfg, p_list, tol))
+        reports.extend(numeric_reports(args, cfg, p_list))
 
     all_pass = all(rep["pass"] for rep in reports)
     if args.format == "json":

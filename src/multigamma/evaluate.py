@@ -72,6 +72,7 @@ __all__ = [
     "gauss_partial",
     "euler_partial",
     "extrapolate",
+    "product_extrapolated",
     "log_multigamma_asymptotic",
     "log_multigamma",
     "barnes_zeta_oracle",
@@ -348,12 +349,13 @@ def _shifted_log_rows(r: int, zm, cfg: EvalConfig, n_max: int) -> list:
     z+n < 0.
     """
     bits = _fixed_bits(cfg)
-    if any(_extrap_key(k, zm, cfg, _BASE_ORDER) not in _EXTRAP_CACHE for k in range(1, r)):
+    if any(_extrap_key("gauss", k, zm, cfg, _BASE_ORDER) not in _EXTRAP_CACHE
+           for k in range(1, r)):
         n_max = max(n_max, cfg.truncation_n)
     re0, im0 = zip(*(_to_fixed(mpmath.log(zm + n), bits) for n in range(1, n_max + 1)))
     rows = [(list(re0), list(im0))]
     for k in range(1, r):
-        base = _gauss_extrapolated(k, zm, cfg, order=_BASE_ORDER, rows=rows).value
+        base = product_extrapolated("gauss", k, zm, cfg, order=_BASE_ORDER, rows=rows).value
         base_re, base_im = _to_fixed(base, bits)
         below_re, below_im = rows[-1]
         rows.append((list(accumulate(below_re[:n_max - 1], initial=base_re)),
@@ -485,30 +487,38 @@ def _ladder_ns(n_top: int) -> list[int]:
 _EXTRAP_CACHE: dict[tuple, LogValue] = {}
 
 
-def _extrap_key(r: int, zm, cfg: EvalConfig, order: int) -> tuple:
-    return (r, cfg.precision.working_dps, cfg.truncation_n, order, _z_key(zm))
+def _extrap_key(method: str, r: int, zm, cfg: EvalConfig, order: int) -> tuple:
+    return (method, r, cfg.precision.working_dps, cfg.truncation_n, order, _z_key(zm))
 
 
-def _gauss_extrapolated(r: int, zm, cfg: EvalConfig, order: int | None = None,
-                        rows: list | None = None) -> LogValue:
-    """Extrapolated Gauss-product value of log G_r(z+1), memoized per (r, z, cfg).
+def product_extrapolated(method: str, r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig(),
+                         order: int | None = None, rows: list | None = None) -> LogValue:
+    """Extrapolated product value of log G_r(z+1), memoized per (method, r, z, cfg).
 
-    rows: levels 0..r-1 of the shifted lattice reaching truncation_n, when
-    the caller has built them already; otherwise they are built here.
+    method is "gauss" or "euler".  One sweep takes the partial products at
+    every rung of the doubling ladder up to truncation_n; order defaults to
+    cfg.extrapolation_order.  rows: levels 0..r-1 of the shifted lattice
+    reaching truncation_n, when the caller has built them already; otherwise
+    they are built here.
     """
+    if method not in ("gauss", "euler"):
+        raise ValueError(f"unknown product method {method!r}")
+    if r < 1:
+        raise ValueError("r must be >= 1")
     if order is None:
         order = cfg.extrapolation_order
-    key = _extrap_key(r, zm, cfg, order)
-    hit = _EXTRAP_CACHE.get(key)
-    if hit is not None:
-        return hit
-    ns = _ladder_ns(cfg.truncation_n)
-    order = min(order, len(ns) - 1)
     with mpmath.workdps(cfg.precision.working_dps):
+        zm = _to_mp(z)
+        _check_not_singular(r, zm + 1)
+        key = _extrap_key(method, r, zm, cfg, order)
+        hit = _EXTRAP_CACHE.get(key)
+        if hit is not None:
+            return hit
+        ns = _ladder_ns(cfg.truncation_n)
         if rows is None:
             rows = _shifted_log_rows(r, zm, cfg, cfg.truncation_n)
-        values = _partial_checkpoints("gauss", r, zm, cfg, ns, rows)
-        result = extrapolate(values, order)
+        values = _partial_checkpoints(method, r, zm, cfg, ns, rows)
+        result = extrapolate(values, min(order, len(ns) - 1))
     _EXTRAP_CACHE[key] = result
     return result
 
@@ -546,7 +556,7 @@ def _asym_error_constant(r: int, cfg: EvalConfig):
         c = mpmath.mpf(10) ** -(cfg.precision.digits // 2)  # floor, never exactly 0
         for zt in (20, 40, 80):
             zt_m = mpmath.mpf(zt)
-            reference = _gauss_extrapolated(r, zt_m, cfg, order=_BASE_ORDER).value
+            reference = product_extrapolated("gauss", r, zt_m, cfg, order=_BASE_ORDER).value
             diff = abs(_hs_value(r, zt_m, cfg.precision) - reference)
             c = max(c, diff * zt)
         c = +(c * mpmath.mpf("1.25"))
@@ -661,7 +671,7 @@ def log_multigamma(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> Lo
         zm = _to_mp(z)
         _check_not_singular(r, zm)
         wm = zm - 1
-        gauss = _gauss_extrapolated(r, wm, cfg)
+        gauss = product_extrapolated("gauss", r, wm, cfg)
         tol = mpmath.mpf(cfg.tolerance)
         want_asym = cfg.cross_validate or not (gauss.err_est < tol / 10)
         if not want_asym:

@@ -7,13 +7,16 @@ flag parsing, byte-identical machine output, and the exit-code mapping.
 """
 
 import csv
+import importlib.util
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import mpmath
 import pytest
 
+from multigamma import cli, evaluate
 from multigamma.cli import CONVENTIONS_ENV_VAR, main, parse_z
 from fractions import Fraction
 
@@ -245,6 +248,35 @@ def test_verify_numeric_with_conventions(conventions_file):
         assert set(rep) == {"identity", "params", "residual", "pass"}
 
 
+def test_verify_sweeps_one_euler_ladder_per_point(conventions_file, monkeypatch):
+    # euler_vs_gauss finds its Gauss extrapolants in the memo, filled by the
+    # recurrence check's log G_r(z+1) at the same points; each Euler
+    # extrapolant is one sweep of the ladder.
+    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
+    in_check = []
+    ladders = []
+    real_product, real_extrapolate = cli.product_extrapolated, evaluate.extrapolate
+
+    def marking(*args, **kwargs):
+        in_check.append(True)
+        try:
+            return real_product(*args, **kwargs)
+        finally:
+            in_check.pop()
+
+    def recording(seq, order):
+        ladders.append((seq[0].method, bool(in_check)))
+        return real_extrapolate(seq, order)
+
+    monkeypatch.setattr(cli, "product_extrapolated", marking)
+    monkeypatch.setattr(evaluate, "extrapolate", recording)
+    code, _, err = run(["verify", "--suite", "numeric", "--r-max", "2", "--p", "2",
+                        "--conventions", conventions_file] + FAST)
+    assert code == 0, err
+    assert [method for method, inside in ladders if inside] == ["euler"] * 4
+    assert [method for method, _ in ladders].count("euler") == 4
+
+
 def test_verify_numeric_reads_env_var(conventions_file, monkeypatch):
     code, out, _ = run(["verify", "--suite", "numeric", "--r-max", "1",
                         "--p", "2", "--format", "json", "--precision", "12"],
@@ -309,3 +341,19 @@ def test_constants_known_values():
 def test_constants_json_deterministic():
     argv = ["constants", "--j", "0,1,2,3", "--format", "json", "--precision", "25"]
     assert run(argv) == run(argv)
+
+
+# ---------------------------------------------------------------------------
+# Benchmark tracer
+# ---------------------------------------------------------------------------
+
+
+def test_bench_tracer_boundaries_resolve():
+    # bench/tracing.py replaces each of these attributes when a traced
+    # benchmark run starts; a missing one crashes that run.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attr, _ in tracing.BOUNDARIES:
+        assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)

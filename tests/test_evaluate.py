@@ -40,6 +40,7 @@ from multigamma.evaluate import (
     log_multigamma_asymptotic,
     multiple_sine,
     multiplication_residual,
+    product_extrapolated,
 )
 
 # Fast config for bulk checks; the default (digits=30, N=2^14) where a test
@@ -223,6 +224,18 @@ def test_single_partial_equals_its_ladder_checkpoint(monkeypatch):
     assert len(ladders) == 1  # the base came from the memo
     # the ladder doubles N up to truncation_n = 2^14
     assert ladders[0][-5] == single
+
+
+def test_euler_extrapolant_equals_its_top_five_partials():
+    # At order 4 the last entry of the Richardson diagonal depends only on
+    # the top five rungs of the ladder, N = 2^10..2^14.
+    for r in (1, 2):
+        for z in (Fraction(1, 2), Fraction(3, 2)):
+            shared = product_extrapolated("euler", r, z, CFG30).value
+            with mpmath.workdps(CFG30.precision.working_dps):
+                single = extrapolate([euler_partial(r, z, 2**k, CFG30)
+                                      for k in range(10, 15)], 4).value
+            assert shared == single, (r, z)
 
 
 def test_one_call_takes_one_row_of_logs(monkeypatch):

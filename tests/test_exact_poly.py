@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multigamma import exact_poly
 from multigamma.conventions import ConventionError, ConventionSet, UNRESOLVED
 from multigamma.exact_poly import (
-    GrjTable,
     RationalPoly,
     bernoulli_numbers,
     bernoulli_poly,
@@ -254,15 +254,6 @@ def test_grj_generating_identity(r, z0, u0):
     assert lhs == binom_poly(r - 1).evaluate(z0 - u0)
 
 
-def test_grj_table_build_and_validate():
-    table = GrjTable.build(6)
-    table.validate()
-    assert table[(3, 1)] == grj_poly(3, 1)
-    assert table[(3, 7)].is_zero
-    with pytest.raises(ValueError):
-        GrjTable.build(0)
-
-
 # ---------------------------------------------------------------------------
 # psi_r, Q_r, and the multiplication-formula brackets
 # ---------------------------------------------------------------------------
@@ -397,6 +388,48 @@ def test_check_identities_all_pass_to_r8():
         "grj_telescoping[m<L]",
         "composition_counts",
     }
+
+
+@pytest.fixture
+def perturb(monkeypatch):
+    """perturb(name, args, delta): the exact layer's `name` returns its value + delta at args."""
+
+    def apply(name, target, delta):
+        original = getattr(exact_poly, name)
+
+        def perturbed(*args):
+            poly = original(*args)
+            return poly + delta if args == target else poly
+
+        monkeypatch.setattr(exact_poly, name, perturbed)
+
+    yield apply
+    psi_poly.cache_clear()  # it may have memoized polynomials built from the perturbed one
+
+
+def _failing(reports, name):
+    return [rep.r for rep in reports if rep.name == name and not rep.passed]
+
+
+@pytest.mark.parametrize("target, delta, failing", [
+    # At r = 3 the perturbed G_{3,0} is both the k = 3 term of the left side
+    # and the right side, so the law still holds there; from r = 4 on only
+    # the left side carries it.
+    ((3, 0), RationalPoly.one(), [4, 5]),
+    # At r = 3 (j = 0, degree 2 in y) the left side gains x binom(y, 2),
+    # which vanishes at y = 0 and 1: all three points are needed.
+    ((2, 0), binom_poly(2), [2, 3, 4, 5]),
+])
+def test_addition_laws_catch_a_perturbed_grj_poly(perturb, target, delta, failing):
+    perturb("grj_poly", target, delta)
+    assert _failing(check_identities(5), "grj_addition") == failing
+
+
+def test_addition_laws_catch_a_perturbed_binom_poly(perturb):
+    # binom(z, 2) + z: at r = 2 both sides gain x + y; from r = 3 on the left
+    # side gains terms that vanish at y = 0, so one point would not see them.
+    perturb("binom_poly", (2,), RationalPoly.x())
+    assert _failing(check_identities(5), "binom_vandermonde") == [3, 4, 5]
 
 
 def test_identity_report_json_schema():
