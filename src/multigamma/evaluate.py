@@ -24,11 +24,16 @@ the positive real axis.
 The product sweep runs in fixed point.  Each log G_k value of the integer and
 the shifted lattices is a Python int scaled by 2^(p+g): p is the working
 precision in bits and g = N.bit_length() guard bits for the ladder top
-N = truncation_n.  Logs are taken only on level 0, log n and log(z+n), at
-the working precision and then floored onto that grid; the real and
-imaginary parts of the levels above and of the partial sums are exact integer
-sums of those values, and flooring a row of N logs adds less than 2^-p in
-total.  Values return to
+N = truncation_n.  Level 0, log n and log(z+n), takes few logs.  The
+integer row takes one per prime and adds the logs of prime factors; the
+shifted row writes z+n = m + d with m an integer and takes log m from the
+integer row plus a short fixed-point series for log(1 + d/m); only the
+entries with m below a cutoff of 2^4 or more (|Im z| raises it), every z+n
+with Re <= 0 among them, keep a direct log.  Logs and series run a few bits
+past the grid, so every level-0 entry x is within (2 + log2 max(2, |x|))
+2^-(p+g) of log x (_integer_log_table and _shifted_log_row0 give the
+details).  The real and imaginary parts of the levels above and of the
+partial sums are exact integer sums of level-0 entries.  Values return to
 mpf/mpc only at ladder checkpoints.  A call builds its shifted lattice once,
 bottom-up: the starting value of each level comes from a Gauss sweep over
 the levels already built.
@@ -41,7 +46,8 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add, floordiv, mul, rshift, sub
 from typing import Any, Sequence, Union
 
 import mpmath
@@ -285,10 +291,11 @@ def _check_not_singular(r: int, zm) -> None:
 def _fixed_bits(cfg: EvalConfig) -> int:
     """Fractional bits of the fixed-point lattice: working bits plus guard bits.
 
-    Each level-0 log is floored onto the grid 2^-bits; the levels above and
-    the partial sums are exact integer sums of those values.  N.bit_length()
-    guard bits, N = truncation_n, keep what flooring a row of N logs adds
-    below 2^-p in total, p the working precision in bits.
+    Each level-0 entry lies on the grid 2^-bits; the levels above and the
+    partial sums are exact integer sums of those entries.  N.bit_length()
+    guard bits, N = truncation_n, make 2^-bits at most 2^-p / N, p the
+    working precision in bits, so the few units of 2^-bits by which each
+    level-0 entry misses its log add a few 2^-p over a row of N.
     """
     return (mpmath.libmp.dps_to_prec(cfg.precision.working_dps)
             + cfg.truncation_n.bit_length())
@@ -308,16 +315,38 @@ def _from_fixed(re: int, im: int, bits: int, cplx: bool):
     return mpmath.mpc(value, mpmath.mpf((im, -bits))) if cplx else value
 
 
+# Bits the level-0 series and logs carry below the lattice grid, so that
+# their own rounding stays far below the one floor onto the grid.
+_SERIES_GUARD = 10
+# Shifted entries log(z+n), z+n = m + d, with m below 2^4 (or below 2|d|)
+# take a direct log: a series there needs many terms for few entries.
+_FIRST_SERIES_OCTAVE = 4
+
 # _INT_TABLES[(dps, bits)][k][n] = log G_k(n) scaled by 2^bits, n >= 1 (index 0
 # unused); grown on demand.
 _INT_TABLES: dict[tuple[int, int], list[list]] = {}
 
 
+def _smallest_prime_factors(n_max: int) -> list[int]:
+    """spf[n] = the smallest prime factor of n for 2 <= n <= n_max (spf[n] = n below 2)."""
+    spf = list(range(n_max + 1))
+    # descending, so that the smallest divisor >= 2 of each n, a prime, writes last
+    for p in range(math.isqrt(n_max), 1, -1):
+        spf[p * p::p] = [p] * len(range(p * p, n_max + 1, p))
+    return spf
+
+
 def _integer_log_table(cfg: EvalConfig, levels: int, n_max: int) -> list[list]:
     """log G_k(n) for 0 <= k < levels, 1 <= n <= n_max, as fixed-point ints.
 
-    G_k(1) = 1 and G_k(n+1) = G_{k-1}(n) G_k(n); level 0 is log n directly,
-    the levels above are exact integer running sums of it.
+    G_k(1) = 1 and G_k(n+1) = G_{k-1}(n) G_k(n); the levels above 0 are exact
+    integer running sums of level 0.  Level 0 takes one log per prime: a
+    prime's log is computed _SERIES_GUARD bits past the grid and floored onto
+    it, and a composite n with smallest prime factor p is log p + log(n/p).
+    Entry n is therefore below log n by less than
+    Omega(n) (1 + 2^-10 log n) 2^-bits, Omega(n) <= log2(n) the number of
+    prime factors with multiplicity, and it depends on n alone, not on how
+    the table was grown.
     """
     dps = cfg.precision.working_dps
     bits = _fixed_bits(cfg)
@@ -326,19 +355,103 @@ def _integer_log_table(cfg: EvalConfig, levels: int, n_max: int) -> list[list]:
         while len(tabs) < levels:
             tabs.append([None, 0] if tabs else [None])
         row0 = tabs[0]
-        row0.extend(to_fixed(mpmath.log(n)._mpf_, bits) for n in range(len(row0), n_max + 1))
+        if len(row0) <= n_max:
+            spf = _smallest_prime_factors(n_max)
+            with mpmath.workprec(bits + _SERIES_GUARD):
+                for n in range(len(row0), n_max + 1):
+                    p = spf[n]
+                    row0.append(row0[p] + row0[n // p] if p < n
+                                else to_fixed(mpmath.log(n)._mpf_, bits))
         for k in range(1, levels):
             row, below = tabs[k], tabs[k - 1]
             row.extend(list(accumulate(below[len(row) - 1:n_max], initial=row[-1]))[1:])
         return tabs
 
 
+def _fixed_mul(a_re: list, a_im: list | None, b_re: list, b_im: list | None,
+               shift: int) -> tuple[list, list | None]:
+    """Entrywise a*b 2^-shift (floored) of fixed-point rows; a_im None for real rows."""
+    if a_im is None:
+        return list(map(rshift, map(mul, a_re, b_re), repeat(shift))), None
+    return (list(map(rshift, map(sub, map(mul, a_re, b_re), map(mul, a_im, b_im)), repeat(shift))),
+            list(map(rshift, map(add, map(mul, a_re, b_im), map(mul, a_im, b_re)), repeat(shift))))
+
+
+def _log1p_block(ms: range, dr: int, di: int, terms: int, prec: int,
+                 bits: int) -> tuple[list, list | None]:
+    """log(1 + d/m) = 2 atanh(d/(2m+d)) for m in ms, as rows on the grid 2^-bits.
+
+    d = (dr + i di) 2^-prec, prec > bits.  The series runs in ints scaled by
+    2^prec, a whole block per map: t = d/(2m+d) takes one exact division per
+    part and entry, then Horner sums t sum_{k<terms} t^(2k)/(2k+1).  The
+    imaginary row is None for real d.
+    """
+    one = 1 << prec
+    two_m = [m << (prec + 1) for m in ms]
+    den = [x + dr for x in two_m]  # Re(2m+d)
+    if di:  # t = d conj(2m+d) / |2m+d|^2
+        norm = [x * x + di * di for x in den]
+        t = (list(map(floordiv, [(x * dr + di * di) << prec for x in den], norm)),
+             list(map(floordiv, [x * di << prec for x in two_m], norm)))
+    else:
+        t = list(map(floordiv, repeat(dr << prec), den)), None
+    w = _fixed_mul(*t, *t, prec)
+    acc = [one // (2 * terms - 1)] * len(ms), None if t[1] is None else [0] * len(ms)
+    for k in reversed(range(terms - 1)):
+        acc_re, acc_im = _fixed_mul(*acc, *w, prec)
+        acc = list(map(add, acc_re, repeat(one // (2 * k + 1)))), acc_im
+    return _fixed_mul(*acc, *t, 2 * prec - bits - 1)
+
+
+def _shifted_log_row0(zm, cfg: EvalConfig, n_max: int) -> tuple[list, list]:
+    """(re, im) fixed-point rows of log(z+n), n = 1..n_max (list index n-1).
+
+    Write z+n = m + d with m = n + floor(Re z) and 0 <= Re d < 1.  From
+    m >= 2^j >= 2|d|, j >= _FIRST_SERIES_OCTAVE, the entry is
+    log m + 2 atanh(d/(2m+d)): log m from the integer table, the series in
+    ints _SERIES_GUARD bits past the grid, with as many terms as
+    |t| <= |d|/2m <= 1/4 needs at the bottom of m's octave.  Such an entry is
+    within (Omega(m) + 2) 2^-bits of log(z+n) in each part (Omega as in
+    _integer_log_table).  Every other entry, including each z+n with Re <= 0,
+    is mpmath.log(z+n) taken _SERIES_GUARD bits past the grid and floored
+    onto it: within (1 + 2^-10 |log(z+n)|) 2^-bits.  Which entries take a
+    direct log depends on z alone, and no entry depends on n_max.
+    """
+    bits = _fixed_bits(cfg)
+    prec = bits + _SERIES_GUARD
+    shift = int(mpmath.floor(mpmath.re(zm)))
+    d = zm - shift  # exact: the bits of Re z below 1
+    m_last = n_max + shift
+    if not d and shift >= 0:  # z+n = m: the integer table's own entries
+        return _integer_log_table(cfg, 1, m_last)[0][shift + 1:m_last + 1], [0] * n_max
+    dr, di = _to_fixed(d, prec)
+    d_log2 = math.log2(math.isqrt(dr * dr + di * di) + 2) - prec  # >= log2 |d|
+    m_first = max(1 << max(_FIRST_SERIES_OCTAVE, math.ceil(d_log2) + 1), shift + 1)
+    re0, im0 = [], []
+    with mpmath.workprec(prec):
+        for n in range(1, min(m_first - shift, n_max + 1)):
+            re, im = _to_fixed(mpmath.log(zm + n), bits)
+            re0.append(re)
+            im0.append(im)
+    log_m = _integer_log_table(cfg, 1, m_last)[0]
+    while len(re0) < n_max:
+        octave = (len(re0) + 1 + shift).bit_length() - 1
+        ms = range(len(re0) + 1 + shift, min(2 << octave, m_last + 1))
+        # |t| <= 2^-gain, gain >= 2; the dropped tail, 2 |t|^(2 terms + 1) /
+        # ((2 terms + 1) (1 - |t|^2)), is then below 2^-(prec + gain)
+        gain = octave + 1 - d_log2
+        series_re, series_im = _log1p_block(ms, dr, di, math.ceil(prec / (2 * gain)), prec, bits)
+        re0.extend(map(add, log_m[ms.start:ms.stop], series_re))
+        im0.extend(repeat(0, len(ms)) if series_im is None else series_im)
+    return re0, im0
+
+
 def _shifted_log_rows(r: int, zm, cfg: EvalConfig, n_max: int) -> list:
     """log G_k(z+n) for 0 <= k <= r-1, n = 1..n_max (list index n-1).
 
     Each level is a pair (re, im) of fixed-point int rows, built bottom-up in
-    one pass: level 0 is log(z+n) directly; level k >= 1 starts from
-    log G_k(z+1), extrapolated from a Gauss sweep over the levels already
+    one pass: level 0 is log(z+n) from _shifted_log_row0; level k >= 1 starts
+    from log G_k(z+1), extrapolated from a Gauss sweep over the levels already
     built, and walks the recurrence as an exact running sum.  The starting
     values enter the level-r product sum with O(N)-fold amplification, so
     they are computed at a higher extrapolation order than the caller's and
@@ -352,8 +465,7 @@ def _shifted_log_rows(r: int, zm, cfg: EvalConfig, n_max: int) -> list:
     if any(_extrap_key("gauss", k, zm, cfg, _BASE_ORDER) not in _EXTRAP_CACHE
            for k in range(1, r)):
         n_max = max(n_max, cfg.truncation_n)
-    re0, im0 = zip(*(_to_fixed(mpmath.log(zm + n), bits) for n in range(1, n_max + 1)))
-    rows = [(list(re0), list(im0))]
+    rows = [_shifted_log_row0(zm, cfg, n_max)]
     for k in range(1, r):
         base = product_extrapolated("gauss", k, zm, cfg, order=_BASE_ORDER, rows=rows).value
         base_re, base_im = _to_fixed(base, bits)

@@ -238,9 +238,16 @@ def test_euler_extrapolant_equals_its_top_five_partials():
             assert shared == single, (r, z)
 
 
+def prime_count(n):
+    """pi(n), by trial division."""
+    return sum(all(k % p for p in range(2, math.isqrt(k) + 1)) for k in range(2, n + 1))
+
+
 def test_one_call_takes_one_row_of_logs(monkeypatch):
     # Every level of the shifted lattice derives from the one row log(z+n),
-    # n <= N; with the integer tables warm it is all the logs a call takes.
+    # n <= N, and only its entries below the series cutoff take a log: with
+    # the integer tables warm, a call takes a handful.  The integer table
+    # takes one log per prime.
     log_multigamma(1, Fraction(7, 2), CFG30)
     calls = []
     real_log = mpmath.log
@@ -251,7 +258,71 @@ def test_one_call_takes_one_row_of_logs(monkeypatch):
 
     monkeypatch.setattr(mpmath, "log", counting)
     log_multigamma(4, Fraction(41, 16), CFG30)
-    assert len(calls) <= CFG30.truncation_n + 64
+    assert len(calls) <= 64
+    calls.clear()
+    monkeypatch.setattr(evaluate, "_INT_TABLES", {})
+    evaluate._integer_log_table(CFG30, 1, CFG30.truncation_n)
+    assert len(calls) <= prime_count(CFG30.truncation_n + 64) + 64
+
+
+# Real and complex z: z+n < 0 for small n (-37/3), an integer Re z
+# (-11+3i/4), an |Im z| that lifts the series cutoff to m = 2^9 (-5+150i), and
+# z = 0, where the row is the integer table's own.
+LEVEL0_ARGS = (Fraction(17, 3), Fraction(-37, 3), (Fraction(7, 3), Fraction(-5, 11)),
+               (Fraction(-11), Fraction(3, 4)), (Fraction(-5), Fraction(150)), Fraction(0))
+LEVEL0_NS = list(range(1, 301)) + list(range(301, 2**14 + 1, 37))
+
+
+def level0_arg(z):
+    """mpf or mpc at the current precision for an entry of LEVEL0_ARGS."""
+    if isinstance(z, tuple):
+        return mpmath.mpc(*(mpmath.mpf(x.numerator) / x.denominator for x in z))
+    return mpmath.mpf(z.numerator) / z.denominator
+
+
+def assert_within_16_ulps(got_re, got_im, want, cfg):
+    """got (fixed-point ints on cfg's lattice grid) within 16 2^-p of want."""
+    bits = evaluate._fixed_bits(cfg)
+    bound = 16 * mpmath.mpf(2) ** -mpmath.libmp.dps_to_prec(cfg.precision.working_dps)
+    assert abs(mpmath.mpf((got_re, -bits)) - mpmath.re(want)) <= bound
+    assert abs(mpmath.mpf((got_im, -bits)) - mpmath.im(want)) <= bound
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_level0_row_is_within_16_ulps_of_log(digits):
+    cfg = EvalConfig(precision=Precision(digits=digits))
+    for z in LEVEL0_ARGS:
+        with mpmath.workdps(cfg.precision.working_dps):
+            zm = level0_arg(z)
+            re0, im0 = evaluate._shifted_log_rows(1, zm, cfg, 2**14)[0]
+        with mpmath.workdps(cfg.precision.working_dps + 20):
+            for n in LEVEL0_NS:
+                assert_within_16_ulps(re0[n - 1], im0[n - 1], mpmath.log(zm + n), cfg)
+
+
+def test_level0_row_does_not_depend_on_its_length():
+    # The N = 2^10 partial must equal its ladder checkpoint bit for bit
+    # (test_single_partial_equals_its_ladder_checkpoint).
+    for z in LEVEL0_ARGS:
+        with mpmath.workdps(CFG30.precision.working_dps):
+            zm = level0_arg(z)
+            short = evaluate._shifted_log_rows(1, zm, CFG30, 2**10)[0]
+            full = evaluate._shifted_log_rows(1, zm, CFG30, 2**14)[0]
+        assert short[0] == full[0][:2**10] and short[1] == full[1][:2**10], z
+
+
+def test_integer_table_grown_in_pieces_equals_one_build(monkeypatch):
+    top = 2**14 + 13
+    monkeypatch.setattr(evaluate, "_INT_TABLES", {})
+    whole = [list(row) for row in evaluate._integer_log_table(CFG30, 3, top)]
+    monkeypatch.setattr(evaluate, "_INT_TABLES", {})
+    evaluate._integer_log_table(CFG30, 3, 100)
+    assert evaluate._integer_log_table(CFG30, 3, top) == whole
+    row0 = whole[0]
+    # n <= 300 covers primes and composites, then every 37th and the last entry
+    with mpmath.workdps(CFG30.precision.working_dps + 20):
+        for n in LEVEL0_NS + [top]:
+            assert_within_16_ulps(row0[n], 0, mpmath.log(n), CFG30)
 
 
 def test_three_routes_agree_within_stated_errors():
