@@ -29,10 +29,10 @@ integer row takes one per prime and adds the logs of prime factors; the
 shifted row writes z+n = m + d with m an integer and takes log m from the
 integer row plus a short fixed-point series for log(1 + d/m); only the
 entries with m below a cutoff of 2^4 or more (|Im z| raises it), every z+n
-with Re <= 0 among them, keep a direct log.  Logs and series run a few bits
-past the grid, so every level-0 entry x is within (2 + log2 max(2, |x|))
-2^-(p+g) of log x (_integer_log_table and _shifted_log_row0 give the
-details).  The real and imaginary parts of the levels above and of the
+with Re <= 0 among them, and those with m past 2N keep a direct log, so the
+integer row never grows past 2N.  Logs and series run a few bits past the
+grid, so every level-0 entry x is within (2 + log2 max(2, |x|)) 2^-(p+g) of
+log x (_integer_log_table and _shifted_log_row0 give the details).  The real and imaginary parts of the levels above and of the
 partial sums are exact integer sums of level-0 entries.  Values return to
 mpf/mpc only at ladder checkpoints.  A call builds its shifted lattice once,
 bottom-up: the starting value of each level comes from a Gauss sweep over
@@ -46,7 +46,7 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, floordiv, mul, rshift, sub
 from typing import Any, Sequence, Union
 
@@ -407,42 +407,52 @@ def _shifted_log_row0(zm, cfg: EvalConfig, n_max: int) -> tuple[list, list]:
     """(re, im) fixed-point rows of log(z+n), n = 1..n_max (list index n-1).
 
     Write z+n = m + d with m = n + floor(Re z) and 0 <= Re d < 1.  From
-    m >= 2^j >= 2|d|, j >= _FIRST_SERIES_OCTAVE, the entry is
-    log m + 2 atanh(d/(2m+d)): log m from the integer table, the series in
-    ints _SERIES_GUARD bits past the grid, with as many terms as
+    m >= 2^j >= 2|d|, j >= _FIRST_SERIES_OCTAVE, up to m = 2 truncation_n,
+    the entry is log m + 2 atanh(d/(2m+d)): log m from the integer table, the
+    series in ints _SERIES_GUARD bits past the grid, with as many terms as
     |t| <= |d|/2m <= 1/4 needs at the bottom of m's octave.  Such an entry is
     within (Omega(m) + 2) 2^-bits of log(z+n) in each part (Omega as in
-    _integer_log_table).  Every other entry, including each z+n with Re <= 0,
-    is mpmath.log(z+n) taken _SERIES_GUARD bits past the grid and floored
-    onto it: within (1 + 2^-10 |log(z+n)|) 2^-bits.  Which entries take a
-    direct log depends on z alone, and no entry depends on n_max.
+    _integer_log_table); for integer z it is the table's own entry.  Every
+    other entry, including each z+n with Re <= 0 and each m past the top, is
+    mpmath.log(z+n) taken _SERIES_GUARD bits past the grid and floored onto
+    it: within (1 + 2^-10 |log(z+n)|) 2^-bits.  Which entries take a direct
+    log depends on z and truncation_n alone, and no entry depends on n_max.
     """
     bits = _fixed_bits(cfg)
     prec = bits + _SERIES_GUARD
     shift = int(mpmath.floor(mpmath.re(zm)))
     d = zm - shift  # exact: the bits of Re z below 1
-    m_last = n_max + shift
-    if not d and shift >= 0:  # z+n = m: the integer table's own entries
-        return _integer_log_table(cfg, 1, m_last)[0][shift + 1:m_last + 1], [0] * n_max
-    dr, di = _to_fixed(d, prec)
-    d_log2 = math.log2(math.isqrt(dr * dr + di * di) + 2) - prec  # >= log2 |d|
-    m_first = max(1 << max(_FIRST_SERIES_OCTAVE, math.ceil(d_log2) + 1), shift + 1)
-    re0, im0 = [], []
+    if d:
+        dr, di = _to_fixed(d, prec)
+        d_log2 = math.log2(math.isqrt(dr * dr + di * di) + 2) - prec  # >= log2 |d|
+        m_first = max(1 << max(_FIRST_SERIES_OCTAVE, math.ceil(d_log2) + 1), shift + 1)
+    else:  # z+n = m: the integer table's own entries
+        m_first = max(1, shift + 1)
+    # the series covers n in [lo, hi); the entries on either side take a log.
+    # It stops at m = 2 truncation_n so that the integer table it reads log m
+    # from stays O(truncation_n) long however large Re z is.
+    lo = min(m_first - shift, n_max + 1)
+    hi = max(lo, min(n_max, 2 * cfg.truncation_n - shift) + 1)
     with mpmath.workprec(prec):
-        for n in range(1, min(m_first - shift, n_max + 1)):
-            re, im = _to_fixed(mpmath.log(zm + n), bits)
-            re0.append(re)
-            im0.append(im)
-    log_m = _integer_log_table(cfg, 1, m_last)[0]
-    while len(re0) < n_max:
+        direct = [_to_fixed(mpmath.log(zm + n), bits)
+                  for n in chain(range(1, lo), range(hi, n_max + 1))]
+    re0 = [re for re, _ in direct[:lo - 1]]
+    im0 = [im for _, im in direct[:lo - 1]]
+    log_m = _integer_log_table(cfg, 1, hi - 1 + shift)[0] if hi > lo else None
+    if hi > lo and not d:
+        re0.extend(log_m[lo + shift:hi + shift])
+        im0.extend(repeat(0, hi - lo))
+    while len(re0) < hi - 1:
         octave = (len(re0) + 1 + shift).bit_length() - 1
-        ms = range(len(re0) + 1 + shift, min(2 << octave, m_last + 1))
+        ms = range(len(re0) + 1 + shift, min(2 << octave, hi + shift))
         # |t| <= 2^-gain, gain >= 2; the dropped tail, 2 |t|^(2 terms + 1) /
         # ((2 terms + 1) (1 - |t|^2)), is then below 2^-(prec + gain)
         gain = octave + 1 - d_log2
         series_re, series_im = _log1p_block(ms, dr, di, math.ceil(prec / (2 * gain)), prec, bits)
         re0.extend(map(add, log_m[ms.start:ms.stop], series_re))
         im0.extend(repeat(0, len(ms)) if series_im is None else series_im)
+    re0.extend(re for re, _ in direct[lo - 1:])
+    im0.extend(im for _, im in direct[lo - 1:])
     return re0, im0
 
 

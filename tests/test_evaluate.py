@@ -265,11 +265,36 @@ def test_one_call_takes_one_row_of_logs(monkeypatch):
     assert len(calls) <= prime_count(CFG30.truncation_n + 64) + 64
 
 
+def test_far_argument_takes_o_n_logs_and_a_short_integer_table(monkeypatch):
+    # Past m = 2N the shifted row takes a direct log per entry instead of
+    # reading log m from the integer table, so a far z costs O(N) logs and
+    # leaves the table O(N) long, not O(Re z).
+    n_top = CFG30.truncation_n
+    monkeypatch.setattr(evaluate, "_INT_TABLES", {})
+    calls = []
+    real_log = mpmath.log
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_log(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "log", counting)
+    for z in (Fraction(10**7), Fraction(3 * 10**7 + 1, 3)):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the asymptotic route's radius cap
+            log_multigamma(1, z, CFG30)
+        assert len(calls) <= 2 * n_top, z
+        assert all(len(tabs[0]) <= 2 * n_top + 1 for tabs in evaluate._INT_TABLES.values()), z
+
+
 # Real and complex z: z+n < 0 for small n (-37/3), an integer Re z
-# (-11+3i/4), an |Im z| that lifts the series cutoff to m = 2^9 (-5+150i), and
-# z = 0, where the row is the integer table's own.
+# (-11+3i/4), an |Im z| that lifts the series cutoff to m = 2^9 (-5+150i),
+# z = 0, where the row is the integer table's own, a z whose row crosses the
+# series' top m = 2N (60001/3), and one past it (10^7 + 1/3).
 LEVEL0_ARGS = (Fraction(17, 3), Fraction(-37, 3), (Fraction(7, 3), Fraction(-5, 11)),
-               (Fraction(-11), Fraction(3, 4)), (Fraction(-5), Fraction(150)), Fraction(0))
+               (Fraction(-11), Fraction(3, 4)), (Fraction(-5), Fraction(150)), Fraction(0),
+               Fraction(60001, 3), Fraction(3 * 10**7 + 1, 3))
 LEVEL0_NS = list(range(1, 301)) + list(range(301, 2**14 + 1, 37))
 
 
