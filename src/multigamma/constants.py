@@ -15,6 +15,12 @@ omitted term (both overridable).  The s-derivative differentiates every term
 of the same formula; the Pochhammer derivative is accumulated by the product
 rule, which stays finite at negative integer s where a logarithmic-derivative
 shortcut would divide by zero.
+
+The parameter a may be complex with Re a > 0: the summand (x+a)^-s is then
+analytic on x >= 0 and the same formula holds with principal powers and
+logs (for rigorous tail bounds in this setting see Johansson, "Rigorous
+high-precision computation of the Hurwitz zeta function and its
+derivatives", arXiv:1309.2877).
 """
 
 from __future__ import annotations
@@ -129,9 +135,9 @@ def _euler_maclaurin(s, a, cutoff: int, order_cap: int, target, want_deriv: bool
 def _hurwitz_core(s, a, prec: Precision, cutoff, order, want_deriv: bool):
     with mpmath.workdps(prec.working_dps):
         s = _to_mpf(s)
-        a = _to_mpf(a)
-        if a <= 0:
-            raise ValueError("hurwitz zeta requires a > 0")
+        a = mpmath.mpmathify(a)
+        if mpmath.re(a) <= 0:
+            raise ValueError("hurwitz zeta requires Re a > 0")
         if s == 1:
             raise ValueError("hurwitz zeta has a pole at s = 1")
         target = mpmath.mpf(10) ** -(prec.digits + prec.guard // 2)
@@ -152,8 +158,9 @@ def _hurwitz_core(s, a, prec: Precision, cutoff, order, want_deriv: bool):
                 raise ArithmeticError("Euler-Maclaurin failed to converge at the requested cutoff")
         else:
             # First omitted term decays like ((|s|+2k)/(2*pi*(M+a)))^(2k):
-            # M+a modestly above dps*ln(10)/(2*pi) makes the series reach the target.
-            m = max(1, math.ceil(0.40 * prec.working_dps + 0.5 * abs(s) + 2 - a))
+            # M+a modestly above dps*ln(10)/(2*pi) makes the series reach the target;
+            # |M+a| >= M + Re a, so Re a alone sets the cutoff for complex a too.
+            m = max(1, math.ceil(0.40 * prec.working_dps + 0.5 * abs(s) + 2 - mpmath.re(a)))
             for _ in range(12):
                 value, deriv, converged = _euler_maclaurin(s, a, m, order_cap, target, want_deriv)
                 if converged:
@@ -172,8 +179,9 @@ def hurwitz_zeta(s, a, prec: Precision = Precision(), *, cutoff: int | None = No
                  order: int | None = None):
     """zeta(s, a) = sum_{n>=0} (n+a)^-s, continued to all real s != 1.
 
-    a must be positive real.  Absolute error target 10^-digits; cutoff and
-    correction order are chosen adaptively unless given.
+    a is real or complex with Re a > 0 (principal powers).  Absolute error
+    target 10^-digits; cutoff and correction order are chosen adaptively
+    unless given.
     """
     value, _ = _hurwitz_core(s, a, prec, cutoff, order, want_deriv=False)
     return value

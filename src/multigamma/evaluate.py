@@ -1,20 +1,24 @@
 """Numeric evaluation of the Vigneras hierarchy G_r(z).
 
-Three independent routes are implemented and cross-checked:
+Three routes are implemented and cross-checked:
 
 * the Gauss infinite product for log G_r(z+1), truncated at N and Richardson-
   extrapolated over a doubling ladder (the truncation error has a pure 1/N
   power expansion, so the ladder is valid at every r);
 * the Euler factor-by-factor rearrangement of the same product (identical
   limit, different accumulation order — kept separate as a cross-check);
-* the higher Stirling asymptotic formula for log G_r(z+1), applied after an
-  integer shift M chosen so |z+M| clears a radius, then walked back down with
-  the defining recurrence G_r(w+1) = G_{r-1}(w) G_r(w).
+* the Hurwitz-zeta route for log G_r(z): the Barnes zeta derivative
+  sum_j a_j(w) zeta_H'(-j, w) = log Gamma_r(w) plus a polynomial fixed by
+  G_r(1) = 1, at w = z + M with Re w > 0, walked back down with the
+  defining recurrence G_r(w+1) = G_{r-1}(w) G_r(w).  It has no remainder
+  term, so it stays accurate where the products lose accuracy (large |z|).
 
-On top of these sit the Hurwitz-zeta oracle for log Gamma_r(z) (an entirely
-separate algorithm), the multiple sine, the multiplication-formula residual,
-and the calibration that fixes the sign/shift conventions documented in
-``conventions``.
+The front door runs Gauss and falls back on the zeta route where Gauss
+misses the tolerance.  On top of these sit the Hurwitz-zeta oracle for
+log Gamma_r(z) (the zeta route's sum at rational z > 0, sharing no code with
+the products), the raw higher Stirling formula, the multiple sine, the
+multiplication-formula residual, and the calibration that fixes the
+sign/shift conventions documented in ``conventions``.
 
 All log values are accumulated additively from principal logs of individual
 factors; the imaginary part is therefore path-dependent (it is not reduced
@@ -42,7 +46,6 @@ the levels already built.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -67,7 +70,6 @@ from .exact_poly import (
 
 __all__ = [
     "SingularInputError",
-    "SectorError",
     "CalibrationError",
     "LogValue",
     "ResidualReport",
@@ -95,17 +97,12 @@ _LADDER_STEPS = 9
 # deepest tableau the ladder supports is the right depth for them (memoized —
 # the extra columns are free).
 _BASE_ORDER = 8
-_RADIUS_CAP = 1.0e4
 
 ComplexLike = Union[int, float, complex, Fraction, Any]
 
 
 class SingularInputError(ValueError):
     """Input within 10^-8 of a lattice singularity of G_r."""
-
-
-class SectorError(ValueError):
-    """Asymptotic route refused: the shifted argument has non-positive real part."""
 
 
 class CalibrationError(RuntimeError):
@@ -122,17 +119,19 @@ class LogValue:
     """A logarithm accumulated additively, tagged with its method of origin.
 
     The imaginary part is the continued log along the accumulation path, not
-    reduced modulo 2 pi.  err_est is an absolute error estimate (None when the
-    producing operation has no model for it, e.g. a single partial product).
+    reduced modulo 2 pi; the product and zeta routes both sum principal logs
+    of z+n, so they land on the same branch.  err_est is an absolute error
+    estimate (None when the producing operation has no model for it: a
+    single partial product, the raw asymptotic formula).
     """
 
     value: Any  # mpf or mpc
-    method: str  # gauss | euler | asymptotic | oracle | exact
+    method: str  # gauss | euler | zeta | asymptotic | oracle | exact
     err_est: Any = None
     cross_check: Any = None  # |difference| between two methods, when both ran
 
     def __post_init__(self) -> None:
-        if self.method not in {"gauss", "euler", "asymptotic", "oracle", "exact"}:
+        if self.method not in {"gauss", "euler", "zeta", "asymptotic", "oracle", "exact"}:
             raise ValueError(f"unknown method tag {self.method!r}")
 
     @property
@@ -186,13 +185,17 @@ class ResidualReport:
 class EvalConfig:
     """Evaluation knobs shared by every numeric operation.
 
-    shift_radius: minimum |z+M| before the asymptotic formula applies; None
-    selects max(20, C_r/tolerance) capped at 1e4, with C_r fitted empirically.
     truncation_n: top of the doubling ladder for the product routes.
+    extrapolation_order: Richardson depth of the front door's product value.
+    tolerance: the absolute error the front door must reach; the zeta route
+    also runs wherever the product route's err_est misses tolerance/10.
+    conventions: the calibrated signs that log_gamma_r and
+    multiplication_residual need; the front door needs none.
+    cross_validate: run the zeta route at every front-door call and check
+    that both routes agree.
     """
 
     precision: Precision = Precision(digits=30)
-    shift_radius: float | None = None
     truncation_n: int = 2**14
     extrapolation_order: int = 4
     tolerance: float = 1e-8
@@ -200,8 +203,6 @@ class EvalConfig:
     cross_validate: bool = False
 
     def __post_init__(self) -> None:
-        if self.shift_radius is not None and self.shift_radius < 10:
-            raise ValueError("shift_radius must be >= 10")
         if not 0 <= self.extrapolation_order <= 8:
             raise ValueError("extrapolation_order must be in 0..8")
         if self.truncation_n < 2 ** (self.extrapolation_order + 1):
@@ -646,122 +647,100 @@ def product_extrapolated(method: str, r: int, z: ComplexLike, cfg: EvalConfig = 
 
 
 # ---------------------------------------------------------------------------
-# Asymptotic route
+# Asymptotic formula and the Hurwitz-zeta route
 # ---------------------------------------------------------------------------
 
 
-def _hs_value(r: int, wm, prec: Precision):
-    """Raw higher Stirling value for log G_r(w+1), no shifting, no descent."""
-    terms = higher_stirling_terms(r)
-    value = terms.log_coeff.evaluate(wm) * mpmath.log(wm + 1)
-    value -= terms.power_part.evaluate(wm)
-    for j, poly in terms.zeta_multipliers:
-        value -= poly.evaluate(wm) * zeta_prime_neg(j, prec)
-    return value
-
-
-_ASYM_CONST_CACHE: dict[tuple, Any] = {}
-
-
-def _asym_error_constant(r: int, cfg: EvalConfig):
-    """Empirical C_r in the raw-formula error model |remainder| ~ C_r/|z|.
-
-    Fitted by comparing the raw formula against the Gauss-extrapolated route
-    at z in {20, 40, 80}, inflated 25% as a safety margin.
-    """
-    dps = cfg.precision.working_dps
-    key = (r, dps, cfg.truncation_n)
-    hit = _ASYM_CONST_CACHE.get(key)
-    if hit is not None:
-        return hit
-    with mpmath.workdps(dps):
-        c = mpmath.mpf(10) ** -(cfg.precision.digits // 2)  # floor, never exactly 0
-        for zt in (20, 40, 80):
-            zt_m = mpmath.mpf(zt)
-            reference = product_extrapolated("gauss", r, zt_m, cfg, order=_BASE_ORDER).value
-            diff = abs(_hs_value(r, zt_m, cfg.precision) - reference)
-            c = max(c, diff * zt)
-        c = +(c * mpmath.mpf("1.25"))
-    _ASYM_CONST_CACHE[key] = c
-    return c
-
-
-def _asym_error_estimate(r: int, m_shift: int, far_abs, cfg: EvalConfig):
-    """Honest error model for the shifted-descent evaluation.
-
-    The level-k formula remainder (~C_k/|z+M|) is committed once at the far
-    anchor and then replicated by the descent: the level-k anchor error is
-    summed binom(M+r-k-1, r-k) times into the final value.  For r = 1 or
-    M = 0 this reduces to the plain C_r/|z+M| model.
-    """
-    total = mpmath.mpf(0)
-    for k in range(1, r + 1):
-        paths = 1 if k == r else math.comb(m_shift + r - k - 1, r - k)
-        if paths:
-            total += paths * _asym_error_constant(k, cfg)
-    return total / far_abs
-
-
-def _resolve_shift_radius(r: int, cfg: EvalConfig) -> float:
-    if cfg.shift_radius is not None:
-        return float(cfg.shift_radius)
-    c = _asym_error_constant(r, cfg)
-    radius = max(20.0, float(c / cfg.tolerance))
-    if radius > _RADIUS_CAP:
-        warnings.warn(
-            f"asymptotic shift radius for r={r} capped at {_RADIUS_CAP:.0e}; "
-            f"the O(1/z) remainder then limits that route to ~{float(c) / _RADIUS_CAP:.1e} "
-            f"absolute error (requested tolerance {cfg.tolerance:.1e})",
-            stacklevel=2,
-        )
-        radius = _RADIUS_CAP
-    return radius
-
-
 def log_multigamma_asymptotic(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> LogValue:
-    """log G_r(z+1) by the higher Stirling formula after an integer shift.
+    """log G_r(z+1) by the raw higher Stirling formula at z: no shift, no descent.
 
-    Chooses minimal M >= 0 with |z+M| >= shift radius, evaluates the formula
-    at every level k <= r at the shifted point, and descends with
-    log G_k(w) = log G_k(w+1) - log G_{k-1}(w).  Requires Re(z+M) > 0.
-
-    The error estimate is the compound model of _asym_error_estimate: for
-    r >= 2 every descent step re-uses the level-(r-1) anchor value, so its
-    formula remainder is summed M times and the final accuracy saturates
-    near C_{r-1} no matter how far the shift goes.  The estimate is honest
-    about that; callers wanting small-|z| accuracy at r >= 2 should prefer
-    the product routes (the front door already does).
+    The formula of higher_stirling_terms without its O(1/z) remainder.  That
+    remainder has no error model here, so err_est is None; the front door
+    does not use this route.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    radius = _resolve_shift_radius(r, cfg)
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
         _check_not_singular(r, zm + 1)
-        x, y = mpmath.re(zm), mpmath.im(zm)
-        r2 = mpmath.mpf(radius) ** 2 - y * y
-        if r2 <= 0 or x >= mpmath.sqrt(r2):
-            m_shift = 0
-        else:
-            m_shift = int(mpmath.ceil(mpmath.sqrt(r2) - x))
-        if mpmath.re(zm + m_shift) <= 0:
-            raise SectorError(
-                f"Re(z+M) = {mpmath.nstr(mpmath.re(zm + m_shift), 8)} <= 0 after shift M={m_shift}; "
-                "the asymptotic route is restricted to Re(z+M) > 0 — use the product route")
+        terms = higher_stirling_terms(r)
+        value = terms.log_coeff.evaluate(zm) * mpmath.log(zm + 1) - terms.power_part.evaluate(zm)
+        for j, poly in terms.zeta_multipliers:
+            value -= poly.evaluate(zm) * zeta_prime_neg(j, cfg.precision)
+        return LogValue(value=+value, method="asymptotic")
 
-        w_far = zm + m_shift
-        # level-by-level descent arrays: row[k][m] = log G_k(z+m), m = 1..M+1
-        below = [mpmath.log(zm + m) for m in range(1, m_shift + 2)]
-        if abs(zm + 1) < SINGULAR_EPS or any(abs(v) == mpmath.inf for v in below):
-            raise SingularInputError("descent path crosses a lattice singularity")
-        for k in range(1, r + 1):
-            row = [None] * (m_shift + 2)
-            row[m_shift + 1] = _hs_value(k, w_far, cfg.precision)
-            for m in range(m_shift, 0, -1):
-                row[m] = row[m + 1] - below[m - 1]
-            below = row[1:]
-        err = _asym_error_estimate(r, m_shift, abs(w_far), cfg)
-        return LogValue(value=below[0], method="asymptotic", err_est=+err)
+
+def _barnes_coeffs(k: int, w) -> list:
+    """a_j(w), j < k, with binom(t - w + k - 1, k - 1) = sum_j a_j(w) t^j.
+
+    Then sum_{n>=0} binom(n+k-1, k-1) (w+n)^-s = sum_j a_j(w) zeta_H(s-j, w).
+    a_j(w) = Q^(j)(-w)/j! for Q(t) = binom(t+k-1, k-1): exact polynomials,
+    evaluated exactly at an int or Fraction w and at the working precision
+    otherwise.
+    """
+    q = binom_poly(k - 1).shift(k - 1)
+    coeffs = []
+    for j in range(k):
+        coeffs.append(q.evaluate(-w))
+        q = q.derivative().scale(Fraction(1, j + 1))
+    return coeffs
+
+
+def _zeta_levels(r: int, wm, prec: Precision) -> list[tuple]:
+    """(log G_k(w), err) for k = 1..r, at Re w > 0, from the Hurwitz zeta.
+
+    L_k(w) = sum_j a_j(w) zeta_H'(-j, w) (_barnes_coeffs) is log Gamma_k(w),
+    and L_k(w+1) = L_k(w) - L_{k-1}(w), so F_k = (-1)^(k-1) L_k satisfies
+    the recurrence of log G_k with F_0 = log.  log G_k - F_k is then a
+    polynomial p_k with p_k(w+1) - p_k(w) = p_{k-1}(w), and G_i(1) = 1 at
+    every level fixes it:
+        log G_k(w) = F_k(w) - sum_{i<=k} F_i(1) binom(w-1, k-i),
+    with F_i(1) from zeta'(-j) = zeta_H'(-j, 1).  No convention enters.
+    Each product c v summed counts 10^-digits |c| (1 + |v|) towards err:
+    Hurwitz promises 10^-digits absolute, and the guard digits absorb the
+    rounding.
+    """
+    eps = mpmath.mpf(10) ** -prec.digits
+    zetas = [hurwitz_zeta_sderiv(-j, wm, prec) for j in range(r)]
+    consts = [zeta_prime_neg(j, prec) for j in range(r)]
+    f_at_1 = []
+    levels = []
+    for k in range(1, r + 1):
+        sign = (-1) ** (k - 1)
+        f_at_1.append(sign * mpmath.fdot((_to_mp(a), c)
+                                         for a, c in zip(_barnes_coeffs(k, 1), consts)))
+        pairs = [(sign * a, zj) for a, zj in zip(_barnes_coeffs(k, wm), zetas)]
+        pairs += [(-f1, binom_poly(k - i).evaluate(wm - 1)) for i, f1 in enumerate(f_at_1, 1)]
+        err = eps * mpmath.fsum(abs(c) * (1 + abs(v)) for c, v in pairs)
+        levels.append((mpmath.fdot(pairs), err))
+    return levels
+
+
+def _log_multigamma_zeta(r: int, zm, cfg: EvalConfig) -> LogValue:
+    """log G_r(z) by the Hurwitz-zeta route, zm off the singular lattice.
+
+    The caller sets the working precision (the front door does).
+
+    Evaluates every level at w = z + M, M >= 0 the least integer with
+    Re w > 0 (_zeta_levels), then walks down with the exact recurrence
+    log G_k(z+m) = log G_k(z+m+1) - log G_{k-1}(z+m), m = M-1..0, from
+    principal logs at level 0.  err_est follows each value down the descent,
+    adding 10^-digits |value| per step.
+    """
+    eps = mpmath.mpf(10) ** -cfg.precision.digits
+    m_shift = max(0, int(mpmath.floor(-mpmath.re(zm))) + 1)
+    below = []
+    for m in range(m_shift):
+        log_zm = mpmath.log(zm + m)
+        below.append((log_zm, eps * abs(log_zm)))
+    for value, err in _zeta_levels(r, zm + m_shift, cfg.precision):
+        row = []
+        for prev, prev_err in reversed(below):
+            value -= prev
+            err += prev_err + eps * abs(value)
+            row.append((value, err))
+        below = row[::-1]
+    return LogValue(value=+value, method="zeta", err_est=+err)
 
 
 # ---------------------------------------------------------------------------
@@ -780,10 +759,11 @@ def log_g0(z: ComplexLike, prec: Precision = Precision(digits=30)) -> LogValue:
 def log_multigamma(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> LogValue:
     """log G_r(z) — the front door.
 
-    Runs the extrapolated Gauss product at z-1; when that route's error
-    estimate cannot beat tolerance/10 (large |z|), or when cfg.cross_validate
-    is set, the asymptotic route is also run and the better estimate wins.
-    Whenever both run, they must agree within max(10 max(err), 100 tolerance).
+    Runs the extrapolated Gauss product at z-1.  When that route's error
+    estimate cannot beat tolerance/10 (large |z|), the Hurwitz-zeta route
+    also runs and the better estimate wins; cfg.cross_validate runs it at
+    every call as a check only.  Whenever both run, they must agree within
+    max(10 max(err), 100 tolerance), or ArithmeticError is raised.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -792,26 +772,20 @@ def log_multigamma(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> Lo
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
         _check_not_singular(r, zm)
-        wm = zm - 1
-        gauss = product_extrapolated("gauss", r, wm, cfg)
+        gauss = product_extrapolated("gauss", r, zm - 1, cfg)
         tol = mpmath.mpf(cfg.tolerance)
-        want_asym = cfg.cross_validate or not (gauss.err_est < tol / 10)
-        if not want_asym:
+        fallback = not (gauss.err_est < tol / 10)
+        if not (fallback or cfg.cross_validate):
             return gauss
-        try:
-            asym = log_multigamma_asymptotic(r, wm, cfg)
-        except SectorError:
-            # asymptotic route unavailable left of the imaginary axis;
-            # the product value stands, with its honest error estimate
-            return gauss
-        disagreement = abs(gauss.value - asym.value)
-        allowed = max(10 * max(gauss.err_est, asym.err_est), 100 * tol)
+        zeta = _log_multigamma_zeta(r, zm, cfg)
+        disagreement = abs(gauss.value - zeta.value)
+        allowed = max(10 * max(gauss.err_est, zeta.err_est), 100 * tol)
         if disagreement > allowed:
             raise ArithmeticError(
-                f"product and asymptotic routes disagree by {mpmath.nstr(disagreement, 5)} "
+                f"product and zeta routes disagree by {mpmath.nstr(disagreement, 5)} "
                 f"(allowed {mpmath.nstr(allowed, 5)}) at r={r}, z={mpmath.nstr(zm, 10)}; "
-                "suspect conventions or implementation")
-        best = gauss if gauss.err_est <= asym.err_est else asym
+                "suspect the implementation")
+        best = zeta if fallback and zeta.err_est < gauss.err_est else gauss
         return replace(best, cross_check=disagreement)
 
 
@@ -841,24 +815,22 @@ def barnes_zeta_oracle(r: int, z, prec: Precision = Precision(digits=30)) -> Log
     sum_k binom(k+r-1, r-1) (z+k)^-s; writing the binomial as an exact
     polynomial in (k+z) gives zeta_r(s, z) = sum_j a_j(z) zeta_H(s-j, z),
     so log Gamma_r(z) = d/ds zeta_r(s,z)|_0 = sum_j a_j(z) zeta_H'(-j, z).
-    Entirely independent of the product and asymptotic routes.
+    Shares no code with the product routes; the front door's zeta route
+    forms the same sum, so a check against this oracle must take its other
+    side from the product route.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     zq = _exact_fraction(z)
     if zq <= 0:
         raise ValueError("oracle domain is real z > 0")
-    # binom(k+r-1, r-1) = Q(k) with Q = binom poly shifted; a_j from Q(t - z)
-    q_poly_in_k = binom_poly(r - 1).shift(r - 1)
-    a_coeffs = q_poly_in_k.compose_affine(1, -zq).coeffs  # coefficients in t = k+z
     with mpmath.workdps(prec.working_dps):
-        zm = mpmath.mpf(zq.numerator) / zq.denominator
+        zm = _to_mp(zq)
         total = mpmath.mpf(0)
-        for j, aj in enumerate(a_coeffs):
+        for j, aj in enumerate(_barnes_coeffs(r, zq)):
             if aj == 0:
                 continue
-            ajm = mpmath.mpf(aj.numerator) / aj.denominator
-            total += ajm * hurwitz_zeta_sderiv(-j, zm, prec)
+            total += _to_mp(aj) * hurwitz_zeta_sderiv(-j, zm, prec)
         err = mpmath.mpf(10) ** -prec.digits
         return LogValue(value=+total, method="oracle", err_est=err)
 

@@ -10,6 +10,7 @@ import csv
 import importlib.util
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -118,6 +119,21 @@ def test_eval_integer_lattice_value():
     assert abs(float(obj["log"]["re"]) - 0.6931471805599453) < 1e-10
     assert abs(float(obj["value"]["re"]) - 2.0) < 1e-9
     assert obj["log"]["err_est"] is not None
+
+
+def test_eval_far_out_matches_the_integer_lattice():
+    # G_2(200) = prod_{k<=198} k!, where the product route misses the tolerance
+    code, out, _ = run(["eval", "--r", "2", "--z", "200", "--format", "json"])
+    assert code == 0
+    obj = json.loads(out)
+    exact = 1
+    for k in range(1, 199):
+        exact *= math.factorial(k)
+    with mpmath.workdps(40):
+        assert obj["log"]["method"] == "zeta"
+        assert abs(mpmath.mpf(obj["log"]["re"]) - mpmath.log(exact)) < 1e-8
+        assert abs(mpmath.mpf(obj["value"]["re"]) / exact - 1) < 1e-8
+        assert obj["log"]["im"] == "0.0"
 
 
 def test_eval_sqrt_pi():

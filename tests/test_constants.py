@@ -156,6 +156,21 @@ def test_sderiv_matches_central_difference():
             assert abs(got - fd) < mpmath.mpf(10) ** -11
 
 
+@pytest.mark.parametrize("digits", [30, 60])
+def test_complex_a_matches_mpmath(digits):
+    # Re a > 0 with a large, a small and a moderate imaginary part
+    prec = Precision(digits=digits)
+    with mpmath.workdps(digits + 20):
+        for a in (mpmath.mpc(1, 150), mpmath.mpc(0.5, -12),
+                  mpmath.mpc(mpf_frac(Fraction(343, 11)), mpf_frac(Fraction(24, 5)))):
+            for j in range(4):
+                bound = mpmath.mpf(10) ** -digits
+                want = mpmath.zeta(-j, a)
+                assert abs(hurwitz_zeta(-j, a, prec) - want) <= bound * max(1, abs(want)), (a, j)
+                want = mpmath.zeta(-j, a, 1)
+                assert abs(hurwitz_zeta_sderiv(-j, a, prec) - want) <= bound * abs(want), (a, j)
+
+
 # ---------------------------------------------------------------------------
 # Precision behaviour, overrides, errors
 # ---------------------------------------------------------------------------
@@ -195,6 +210,10 @@ def test_domain_errors():
         hurwitz_zeta(2, 0, P30)
     with pytest.raises(ValueError):
         hurwitz_zeta(2, -3, P30)
+    with pytest.raises(ValueError):
+        hurwitz_zeta(2, mpmath.mpc(-1, 2), P30)
+    with pytest.raises(ValueError):
+        hurwitz_zeta_sderiv(0, mpmath.mpc(-1, 2), P30)
     with pytest.raises(ValueError):
         zeta_prime_neg(-1, P30)
     with pytest.raises(ValueError):

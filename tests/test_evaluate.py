@@ -4,14 +4,14 @@ The independent anchors: the integer factorial lattice (exact integer
 products from the recurrence, computed here with math.factorial), classical
 closed forms (Gamma(1/2) = sqrt(pi), the Glaisher-Kinkelin value of the
 Barnes function at 1/2), the stacked-difference identity that collapses the
-whole hierarchy to log(1+1/z), and the Hurwitz-zeta-series oracle, which
-shares no code with the product or shifted-formula routes.  Error estimates
-are treated as part of the contract: wherever a route is inaccurate by
-design, the test asserts the estimate owns up to it.
+whole hierarchy to log(1+1/z), mpmath's loggamma and barnesg, and the
+Hurwitz-zeta-series oracle, which shares no code with the product routes.
+Error estimates are treated as part of the contract: the value lies within
+err_est of the reference.
 """
 
 import math
-import warnings
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,11 +23,11 @@ from hypothesis import strategies as st
 from multigamma import evaluate
 from multigamma.constants import Precision, zeta_prime_neg
 from multigamma.conventions import ConventionSet
+from multigamma.exact_poly import grj_poly
 from multigamma.evaluate import (
     CalibrationError,
     EvalConfig,
     LogValue,
-    SectorError,
     SingularInputError,
     barnes_zeta_oracle,
     calibrate_conventions,
@@ -37,7 +37,6 @@ from multigamma.evaluate import (
     log_g0,
     log_gamma_r,
     log_multigamma,
-    log_multigamma_asymptotic,
     multiple_sine,
     multiplication_residual,
     product_extrapolated,
@@ -281,9 +280,7 @@ def test_far_argument_takes_o_n_logs_and_a_short_integer_table(monkeypatch):
     monkeypatch.setattr(mpmath, "log", counting)
     for z in (Fraction(10**7), Fraction(3 * 10**7 + 1, 3)):
         calls.clear()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the asymptotic route's radius cap
-            log_multigamma(1, z, CFG30)
+        log_multigamma(1, z, CFG30)
         assert len(calls) <= 2 * n_top, z
         assert all(len(tabs[0]) <= 2 * n_top + 1 for tabs in evaluate._INT_TABLES.values()), z
 
@@ -298,8 +295,8 @@ LEVEL0_ARGS = (Fraction(17, 3), Fraction(-37, 3), (Fraction(7, 3), Fraction(-5, 
 LEVEL0_NS = list(range(1, 301)) + list(range(301, 2**14 + 1, 37))
 
 
-def level0_arg(z):
-    """mpf or mpc at the current precision for an entry of LEVEL0_ARGS."""
+def mp_arg(z):
+    """mpf (a Fraction) or mpc (a pair of Fractions) at the current precision."""
     if isinstance(z, tuple):
         return mpmath.mpc(*(mpmath.mpf(x.numerator) / x.denominator for x in z))
     return mpmath.mpf(z.numerator) / z.denominator
@@ -318,7 +315,7 @@ def test_level0_row_is_within_16_ulps_of_log(digits):
     cfg = EvalConfig(precision=Precision(digits=digits))
     for z in LEVEL0_ARGS:
         with mpmath.workdps(cfg.precision.working_dps):
-            zm = level0_arg(z)
+            zm = mp_arg(z)
             re0, im0 = evaluate._shifted_log_rows(1, zm, cfg, 2**14)[0]
         with mpmath.workdps(cfg.precision.working_dps + 20):
             for n in LEVEL0_NS:
@@ -330,7 +327,7 @@ def test_level0_row_does_not_depend_on_its_length():
     # (test_single_partial_equals_its_ladder_checkpoint).
     for z in LEVEL0_ARGS:
         with mpmath.workdps(CFG30.precision.working_dps):
-            zm = level0_arg(z)
+            zm = mp_arg(z)
             short = evaluate._shifted_log_rows(1, zm, CFG30, 2**10)[0]
             full = evaluate._shifted_log_rows(1, zm, CFG30, 2**14)[0]
         assert short[0] == full[0][:2**10] and short[1] == full[1][:2**10], z
@@ -351,14 +348,15 @@ def test_integer_table_grown_in_pieces_equals_one_build(monkeypatch):
 
 
 def test_three_routes_agree_within_stated_errors():
-    with mpmath.workdps(40):
-        cfg = EvalConfig(precision=Precision(digits=30), shift_radius=20)
-        for r in (1, 2):
-            z = mpmath.mpf(20)
-            g = extrapolate_route = log_multigamma(r, z + 1, cfg)
-            a = log_multigamma_asymptotic(r, z, cfg)
-            tol = 10 * max(extrapolate_route.err_est, a.err_est)
-            assert abs(g.value - a.value) <= tol, r
+    with mpmath.workdps(CFG30.precision.working_dps):
+        z = mpmath.mpf(21)
+        for r in (1, 2, 3):
+            routes = [product_extrapolated("gauss", r, z - 1, CFG30),
+                      product_extrapolated("euler", r, z - 1, CFG30),
+                      evaluate._log_multigamma_zeta(r, z, CFG30)]
+            for i, a in enumerate(routes):
+                for b in routes[i + 1:]:
+                    assert abs(a.value - b.value) <= 10 * max(a.err_est, b.err_est), (r, a, b)
 
 
 @settings(max_examples=12, deadline=None)
@@ -415,30 +413,38 @@ def test_extrapolate_rejects_mixed_tags_and_short_ladders():
 
 
 # ---------------------------------------------------------------------------
-# Shifted-formula route: honesty of the error model
+# Hurwitz-zeta route: accuracy, honesty of the error model, route choice
 # ---------------------------------------------------------------------------
 
 
+def branch_free_distance(a, b):
+    """|a - b| with the imaginary part reduced modulo 2 pi."""
+    d = a - b
+    k = mpmath.nint(mpmath.im(d) / (2 * mpmath.pi))
+    return abs(d - 2j * mpmath.pi * k)
+
+
 def test_shifted_route_estimate_covers_actual_error_r1():
-    with mpmath.workdps(40):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a = log_multigamma_asymptotic(1, mpmath.mpf(20), CFG30)
-        want = mpmath.loggamma(21)
-        assert abs(a.value - want) <= a.err_est
-        assert a.err_est < 1e-4
+    # The zeta route anchors at z + M right of the imaginary axis and walks
+    # down M steps with principal logs: the same branch as mpmath.loggamma.
+    for z in (Fraction(20), Fraction(-37, 3), (Fraction(-5), Fraction(150))):
+        with mpmath.workdps(CFG30.precision.working_dps):
+            zm = mp_arg(z)
+            got = evaluate._log_multigamma_zeta(1, zm, CFG30)
+        with mpmath.workdps(60):
+            assert abs(got.value - mpmath.loggamma(zm)) <= got.err_est < 1e-25, z
 
 
-def test_shifted_route_descent_saturation_is_owned_by_the_estimate():
-    # For r >= 2 the descent reuses one far anchor per level, so the final
-    # absolute error saturates near the level-1 remainder constant (~1/12)
-    # no matter the radius.  The value is off; the estimate must say so.
-    with mpmath.workdps(40):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a = log_multigamma_asymptotic(2, mpmath.mpf(1), CFG30)
-        assert abs(a.value) > 0.01          # genuinely inaccurate...
-        assert abs(a.value) <= a.err_est    # ...and the estimate covers it
+def test_zeta_route_descent_estimate_covers_actual_error():
+    # 41 descent steps at r = 2 against mpmath's Barnes G (whose log is
+    # principal, hence the branch-free distance)
+    for z in ((Fraction(-81, 2), Fraction(1, 4)), Fraction(-81, 2)):
+        with mpmath.workdps(CFG30.precision.working_dps):
+            zm = mp_arg(z)
+            got = evaluate._log_multigamma_zeta(2, zm, CFG30)
+        with mpmath.workdps(60):
+            want = mpmath.log(mpmath.barnesg(zm))
+            assert branch_free_distance(got.value, want) <= got.err_est < 1e-20, z
 
 
 def test_front_door_prefers_product_route_at_small_arguments():
@@ -450,30 +456,65 @@ def test_front_door_prefers_product_route_at_small_arguments():
 
 
 def test_front_door_switches_to_shifted_route_far_out():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        got = log_multigamma(1, mpmath.mpf(5001), CFG30)
+    got = log_multigamma(1, mpmath.mpf(5001), CFG30)
     with mpmath.workdps(40):
-        assert got.method == "asymptotic"
-        assert abs(got.value - mpmath.loggamma(5001)) <= 10 * got.err_est
+        assert got.method == "zeta"
+        assert abs(got.value - mpmath.loggamma(5001)) <= got.err_est <= CFG30.tolerance
 
 
-def test_radius_cap_warning_mentions_the_limit():
-    cfg = EvalConfig(precision=Precision(digits=20), truncation_n=2**12, tolerance=1e-10)
-    with pytest.warns(UserWarning, match="capped"):
-        log_multigamma_asymptotic(1, mpmath.mpf(50), cfg)
+def log_lattice(r, n):
+    """log G_r(n) for integer n >= 2, r = 2, 3, from the exact integers."""
+    if r == 2:
+        return mpmath.log(superfactorial(n))
+    return mpmath.fsum(mpmath.log(superfactorial(m)) for m in range(2, n))
 
 
-def test_sector_error_when_shift_cannot_reach_the_right_half_plane():
-    cfg = EvalConfig(precision=Precision(digits=20), truncation_n=2**12, shift_radius=100)
-    with pytest.raises(SectorError):
-        log_multigamma_asymptotic(1, mpmath.mpc(-5, 150), cfg)
+# Arguments where the product route misses the tolerance at 30 digits.
+FAR_CASES = [
+    (1, Fraction(1114, 3)),
+    (1, (Fraction(-500), Fraction(3))),
+    (1, (Fraction(-5), Fraction(150))),
+    (2, Fraction(200)),
+    (3, Fraction(200)),
+]
 
 
-def test_front_door_survives_sector_error_via_product_route():
-    cfg = EvalConfig(precision=Precision(digits=20), truncation_n=2**12, shift_radius=100)
-    got = log_multigamma(1, mpmath.mpc(-5, 150), cfg)
-    assert got.method in {"gauss", "euler"}
+@pytest.mark.parametrize("r,z", FAR_CASES,
+                         ids=["G1(1114/3)", "G1(-500+3i)", "G1(-5+150i)", "G2(200)", "G3(200)"])
+def test_front_door_meets_the_tolerance_far_out(r, z):
+    with mpmath.workdps(CFG30.precision.working_dps):
+        zm = mp_arg(z)
+    got = log_multigamma(r, zm, CFG30)
+    with mpmath.workdps(60):
+        want = mpmath.loggamma(zm) if r == 1 else log_lattice(r, int(z))
+        assert got.method == "zeta"
+        assert abs(got.value - want) <= got.err_est <= CFG30.tolerance
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_cross_validation_agrees_left_of_the_imaginary_axis(r):
+    # Both routes sum principal logs of z+n, so they land on the same branch.
+    cfg = replace(CFG30, cross_validate=True)
+    for z in ((Fraction(-5, 2), Fraction(3)), Fraction(-37, 3), (Fraction(-5), Fraction(3, 4))):
+        with mpmath.workdps(cfg.precision.working_dps):
+            got = log_multigamma(r, mp_arg(z), cfg)
+        assert got.cross_check is not None, z
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_zeta_route_pins_s_r_by_derivation(r):
+    # The zeta route's polynomial, log G_r(w) - (-1)^(r-1) log Gamma_r(w), is
+    # s_R sum_j G_{r,j}(w-1) zeta'(-j) with s_R = -1; calibration agrees.
+    prec = CFG30.precision
+    with mpmath.workdps(prec.working_dps):
+        for zq in (Fraction(1, 2), Fraction(29, 4), Fraction(40)):
+            w = mp_arg(zq)
+            value, _ = evaluate._zeta_levels(r, w, prec)[r - 1]
+            correction = value - (-1) ** (r - 1) * barnes_zeta_oracle(r, zq, prec).value
+            grj_sum = mpmath.fsum(grj_poly(r, j).evaluate(w - 1) * zeta_prime_neg(j, prec)
+                                  for j in range(r))
+            assert abs(correction - (-1) * grj_sum) <= 1e-25 * max(1, abs(grj_sum)), zq
+    assert resolved().s_R == -1
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +559,6 @@ def test_config_validation():
         EvalConfig(truncation_n=16, extrapolation_order=4)
     with pytest.raises(ValueError):
         EvalConfig(extrapolation_order=9)
-    with pytest.raises(ValueError):
-        EvalConfig(shift_radius=5)
 
 
 # ---------------------------------------------------------------------------
