@@ -66,16 +66,6 @@ def _check_finite(value, what: str):
     return value
 
 
-def _poch_and_derivative(s, m: int):
-    """(poch(s, m), d/ds poch(s, m)) by the product rule; exact at integer s."""
-    p = mpmath.mpf(1)
-    dp = mpmath.mpf(0)
-    for i in range(m):
-        dp = dp * (s + i) + p
-        p = p * (s + i)
-    return p, dp
-
-
 def _euler_maclaurin(s, a, cutoff: int, order_cap: int, target, want_deriv: bool):
     """One Euler-Maclaurin evaluation at fixed cutoff.
 
@@ -105,10 +95,14 @@ def _euler_maclaurin(s, a, cutoff: int, order_cap: int, target, want_deriv: bool
     converged = False
     prev_size = mpmath.inf
     grew = 0
+    p, dp = mpmath.mpf(1), mpmath.mpf(0)  # poch(s, 2k-1) and its s-derivative
     for k in range(1, order_cap + 1):
         b2k = mpmath.mpf(nums[2 * k].numerator) / nums[2 * k].denominator
         coeff = b2k / math.factorial(2 * k)
-        p, dp = _poch_and_derivative(s, 2 * k - 1)
+        # two more factors (s + i) by the product rule; exact at integer s
+        for i in range(max(0, 2 * k - 3), 2 * k - 1):
+            dp = dp * (s + i) + p
+            p = p * (s + i)
         scale = scale / (base * base)  # base**(-s - 2k + 1)
         term = coeff * p * scale
         total += term

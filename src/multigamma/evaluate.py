@@ -31,12 +31,18 @@ precision in bits and g = N.bit_length() guard bits for the ladder top
 N = truncation_n.  Level 0, log n and log(z+n), takes few logs.  The
 integer row takes one per prime and adds the logs of prime factors; the
 shifted row writes z+n = m + d with m an integer and takes log m from the
-integer row plus a short fixed-point series for log(1 + d/m); only the
-entries with m below a cutoff of 2^4 or more (|Im z| raises it), every z+n
-with Re <= 0 among them, and those with m past 2N keep a direct log, so the
-integer row never grows past 2N.  Logs and series run a few bits past the
-grid, so every level-0 entry x is within (2 + log2 max(2, |x|)) 2^-(p+g) of
-log x (_integer_log_table and _shifted_log_row0 give the details).  The real and imaginary parts of the levels above and of the
+integer row plus log(1 + d/m) from short real odd series in fixed point:
+2 atanh(d/(2m+d)) for real d; for complex d, atanh of one real argument for
+log|m+d| - log m and atan of another for arg(m+d).  Each series is a Horner
+sum whose k-th accumulator keeps only the bits that its later factor
+t^(2k+1) leaves above the sum's last place.  Only the entries with m below a
+cutoff of 2^4 or more (|Im z| raises it), every z+n with Re <= 0 among them,
+and those with m past 2N keep a direct log, so the integer row never grows
+past 2N.  Logs and series run a few bits past the grid, so every level-0
+entry x is within (2 + log2 max(2, |x|)) 2^-(p+g) of log x
+(_integer_log_table and _shifted_log_row0 give the details).
+
+The real and imaginary parts of the levels above and of the
 partial sums are exact integer sums of level-0 entries.  Values return to
 mpf/mpc only at ladder checkpoints.  A call builds its shifted lattice once,
 bottom-up: the starting value of each level comes from a Gauss sweep over
@@ -369,50 +375,66 @@ def _integer_log_table(cfg: EvalConfig, levels: int, n_max: int) -> list[list]:
         return tabs
 
 
-def _fixed_mul(a_re: list, a_im: list | None, b_re: list, b_im: list | None,
-               shift: int) -> tuple[list, list | None]:
-    """Entrywise a*b 2^-shift (floored) of fixed-point rows; a_im None for real rows."""
-    if a_im is None:
-        return list(map(rshift, map(mul, a_re, b_re), repeat(shift))), None
-    return (list(map(rshift, map(sub, map(mul, a_re, b_re), map(mul, a_im, b_im)), repeat(shift))),
-            list(map(rshift, map(add, map(mul, a_re, b_im), map(mul, a_im, b_re)), repeat(shift))))
+def _odd_series(t: list, sign: int, prec: int, shift: int) -> list:
+    """(t sum_{k<terms} (sign t^2)^k / (2k+1)) 2^-shift, floored, entrywise.
 
-
-def _log1p_block(ms: range, dr: int, di: int, terms: int, prec: int,
-                 bits: int) -> tuple[list, list | None]:
-    """log(1 + d/m) = 2 atanh(d/(2m+d)) for m in ms, as rows on the grid 2^-bits.
-
-    d = (dr + i di) 2^-prec, prec > bits.  The series runs in ints scaled by
-    2^prec, a whole block per map: t = d/(2m+d) takes one exact division per
-    part and entry, then Horner sums t sum_{k<terms} t^(2k)/(2k+1).  The
-    imaginary row is None for real d.
+    t is a row of ints scaled by 2^prec with |t| <= 1/2, largest in its first
+    entry; sign 1 sums atanh t, sign -1 atan t.  With |t| <= 2^-gain, terms =
+    ceil(prec / (2 gain)) leaves a dropped tail below |t|^(2 terms + 1) <=
+    2^-(prec + gain): the atan tail alternates and shrinks, and the atanh tail
+    is below |t|^(2 terms + 1) / ((2 terms + 1) (1 - |t|^2)).  Horner runs from
+    the top term down; the k-th accumulator is later multiplied by t^(2k+1),
+    at most 2^-((2k+1) gain), so it is kept to prec - s_k bits only, s_k =
+    floor(k (2 gain - 1)).  Its two floors then cost at most 2^(1-gain-k)
+    2^-prec in the sum, below 2^(2-gain) 2^-prec over all k whatever prec is.
     """
-    one = 1 << prec
-    two_m = [m << (prec + 1) for m in ms]
-    den = [x + dr for x in two_m]  # Re(2m+d)
-    if di:  # t = d conj(2m+d) / |2m+d|^2
-        norm = [x * x + di * di for x in den]
-        t = (list(map(floordiv, [(x * dr + di * di) << prec for x in den], norm)),
-             list(map(floordiv, [x * di << prec for x in two_m], norm)))
-    else:
-        t = list(map(floordiv, repeat(dr << prec), den)), None
-    w = _fixed_mul(*t, *t, prec)
-    acc = [one // (2 * terms - 1)] * len(ms), None if t[1] is None else [0] * len(ms)
+    gain = prec - math.log2(abs(t[0]) + 2)
+    terms = math.ceil(prec / (2 * gain))
+    taper = [math.floor(k * (2 * gain - 1)) for k in range(terms)]
+    w = list(map(rshift, map(mul, t, t), repeat(prec)))
+    acc = [(1 << (prec - taper[-1])) // (2 * terms - 1)] * len(t)
+    op = add if sign > 0 else sub
     for k in reversed(range(terms - 1)):
-        acc_re, acc_im = _fixed_mul(*acc, *w, prec)
-        acc = list(map(add, acc_re, repeat(one // (2 * k + 1)))), acc_im
-    return _fixed_mul(*acc, *t, 2 * prec - bits - 1)
+        products = map(rshift, map(mul, w, acc), repeat(prec + taper[k] - taper[k + 1]))
+        acc = list(map(op, repeat((1 << (prec - taper[k])) // (2 * k + 1)), products))
+    return list(map(rshift, map(mul, t, acc), repeat(shift)))
+
+
+def _log1p_block(ms: range, dr: int, di: int, prec: int, bits: int) -> tuple[list, list | None]:
+    """log(1 + d/m) for m in ms, d = (dr + i di) 2^-prec, as rows on the grid 2^-bits.
+
+    Each part is one real odd series (_odd_series) in ints scaled by 2^prec,
+    its argument one exact division per entry; m >= 2|d| keeps it <= |d|/m
+    <= 1/2, falling with m.  Real d: 2 atanh(t), t = d/(2m+d).  Complex d:
+    the real part log|m+d| - log m is atanh(t), t = (2m dr + |d|^2) /
+    (2m^2 + 2m dr + |d|^2), and the imaginary part arg(m+d) is atan(v),
+    v = di/(m+dr).  The imaginary row is None for real d.
+    """
+    if not di:
+        t = list(map(floordiv, repeat(dr << prec), [(m << (prec + 1)) + dr for m in ms]))
+        return _odd_series(t, 1, prec, 2 * prec - bits - 1), None
+    dd = dr * dr + di * di
+    num = [(m * dr << (prec + 1)) + dd for m in ms]  # (2m dr + |d|^2) 2^(2 prec)
+    t = list(map(floordiv, [x << prec for x in num],
+                 [(m * m << (2 * prec + 1)) + x for m, x in zip(ms, num)]))
+    v = list(map(floordiv, repeat(di << prec), [(m << prec) + dr for m in ms]))
+    return _odd_series(t, 1, prec, 2 * prec - bits), _odd_series(v, -1, prec, 2 * prec - bits)
 
 
 def _shifted_log_row0(zm, cfg: EvalConfig, n_max: int) -> tuple[list, list]:
     """(re, im) fixed-point rows of log(z+n), n = 1..n_max (list index n-1).
 
-    Write z+n = m + d with m = n + floor(Re z) and 0 <= Re d < 1.  From
-    m >= 2^j >= 2|d|, j >= _FIRST_SERIES_OCTAVE, up to m = 2 truncation_n,
-    the entry is log m + 2 atanh(d/(2m+d)): log m from the integer table, the
-    series in ints _SERIES_GUARD bits past the grid, with as many terms as
-    |t| <= |d|/2m <= 1/4 needs at the bottom of m's octave.  Such an entry is
-    within (Omega(m) + 2) 2^-bits of log(z+n) in each part (Omega as in
+    Write z+n = m + d with m = n + floor(Re z) and 0 <= Re d < 1, d floored
+    onto 2^-prec, prec = bits + _SERIES_GUARD.  From m >= 2^j >= 2|d|,
+    j >= _FIRST_SERIES_OCTAVE, up to m = 2 truncation_n, the entry is log m
+    from the integer table plus log(1 + d/m) from _log1p_block, one block of
+    m per octave: for complex d, log|m+d| - log m and arg(m+d) are two real
+    series.  Each series takes its term count from its own largest argument
+    in the block.  Its error in ints scaled by 2^prec, from that argument's
+    floor, the floor of its square, the dropped tail and the tapered Horner
+    floors, stays below 8 units (16 for real d's 2 atanh), 2^-6 2^-bits;
+    with the floor onto the grid and log m's error, such an entry is within
+    (Omega(m) + 2) 2^-bits of log(z+n) in each part (Omega as in
     _integer_log_table); for integer z it is the table's own entry.  Every
     other entry, including each z+n with Re <= 0 and each m past the top, is
     mpmath.log(z+n) taken _SERIES_GUARD bits past the grid and floored onto
@@ -422,9 +444,12 @@ def _shifted_log_row0(zm, cfg: EvalConfig, n_max: int) -> tuple[list, list]:
     bits = _fixed_bits(cfg)
     prec = bits + _SERIES_GUARD
     shift = int(mpmath.floor(mpmath.re(zm)))
-    d = zm - shift  # exact: the bits of Re z below 1
+    # d is zero for integer z only; z - shift can round when -1 < Re z < 0,
+    # so d's bits on 2^-prec come from z itself
+    d = zm - shift
     if d:
-        dr, di = _to_fixed(d, prec)
+        dr, di = _to_fixed(zm, prec)
+        dr -= shift << prec
         d_log2 = math.log2(math.isqrt(dr * dr + di * di) + 2) - prec  # >= log2 |d|
         m_first = max(1 << max(_FIRST_SERIES_OCTAVE, math.ceil(d_log2) + 1), shift + 1)
     else:  # z+n = m: the integer table's own entries
@@ -446,10 +471,7 @@ def _shifted_log_row0(zm, cfg: EvalConfig, n_max: int) -> tuple[list, list]:
     while len(re0) < hi - 1:
         octave = (len(re0) + 1 + shift).bit_length() - 1
         ms = range(len(re0) + 1 + shift, min(2 << octave, hi + shift))
-        # |t| <= 2^-gain, gain >= 2; the dropped tail, 2 |t|^(2 terms + 1) /
-        # ((2 terms + 1) (1 - |t|^2)), is then below 2^-(prec + gain)
-        gain = octave + 1 - d_log2
-        series_re, series_im = _log1p_block(ms, dr, di, math.ceil(prec / (2 * gain)), prec, bits)
+        series_re, series_im = _log1p_block(ms, dr, di, prec, bits)
         re0.extend(map(add, log_m[ms.start:ms.stop], series_re))
         im0.extend(repeat(0, len(ms)) if series_im is None else series_im)
     re0.extend(re for re, _ in direct[lo - 1:])

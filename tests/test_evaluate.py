@@ -259,6 +259,10 @@ def test_one_call_takes_one_row_of_logs(monkeypatch):
     log_multigamma(4, Fraction(41, 16), CFG30)
     assert len(calls) <= 64
     calls.clear()
+    with mpmath.workdps(CFG30.precision.working_dps):
+        log_multigamma(4, mp_arg((Fraction(7, 6), Fraction(1, 4))), CFG30)
+    assert len(calls) <= 64
+    calls.clear()
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
     evaluate._integer_log_table(CFG30, 1, CFG30.truncation_n)
     assert len(calls) <= prime_count(CFG30.truncation_n + 64) + 64
@@ -286,11 +290,15 @@ def test_far_argument_takes_o_n_logs_and_a_short_integer_table(monkeypatch):
 
 
 # Real and complex z: z+n < 0 for small n (-37/3), an integer Re z
-# (-11+3i/4), an |Im z| that lifts the series cutoff to m = 2^9 (-5+150i),
+# (-11+3i/4, 3+i/4: the modulus series' argument is then |d|^2-small), an
+# |Im z| that lifts the series cutoff to m = 2^9 (-5+150i), eval-large's
+# size of |Im z| (649/13-62i/9), |d| > 1 with Re z in (-1, 0) (-1/10+9i/10),
 # z = 0, where the row is the integer table's own, a z whose row crosses the
 # series' top m = 2N (60001/3), and one past it (10^7 + 1/3).
 LEVEL0_ARGS = (Fraction(17, 3), Fraction(-37, 3), (Fraction(7, 3), Fraction(-5, 11)),
-               (Fraction(-11), Fraction(3, 4)), (Fraction(-5), Fraction(150)), Fraction(0),
+               (Fraction(-11), Fraction(3, 4)), (Fraction(3), Fraction(1, 4)),
+               (Fraction(-5), Fraction(150)), (Fraction(649, 13), Fraction(-62, 9)),
+               (Fraction(-1, 10), Fraction(9, 10)), Fraction(0),
                Fraction(60001, 3), Fraction(3 * 10**7 + 1, 3))
 LEVEL0_NS = list(range(1, 301)) + list(range(301, 2**14 + 1, 37))
 
@@ -320,6 +328,52 @@ def test_level0_row_is_within_16_ulps_of_log(digits):
         with mpmath.workdps(cfg.precision.working_dps + 20):
             for n in LEVEL0_NS:
                 assert_within_16_ulps(re0[n - 1], im0[n - 1], mpmath.log(zm + n), cfg)
+
+
+def prime_factor_count(m):
+    """Omega(m): prime factors of m >= 1 counted with multiplicity."""
+    count, p = 0, 2
+    while p * p <= m:
+        while m % p == 0:
+            m, count = m // p, count + 1
+        p += 1
+    return count + (m > 1)
+
+
+def test_level0_entries_meet_their_stated_bound():
+    # _shifted_log_row0: an entry with m = n + floor(Re z) is within
+    # (Omega(m) + 2) 2^-bits of log(z+n) in each part, a direct log within
+    # (1 + 2^-10 |log(z+n)|) 2^-bits, which is below 2 2^-bits here.
+    bits = evaluate._fixed_bits(CFG30)
+    for z in LEVEL0_ARGS:
+        with mpmath.workdps(CFG30.precision.working_dps):
+            zm = mp_arg(z)
+            re0, im0 = evaluate._shifted_log_rows(1, zm, CFG30, 2**14)[0]
+        shift = math.floor(z[0] if isinstance(z, tuple) else z)
+        with mpmath.workdps(CFG30.precision.working_dps + 20):
+            for n in LEVEL0_NS:
+                want = mpmath.log(zm + n) * 2**bits
+                bound = prime_factor_count(max(1, n + shift)) + 2
+                assert abs(re0[n - 1] - mpmath.re(want)) <= bound, (z, n)
+                assert abs(im0[n - 1] - mpmath.im(want)) <= bound, (z, n)
+
+
+@pytest.mark.parametrize("sign, exact", [(1, mpmath.atanh), (-1, mpmath.atan)],
+                         ids=["atanh", "atan"])
+def test_odd_series_is_within_4_units_of_atanh_and_atan(sign, exact):
+    # |t| just below 2^-gain for whole gains, at precisions some of which are
+    # multiples of 2 gain: the term count is then as tight as the tail bound
+    # allows, and one term fewer misses by up to 2^gain units.  The
+    # sum's own error is the tail, the tapered Horner floors, the floor of
+    # t^2 and the final floor: below 4 units of 2^-prec.
+    for prec in (40, 60, 100, 161, 200, 256):
+        with mpmath.workprec(prec + 40):
+            for gain in range(1, 31):
+                t0 = (1 << (prec - gain)) - 3
+                row = [t0, -t0, t0 // 3, -(t0 // 5), t0 >> 7, 1, 0]
+                got = evaluate._odd_series(row, sign, prec, prec)
+                for t, y in zip(row, got):
+                    assert abs(y - exact(mpmath.mpf(t) / 2**prec) * 2**prec) <= 4, (prec, gain, t)
 
 
 def test_level0_row_does_not_depend_on_its_length():
