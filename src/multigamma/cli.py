@@ -320,7 +320,7 @@ NUMERIC_GRID = (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2))
 
 
 def _report(identity: str, params: dict, residual, tolerance: float) -> dict:
-    ok = residual <= tolerance
+    ok = residual < tolerance
     return {
         "identity": identity,
         "params": params,

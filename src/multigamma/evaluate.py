@@ -35,12 +35,16 @@ integer row plus log(1 + d/m) from short real odd series in fixed point:
 2 atanh(d/(2m+d)) for real d; for complex d, atanh of one real argument for
 log|m+d| - log m and atan of another for arg(m+d).  Each series is a Horner
 sum whose k-th accumulator keeps only the bits that its later factor
-t^(2k+1) leaves above the sum's last place.  Only the entries with m below a
-cutoff of 2^4 or more (|Im z| raises it), every z+n with Re <= 0 among them,
-and those with m past 2N keep a direct log, so the integer row never grows
-past 2N.  Logs and series run a few bits past the grid, so every level-0
-entry x is within (2 + log2 max(2, |x|)) 2^-(p+g) of log x
-(_integer_log_table and _shifted_log_row0 give the details).
+t^(2k+1) leaves above the sum's last place; its term count is set per octave
+of m, from the argument at the octave's first m.  Only the entries with m
+below a cutoff of 2^4 or more (|Im z| raises it), every z+n with Re <= 0
+among them, and those with m past 2N keep a direct log, so the integer row
+never grows past 2N.  Logs and series run a few bits past the grid, so every
+level-0 entry x is within (2 + log2 max(2, |x|)) 2^-(p+g) of log x
+(_integer_log_table and _shifted_log_row0 give the details).  An entry
+depends on m and d alone, so the last shifted row is kept in a one-row slot
+and serves the next z with the same exact d: a walk over z + Z, as the
+recurrence and the multiplication formula take, builds each entry once.
 
 The real and imaginary parts of the levels above and of the
 partial sums are exact integer sums of level-0 entries.  Values return to
@@ -60,7 +64,7 @@ from operator import add, floordiv, mul, rshift, sub
 from typing import Any, Sequence, Union
 
 import mpmath
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_int, fzero, mpf_sub, to_fixed
 
 from .constants import Precision, hurwitz_zeta_sderiv, zeta_prime_neg
 from .conventions import ConventionSet, UNRESOLVED
@@ -375,20 +379,22 @@ def _integer_log_table(cfg: EvalConfig, levels: int, n_max: int) -> list[list]:
         return tabs
 
 
-def _odd_series(t: list, sign: int, prec: int, shift: int) -> list:
+def _odd_series(t: list, sign: int, prec: int, shift: int, top: int) -> list:
     """(t sum_{k<terms} (sign t^2)^k / (2k+1)) 2^-shift, floored, entrywise.
 
-    t is a row of ints scaled by 2^prec with |t| <= 1/2, largest in its first
-    entry; sign 1 sums atanh t, sign -1 atan t.  With |t| <= 2^-gain, terms =
-    ceil(prec / (2 gain)) leaves a dropped tail below |t|^(2 terms + 1) <=
-    2^-(prec + gain): the atan tail alternates and shrinks, and the atanh tail
-    is below |t|^(2 terms + 1) / ((2 terms + 1) (1 - |t|^2)).  Horner runs from
-    the top term down; the k-th accumulator is later multiplied by t^(2k+1),
-    at most 2^-((2k+1) gain), so it is kept to prec - s_k bits only, s_k =
-    floor(k (2 gain - 1)).  Its two floors then cost at most 2^(1-gain-k)
-    2^-prec in the sum, below 2^(2-gain) 2^-prec over all k whatever prec is.
+    t is a row of ints scaled by 2^prec, each |t| <= |top| <= 1/2; sign 1
+    sums atanh t, sign -1 atan t.  The term count and the taper come from top
+    alone, so no entry depends on the others in its row.  With |top| <=
+    2^-gain, terms = ceil(prec / (2 gain)) leaves a dropped tail below
+    |t|^(2 terms + 1) <= 2^-(prec + gain): the atan tail alternates and
+    shrinks, and the atanh tail is below |t|^(2 terms + 1) / ((2 terms + 1)
+    (1 - |t|^2)).  Horner runs from the top term down; the k-th accumulator
+    is later multiplied by t^(2k+1), at most 2^-((2k+1) gain), so it is kept
+    to prec - s_k bits only, s_k = floor(k (2 gain - 1)).  Its two floors
+    then cost at most 2^(1-gain-k) 2^-prec in the sum, below 2^(2-gain)
+    2^-prec over all k whatever prec is.
     """
-    gain = prec - math.log2(abs(t[0]) + 2)
+    gain = prec - math.log2(abs(top) + 2)
     terms = math.ceil(prec / (2 * gain))
     taper = [math.floor(k * (2 * gain - 1)) for k in range(terms)]
     w = list(map(rshift, map(mul, t, t), repeat(prec)))
@@ -400,25 +406,89 @@ def _odd_series(t: list, sign: int, prec: int, shift: int) -> list:
     return list(map(rshift, map(mul, t, acc), repeat(shift)))
 
 
-def _log1p_block(ms: range, dr: int, di: int, prec: int, bits: int) -> tuple[list, list | None]:
-    """log(1 + d/m) for m in ms, d = (dr + i di) 2^-prec, as rows on the grid 2^-bits.
+def _log1p_args(ms: range, dr: int, di: int, prec: int) -> tuple[list, list | None]:
+    """The series arguments of _log1p_block at each m in ms, ints scaled by 2^prec.
 
-    Each part is one real odd series (_odd_series) in ints scaled by 2^prec,
-    its argument one exact division per entry; m >= 2|d| keeps it <= |d|/m
-    <= 1/2, falling with m.  Real d: 2 atanh(t), t = d/(2m+d).  Complex d:
-    the real part log|m+d| - log m is atanh(t), t = (2m dr + |d|^2) /
-    (2m^2 + 2m dr + |d|^2), and the imaginary part arg(m+d) is atan(v),
-    v = di/(m+dr).  The imaginary row is None for real d.
+    Real d: t = d/(2m+d), and None.  Complex d: t = (2m dr + |d|^2) /
+    (2m^2 + 2m dr + |d|^2) and v = di/(m+dr).  Each is one exact division
+    per entry, and |t|, |v| fall with m.
     """
     if not di:
-        t = list(map(floordiv, repeat(dr << prec), [(m << (prec + 1)) + dr for m in ms]))
-        return _odd_series(t, 1, prec, 2 * prec - bits - 1), None
+        return list(map(floordiv, repeat(dr << prec), [(m << (prec + 1)) + dr for m in ms])), None
     dd = dr * dr + di * di
     num = [(m * dr << (prec + 1)) + dd for m in ms]  # (2m dr + |d|^2) 2^(2 prec)
     t = list(map(floordiv, [x << prec for x in num],
                  [(m * m << (2 * prec + 1)) + x for m, x in zip(ms, num)]))
     v = list(map(floordiv, repeat(di << prec), [(m << prec) + dr for m in ms]))
-    return _odd_series(t, 1, prec, 2 * prec - bits), _odd_series(v, -1, prec, 2 * prec - bits)
+    return t, v
+
+
+def _log1p_block(ms: range, dr: int, di: int, prec: int, bits: int) -> tuple[list, list | None]:
+    """log(1 + d/m) for m in ms, d = (dr + i di) 2^-prec, as rows on the grid 2^-bits.
+
+    ms lies in one octave [2^j, 2^(j+1)).  Each part is one real odd series
+    (_odd_series) in ints scaled by 2^prec over the arguments of _log1p_args;
+    m >= 2|d| keeps them <= |d|/m <= 1/2.  Real d: 2 atanh(t).  Complex d:
+    the real part log|m+d| - log m is atanh(t), and the imaginary part
+    arg(m+d) is atan(v).  Each series takes its term count from its argument
+    at the octave's first m, 2^j, which bounds the rest, so an entry depends
+    on m and d alone, not on where the block starts.  The imaginary row is
+    None for real d.
+    """
+    t, v = _log1p_args(ms, dr, di, prec)
+    m0 = 1 << (ms.start.bit_length() - 1)
+    t0, v0 = (t, v) if ms.start == m0 else _log1p_args(range(m0, m0 + 1), dr, di, prec)
+    if v is None:
+        return _odd_series(t, 1, prec, 2 * prec - bits - 1, t0[0]), None
+    return (_odd_series(t, 1, prec, 2 * prec - bits, t0[0]),
+            _odd_series(v, -1, prec, 2 * prec - bits, v0[0]))
+
+
+# The last shifted level-0 row that took the series, kept for the next
+# argument with the same fractional part d (a walk over z + Z, as the
+# recurrence and the multiplication formula take): at most one entry,
+# (dps, bits, truncation_n, exact d) -> (first m, re row, im row), the rows
+# indexed by m - first m, m = n + floor(Re z).
+_ROW0_SLOT: dict[tuple, tuple[int, list, list]] = {}
+# Entries the slot keeps on either side of the row it last served, so that
+# a walk z + k, |k| <= 16, builds each entry once.
+_SLOT_MARGIN = 16
+
+
+def _level0_entries(zm, cfg: EvalConfig, shift: int, dr: int, di: int,
+                    cut: int, ms: range) -> tuple[list, list]:
+    """(re, im) fixed-point rows of log(m + d) for m in ms, z = shift + d.
+
+    The entries with cut <= m <= 2 truncation_n are log m from the integer
+    table plus, for d != 0, log(1 + d/m) from _log1p_block, one block per
+    octave of m; d = (dr + i di) 2^-prec.  The others are direct logs of
+    z + (m - shift), prec bits, floored onto the grid.  The series stops at
+    m = 2 truncation_n so that the integer table stays O(truncation_n) long
+    however large Re z is.
+    """
+    bits = _fixed_bits(cfg)
+    prec = bits + _SERIES_GUARD
+    lo = min(max(cut, ms.start), ms.stop)
+    hi = max(lo, min(ms.stop, 2 * cfg.truncation_n + 1))
+    with mpmath.workprec(prec):
+        direct = [_to_fixed(mpmath.log(zm + (m - shift)), bits)
+                  for m in chain(range(ms.start, lo), range(hi, ms.stop))]
+    re0 = [re for re, _ in direct[:lo - ms.start]]
+    im0 = [im for _, im in direct[:lo - ms.start]]
+    if hi > lo:
+        log_m = _integer_log_table(cfg, 1, hi - 1)[0]
+        if not (dr or di):
+            re0.extend(log_m[lo:hi])
+            im0.extend(repeat(0, hi - lo))
+        else:
+            for j in range(lo.bit_length() - 1, (hi - 1).bit_length()):
+                block = range(max(lo, 1 << j), min(hi, 2 << j))
+                series_re, series_im = _log1p_block(block, dr, di, prec, bits)
+                re0.extend(map(add, log_m[block.start:block.stop], series_re))
+                im0.extend(repeat(0, len(block)) if series_im is None else series_im)
+    re0.extend(re for re, _ in direct[lo - ms.start:])
+    im0.extend(im for _, im in direct[lo - ms.start:])
+    return re0, im0
 
 
 def _shifted_log_row0(zm, cfg: EvalConfig, n_max: int) -> tuple[list, list]:
@@ -429,54 +499,66 @@ def _shifted_log_row0(zm, cfg: EvalConfig, n_max: int) -> tuple[list, list]:
     j >= _FIRST_SERIES_OCTAVE, up to m = 2 truncation_n, the entry is log m
     from the integer table plus log(1 + d/m) from _log1p_block, one block of
     m per octave: for complex d, log|m+d| - log m and arg(m+d) are two real
-    series.  Each series takes its term count from its own largest argument
-    in the block.  Its error in ints scaled by 2^prec, from that argument's
-    floor, the floor of its square, the dropped tail and the tapered Horner
-    floors, stays below 8 units (16 for real d's 2 atanh), 2^-6 2^-bits;
-    with the floor onto the grid and log m's error, such an entry is within
-    (Omega(m) + 2) 2^-bits of log(z+n) in each part (Omega as in
-    _integer_log_table); for integer z it is the table's own entry.  Every
-    other entry, including each z+n with Re <= 0 and each m past the top, is
-    mpmath.log(z+n) taken _SERIES_GUARD bits past the grid and floored onto
-    it: within (1 + 2^-10 |log(z+n)|) 2^-bits.  Which entries take a direct
-    log depends on z and truncation_n alone, and no entry depends on n_max.
+    series.  Each series takes its term count from its argument at the
+    octave's first m.  Its error in ints scaled by 2^prec, from that
+    argument's floor, the floor of its square, the dropped tail and the
+    tapered Horner floors, stays below 8 units (16 for real d's 2 atanh),
+    2^-6 2^-bits; with the floor onto the grid and log m's error, such an
+    entry is within (Omega(m) + 2) 2^-bits of log(z+n) in each part (Omega
+    as in _integer_log_table); for integer z it is the table's own entry.
+    Every other entry, including each z+n with Re <= 0 and each m past the
+    top, is mpmath.log(z+n) taken _SERIES_GUARD bits past the grid and
+    floored onto it: within (1 + 2^-10 |log(z+n)|) 2^-bits.
+
+    Every entry depends on m, d, the precision and truncation_n alone, not on
+    n_max or on the row it was built in.  So a row of non-integer z that
+    takes the series is kept in _ROW0_SLOT, and the next row with the same
+    exact d takes its entries from there, building only the m's the slot
+    lacks.  A row with another d empties the slot before it is built.
     """
     bits = _fixed_bits(cfg)
     prec = bits + _SERIES_GUARD
     shift = int(mpmath.floor(mpmath.re(zm)))
-    # d is zero for integer z only; z - shift can round when -1 < Re z < 0,
-    # so d's bits on 2^-prec come from z itself
-    d = zm - shift
-    if d:
-        dr, di = _to_fixed(zm, prec)
-        dr -= shift << prec
-        d_log2 = math.log2(math.isqrt(dr * dr + di * di) + 2) - prec  # >= log2 |d|
-        m_first = max(1 << max(_FIRST_SERIES_OCTAVE, math.ceil(d_log2) + 1), shift + 1)
-    else:  # z+n = m: the integer table's own entries
-        m_first = max(1, shift + 1)
-    # the series covers n in [lo, hi); the entries on either side take a log.
-    # It stops at m = 2 truncation_n so that the integer table it reads log m
-    # from stays O(truncation_n) long however large Re z is.
-    lo = min(m_first - shift, n_max + 1)
-    hi = max(lo, min(n_max, 2 * cfg.truncation_n - shift) + 1)
-    with mpmath.workprec(prec):
-        direct = [_to_fixed(mpmath.log(zm + n), bits)
-                  for n in chain(range(1, lo), range(hi, n_max + 1))]
-    re0 = [re for re, _ in direct[:lo - 1]]
-    im0 = [im for _, im in direct[:lo - 1]]
-    log_m = _integer_log_table(cfg, 1, hi - 1 + shift)[0] if hi > lo else None
-    if hi > lo and not d:
-        re0.extend(log_m[lo + shift:hi + shift])
-        im0.extend(repeat(0, hi - lo))
-    while len(re0) < hi - 1:
-        octave = (len(re0) + 1 + shift).bit_length() - 1
-        ms = range(len(re0) + 1 + shift, min(2 << octave, hi + shift))
-        series_re, series_im = _log1p_block(ms, dr, di, prec, bits)
-        re0.extend(map(add, log_m[ms.start:ms.stop], series_re))
-        im0.extend(repeat(0, len(ms)) if series_im is None else series_im)
-    re0.extend(re for re, _ in direct[lo - 1:])
-    im0.extend(im for _, im in direct[lo - 1:])
-    return re0, im0
+    re_z, im_z = zm._mpc_ if isinstance(zm, mpmath.mpc) else (zm._mpf_, fzero)
+    # exact; z - shift at the working precision can round when -1 < Re z < 0
+    d_key = (mpf_sub(re_z, from_int(shift)), im_z)
+    m_lo, m_hi = shift + 1, shift + n_max + 1
+    if d_key == (fzero, fzero):  # z+n = m: the integer table's own entries
+        return _level0_entries(zm, cfg, shift, 0, 0, 1, range(m_lo, m_hi))
+    dr, di = _to_fixed(zm, prec)
+    dr -= shift << prec
+    d_log2 = math.log2(math.isqrt(dr * dr + di * di) + 2) - prec  # >= log2 |d|
+    cut = 1 << max(_FIRST_SERIES_OCTAVE, math.ceil(d_log2) + 1)
+    key = (cfg.precision.working_dps, bits, cfg.truncation_n, d_key)
+    held = _ROW0_SLOT.pop(key, None)
+    _ROW0_SLOT.clear()
+    if held is not None and held[0] < m_hi and m_lo < held[0] + len(held[1]):
+        u_lo, held_re, held_im = held
+        below = _level0_entries(zm, cfg, shift, dr, di, cut, range(m_lo, u_lo))
+        above = _level0_entries(zm, cfg, shift, dr, di, cut,
+                                range(u_lo + len(held_re), m_hi))
+        u_lo = min(m_lo, u_lo)
+        rows = (below[0] + held_re + above[0], below[1] + held_im + above[1])
+    else:
+        held = None  # so that a miss never holds two rows
+        u_lo = m_lo
+        rows = _level0_entries(zm, cfg, shift, dr, di, cut, range(m_lo, m_hi))
+    if max(m_lo, cut) < min(m_hi, 2 * cfg.truncation_n + 1):  # the row takes the series
+        w_lo = max(u_lo, m_lo - _SLOT_MARGIN)
+        w_hi = min(u_lo + len(rows[0]), m_lo + max(n_max, cfg.truncation_n) + _SLOT_MARGIN)
+        _ROW0_SLOT[key] = (w_lo, *_m_window(rows, u_lo, w_lo, w_hi))
+    return _m_window(rows, u_lo, m_lo, m_hi)
+
+
+def _m_window(rows: tuple[list, list], u_lo: int, lo: int, hi: int) -> tuple[list, list]:
+    """The entries with lo <= m < hi of rows that start at m = u_lo.
+
+    The rows themselves when they are exactly that window: the slot and the
+    caller then share one row, which neither changes.
+    """
+    if (lo, hi) == (u_lo, u_lo + len(rows[0])):
+        return rows
+    return rows[0][lo - u_lo:hi - u_lo], rows[1][lo - u_lo:hi - u_lo]
 
 
 def _shifted_log_rows(r: int, zm, cfg: EvalConfig, n_max: int) -> list:

@@ -6,11 +6,13 @@ machinery is covered elsewhere; here the contract under test is the plumbing:
 flag parsing, byte-identical machine output, and the exit-code mapping.
 """
 
+import argparse
 import csv
 import importlib.util
 import io
 import json
 import math
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -291,6 +293,39 @@ def test_verify_sweeps_one_euler_ladder_per_point(conventions_file, monkeypatch)
     assert code == 0, err
     assert [method for method, inside in ladders if inside] == ["euler"] * 4
     assert [method for method, _ in ladders].count("euler") == 4
+
+
+def test_verify_walks_build_the_half_row_series_once(monkeypatch):
+    # The recurrence and Euler-vs-Gauss checks walk 1/2 + Z at r = 1..3:
+    # every row they build has d = 1/2, and each one after the first takes
+    # its entries from the level-0 slot, so the series for each m is summed
+    # once.  Without the slot each m's entry is summed 16 times.
+    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
+    monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
+    built = Counter()
+    real_block = evaluate._log1p_block
+
+    def counting(ms, dr, di, prec, bits):
+        assert (dr, di) == (1 << (prec - 1), 0)
+        built.update(ms)
+        return real_block(ms, dr, di, prec, bits)
+
+    monkeypatch.setattr(evaluate, "_log1p_block", counting)
+    cfg = evaluate.EvalConfig()
+    reports = cli.numeric_reports(argparse.Namespace(r_max=3), cfg, [])
+    assert {rep["identity"] for rep in reports} == {
+        "recurrence", "euler_vs_gauss", "log_convexity"}
+    assert all(rep["pass"] for rep in reports)
+    # the series runs from m = 16 to the top of the rows, 2^14 + 2
+    assert min(built) == 16 and max(built) >= cfg.truncation_n
+    assert set(built.values()) == {1}
+
+
+def test_report_passes_strictly_below_the_tolerance():
+    # the same rule as ResidualReport.verdict and calibrate_conventions
+    tol = 1e-8
+    assert cli._report("x", {}, mpmath.mpf(tol), tol)["pass"] is False
+    assert cli._report("x", {}, mpmath.mpf(tol) / 2, tol)["pass"] is True
 
 
 def test_verify_numeric_reads_env_var(conventions_file, monkeypatch):

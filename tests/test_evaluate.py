@@ -256,9 +256,11 @@ def test_one_call_takes_one_row_of_logs(monkeypatch):
         return real_log(*args, **kwargs)
 
     monkeypatch.setattr(mpmath, "log", counting)
+    monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
     log_multigamma(4, Fraction(41, 16), CFG30)
     assert len(calls) <= 64
     calls.clear()
+    monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
     with mpmath.workdps(CFG30.precision.working_dps):
         log_multigamma(4, mp_arg((Fraction(7, 6), Fraction(1, 4))), CFG30)
     assert len(calls) <= 64
@@ -284,6 +286,7 @@ def test_far_argument_takes_o_n_logs_and_a_short_integer_table(monkeypatch):
     monkeypatch.setattr(mpmath, "log", counting)
     for z in (Fraction(10**7), Fraction(3 * 10**7 + 1, 3)):
         calls.clear()
+        monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
         log_multigamma(1, z, CFG30)
         assert len(calls) <= 2 * n_top, z
         assert all(len(tabs[0]) <= 2 * n_top + 1 for tabs in evaluate._INT_TABLES.values()), z
@@ -371,20 +374,73 @@ def test_odd_series_is_within_4_units_of_atanh_and_atan(sign, exact):
             for gain in range(1, 31):
                 t0 = (1 << (prec - gain)) - 3
                 row = [t0, -t0, t0 // 3, -(t0 // 5), t0 >> 7, 1, 0]
-                got = evaluate._odd_series(row, sign, prec, prec)
+                got = evaluate._odd_series(row, sign, prec, prec, t0)
                 for t, y in zip(row, got):
                     assert abs(y - exact(mpmath.mpf(t) / 2**prec) * 2**prec) <= 4, (prec, gain, t)
 
 
-def test_level0_row_does_not_depend_on_its_length():
+def test_level0_row_does_not_depend_on_its_length(monkeypatch):
     # The N = 2^10 partial must equal its ladder checkpoint bit for bit
-    # (test_single_partial_equals_its_ladder_checkpoint).
+    # (test_single_partial_equals_its_ladder_checkpoint).  Both rows are
+    # built cold: the full one must not come from the short one's slot.
     for z in LEVEL0_ARGS:
         with mpmath.workdps(CFG30.precision.working_dps):
             zm = mp_arg(z)
+            monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
             short = evaluate._shifted_log_rows(1, zm, CFG30, 2**10)[0]
+            monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
             full = evaluate._shifted_log_rows(1, zm, CFG30, 2**14)[0]
         assert short[0] == full[0][:2**10] and short[1] == full[1][:2**10], z
+
+
+# Walks over z + Z: d = 1/2 from Re z <= 0, where the row starts with direct
+# logs, to Re z = 7/2; d = 1/2 across floor(Re z) = 16, where the row starts
+# inside an octave of the series; and a complex d.
+SLOT_WALKS = ([Fraction(1, 2) + k for k in range(-3, 4)],
+              [Fraction(33, 2) + k for k in range(-3, 4)],
+              [(Fraction(3, 4) + k, Fraction(1, 4)) for k in range(-3, 4)])
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_level0_row_from_the_slot_equals_a_cold_build(digits, monkeypatch):
+    cfg = EvalConfig(precision=Precision(digits=digits))
+    n_top = cfg.truncation_n
+    built = []
+    real_entries = evaluate._level0_entries
+
+    def counting(zm, cfg, shift, dr, di, cut, ms):
+        built.append(len(ms))
+        return real_entries(zm, cfg, shift, dr, di, cut, ms)
+
+    monkeypatch.setattr(evaluate, "_level0_entries", counting)
+    monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
+    slot = evaluate._ROW0_SLOT
+    with mpmath.workdps(cfg.precision.working_dps):
+        for walk in SLOT_WALKS:
+            # n_max shorter and longer than the slot's row; at the walk's
+            # middle an unrelated argument evicts the slot
+            steps = [(z, n) for z, n in zip(walk, [n_top, 2**10, n_top + 40] * 3)]
+            steps.insert(4, (Fraction(1, 3), n_top))
+            hits = 0
+            for z, n_max in steps:
+                built.clear()
+                warm = evaluate._shifted_log_row0(mp_arg(z), cfg, n_max)
+                assert len(slot) <= 1
+                hits += sum(built) < n_max // 2
+                kept = dict(slot)
+                slot.clear()
+                cold = evaluate._shifted_log_row0(mp_arg(z), cfg, n_max)
+                assert warm == cold, (digits, z, n_max)
+                slot.clear()
+                slot.update(kept)
+            # the comparisons above saw slices: half the steps took most of
+            # their row from the slot
+            assert hits >= len(steps) // 2, walk
+            # an integer z reads the integer table and leaves the slot as it is
+            for z in (Fraction(3), Fraction(40)):
+                evaluate._shifted_log_row0(mp_arg(z), cfg, n_top)
+                assert slot.keys() == kept.keys()
+                assert all(slot[key] is kept[key] for key in kept)
 
 
 def test_integer_table_grown_in_pieces_equals_one_build(monkeypatch):
