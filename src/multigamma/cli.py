@@ -5,7 +5,8 @@ carries the method tag and the error estimate — never a bare number.  Machine
 formats (json, csv) are byte-deterministic: fixed key order, fixed digit
 counts derived from --precision.
 
-Exit codes: 0 ok, 1 usage or configuration error, 2 singular input,
+Exit codes: 0 ok, 1 usage error (a bad flag or value, or a conventions file
+given to verify that does not hold the derived signs), 2 singular input,
 3 verification failure, 4 calibration failure.
 """
 
@@ -14,14 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
 import mpmath
 
 from .constants import Precision, zeta_prime_neg
-from .conventions import ConventionError, ConventionSet
 from .evaluate import (
     CalibrationError,
     EvalConfig,
@@ -34,14 +33,13 @@ from .evaluate import (
 # Not called here; bench/tracing.py wraps these names on this module and
 # fails on a missing one.
 from .evaluate import euler_partial, extrapolate, gauss_partial  # noqa: F401
-from .exact_poly import check_identities
+from .exact_poly import DERIVED, check_identities
 
 DEFAULT_CONVENTIONS_PATH = "./multigamma-conventions.json"
-CONVENTIONS_ENV_VAR = "MULTIGAMMA_CONVENTIONS"
 
 
 class UsageError(Exception):
-    """Bad flags, bad values, or missing configuration: exit code 1."""
+    """Bad flags or bad values: exit code 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decimal digits (default 30)")
         p.add_argument("--tolerance", type=float, default=1e-8)
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--conventions", default=None,
-                       help=f"conventions file (default {DEFAULT_CONVENTIONS_PATH}, "
-                            f"or ${CONVENTIONS_ENV_VAR})")
 
     p_eval = sub.add_parser("eval", help="evaluate log G_r(z) and G_r(z)")
     p_eval.add_argument("--r", type=int, required=True)
@@ -144,9 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
                           default="all")
     p_verify.add_argument("--r-max", dest="r_max", type=int, default=4)
     p_verify.add_argument("--p", default="2,3", help="comma list of orders p")
+    p_verify.add_argument("--conventions", default=None,
+                          help="conventions file that must hold the derived signs")
     common(p_verify)
 
-    p_cal = sub.add_parser("calibrate", help="resolve and persist conventions")
+    p_cal = sub.add_parser("calibrate", help="check and write the derived conventions")
+    p_cal.add_argument("--conventions", default=DEFAULT_CONVENTIONS_PATH,
+                       help=f"file to write (default {DEFAULT_CONVENTIONS_PATH})")
     common(p_cal)
 
     p_const = sub.add_parser("constants", help="print zeta'(-j) constants")
@@ -161,32 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def conventions_path(args) -> str:
-    if args.conventions:
-        return args.conventions
-    return os.environ.get(CONVENTIONS_ENV_VAR) or DEFAULT_CONVENTIONS_PATH
-
-
-def load_conventions(args) -> ConventionSet:
-    path = conventions_path(args)
-    if not os.path.exists(path):
-        raise UsageError(
-            f"conventions file {path!r} not found; run `multigamma calibrate` first "
-            f"(or point --conventions/${CONVENTIONS_ENV_VAR} at one)")
-    try:
-        return ConventionSet.load(path)
-    except (ConventionError, ValueError, KeyError) as exc:
-        raise UsageError(f"cannot load conventions from {path!r}: {exc}") from None
-
-
-def make_config(args, conventions=None) -> EvalConfig:
+def make_config(args) -> EvalConfig:
     if args.precision < 10:
         raise UsageError("--precision must be at least 10")
-    kwargs = dict(precision=Precision(digits=args.precision), tolerance=args.tolerance)
-    if conventions is not None:
-        kwargs["conventions"] = conventions
     try:
-        return EvalConfig(**kwargs)
+        return EvalConfig(precision=Precision(digits=args.precision),
+                          tolerance=args.tolerance)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -227,6 +206,8 @@ def emit_text_table(header: list[str], rows: list[list[str]]) -> None:
 
 def cmd_eval(args) -> int:
     cfg = make_config(args)
+    if args.r < 0:
+        raise UsageError("--r must be >= 0")
     zq = parse_z(args.z)
     digits = args.precision
     with mpmath.workdps(cfg.precision.working_dps):
@@ -277,6 +258,8 @@ def grid_points(z_from: Fraction, z_to: Fraction, step: Fraction) -> list[Fracti
 
 def cmd_table(args) -> int:
     cfg = make_config(args)
+    if args.r < 0:
+        raise UsageError("--r must be >= 0")
     z_from, im_f = parse_z(args.z_from)
     z_to, im_t = parse_z(args.z_to)
     step, im_s = parse_z(args.step)
@@ -376,18 +359,35 @@ def numeric_reports(args, cfg: EvalConfig, p_list: list[int]) -> list[dict]:
     return reports
 
 
+def check_conventions_file(path: str) -> None:
+    """verify reads a conventions file only to check it holds the derived signs."""
+    want = DERIVED.to_json_obj()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            got = json.load(fh)
+        ok = all(got[key] == want[key] for key in ("s_phi", "sigma_phi", "s_R"))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"cannot read conventions from {path!r}: {exc}") from None
+    if not ok:
+        raise UsageError(f"{path!r} does not hold the derived conventions "
+                         "s_phi=-1 sigma_phi=-1 s_R=-1")
+
+
 def cmd_verify(args) -> int:
     suite = args.suite
     p_list = parse_int_list(args.p)
     if args.r_max < 1:
         raise UsageError("--r-max must be >= 1")
+    if any(p < 1 for p in p_list):
+        raise UsageError("--p entries must be >= 1")
+    if args.conventions is not None:
+        check_conventions_file(args.conventions)
     reports: list[dict] = []
     if suite in ("symbolic", "all"):
         for rep in check_identities(args.r_max, tuple(p_list)):
             reports.append(rep.to_json_obj())
     if suite in ("numeric", "all"):
-        conv = load_conventions(args)  # hard error when missing — no silent default
-        cfg = make_config(args, conventions=conv)
+        cfg = make_config(args)
         reports.extend(numeric_reports(args, cfg, p_list))
 
     all_pass = all(rep["pass"] for rep in reports)
@@ -417,8 +417,9 @@ def cmd_verify(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cfg = make_config(args)
-    path = conventions_path(args)
-    resolved = calibrate_conventions(cfg, persist_path=path)
+    path = args.conventions
+    resolved = calibrate_conventions(cfg)
+    resolved.dump(path)
     if args.format == "json":
         emit_json({"path": path, "conventions": resolved.to_json_obj()})
     else:
@@ -493,9 +494,6 @@ def main(argv=None) -> int:
     except CalibrationError as exc:
         print(f"calibration failed:\n{exc}", file=sys.stderr)
         return 4
-    except ConventionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ArithmeticError as exc:  # cross-route disagreement is a failed check
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3

@@ -17,8 +17,9 @@ The front door runs Gauss and falls back on the zeta route where Gauss
 misses the tolerance.  On top of these sit the Hurwitz-zeta oracle for
 log Gamma_r(z) (the zeta route's sum at rational z > 0, sharing no code with
 the products), the raw higher Stirling formula, the multiple sine, the
-multiplication-formula residual, and the calibration that fixes the
-sign/shift conventions documented in ``conventions``.
+multiplication-formula residual, and the calibration that checks the
+derived sign/shift conventions (``exact_poly.ConventionSet``) against the
+other seven candidates.
 
 All log values are accumulated additively from principal logs of individual
 factors; the imaginary part is therefore path-dependent (it is not reduced
@@ -67,8 +68,9 @@ import mpmath
 from mpmath.libmp import from_int, fzero, mpf_sub, to_fixed
 
 from .constants import Precision, hurwitz_zeta_sderiv, zeta_prime_neg
-from .conventions import ConventionSet, UNRESOLVED
 from .exact_poly import (
+    DERIVED,
+    ConventionSet,
     RationalPoly,
     bernoulli_numbers,
     binom_poly,
@@ -116,7 +118,7 @@ class SingularInputError(ValueError):
 
 
 class CalibrationError(RuntimeError):
-    """Convention calibration found zero or multiple surviving candidates."""
+    """Convention calibration did not find the derived set as its one survivor."""
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +184,6 @@ class ResidualReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def to_json_obj(self, digits: int = 17) -> dict[str, Any]:
-        return {
-            "identity": self.identity,
-            "params": {"r": self.r, "p": self.p, "z": mpmath.nstr(self.z, digits)},
-            "residual": mpmath.nstr(self.residual, 6),
-            "pass": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -199,8 +193,9 @@ class EvalConfig:
     extrapolation_order: Richardson depth of the front door's product value.
     tolerance: the absolute error the front door must reach; the zeta route
     also runs wherever the product route's err_est misses tolerance/10.
-    conventions: the calibrated signs that log_gamma_r and
-    multiplication_residual need; the front door needs none.
+    conventions: the signs that log_gamma_r and multiplication_residual
+    use; the front door uses none.  Always DERIVED, except while
+    calibrate_conventions tries its candidates.
     cross_validate: run the zeta route at every front-door call and check
     that both routes agree.
     """
@@ -209,7 +204,7 @@ class EvalConfig:
     truncation_n: int = 2**14
     extrapolation_order: int = 4
     tolerance: float = 1e-8
-    conventions: ConventionSet = UNRESOLVED
+    conventions: ConventionSet = DERIVED
     cross_validate: bool = False
 
     def __post_init__(self) -> None:
@@ -940,15 +935,14 @@ def barnes_zeta_oracle(r: int, z, prec: Precision = Precision(digits=30)) -> Log
 
 
 def log_gamma_r(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> LogValue:
-    """log Gamma_r(z) via G_r and the calibrated residual factor R_r.
+    """log Gamma_r(z) via G_r and the residual factor R_r.
 
     G_r(z) = R_r(z) Gamma_r(z)^((-1)^(r-1)) with
-    log R_r(z) = s_R sum_j G_{r,j}(z-1) zeta'(-j), s_R from calibration.
+    log R_r(z) = s_R sum_j G_{r,j}(z-1) zeta'(-j) (ConventionSet derives s_R).
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     conv = cfg.conventions
-    conv.require_resolved("log_gamma_r")
     base = log_multigamma(r, z, cfg)
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
@@ -992,7 +986,6 @@ def multiplication_residual(r: int, p: int, z: ComplexLike,
     if r < 1 or p < 1:
         raise ValueError("need r >= 1 and p >= 1")
     conv = cfg.conventions
-    conv.require_resolved("multiplication_residual")
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
         lhs = mpmath.mpf(0)
@@ -1021,20 +1014,19 @@ _MULT_ANCHORS = (
 _ORACLE_ANCHORS = (Fraction(1), Fraction(1, 2), Fraction(2))
 
 
-def calibrate_conventions(cfg: EvalConfig = EvalConfig(),
-                          persist_path=None) -> ConventionSet:
-    """Resolve the sign/shift ambiguities by numeric arbitration.
+def calibrate_conventions(cfg: EvalConfig = EvalConfig()) -> ConventionSet:
+    """Check the derived conventions by numeric arbitration.
 
     Enumerates s_phi in {+1,-1}, sigma_phi in {-1,-2}, s_R in {+1,-1} and
-    keeps the unique combination for which (a) the multiplication residuals
-    at r=1, p in {2,3} and r=2, p=2 anchors vanish within tolerance, and
+    keeps the combinations for which (a) the multiplication residuals at
+    r=1, p in {2,3} and r=2, p=2 anchors vanish within tolerance, and
     (b) log Gamma_1 via G_1/R_1 matches the Hurwitz-zeta oracle.  The
     expensive log values are shared across all eight candidates.  Raises
-    CalibrationError (with the full residual table) unless exactly one
-    candidate survives.
+    CalibrationError (with the full residual table) unless DERIVED is the
+    only survivor; returns DERIVED with its residuals as evidence.
     """
     candidates = [
-        ConventionSet(s_phi=sp, sigma_phi=Fraction(sg), s_R=sr, status="resolved")
+        ConventionSet(s_phi=sp, sigma_phi=Fraction(sg), s_R=sr)
         for sp in (1, -1) for sg in (-1, -2) for sr in (1, -1)
     ]
     with mpmath.workdps(cfg.precision.working_dps):
@@ -1065,7 +1057,7 @@ def calibrate_conventions(cfg: EvalConfig = EvalConfig(),
             if worst < cfg.tolerance:
                 survivors.append((cand, evidence))
 
-    if len(survivors) != 1:
+    if [cand for cand, _ in survivors] != [DERIVED]:
         table = "\n".join(
             f"  s_phi={cand.s_phi:+d} sigma_phi={cand.sigma_phi} s_R={cand.s_R:+d}"
             f"  worst residual = {float(worst):.3e}"
@@ -1073,11 +1065,6 @@ def calibrate_conventions(cfg: EvalConfig = EvalConfig(),
         )
         raise CalibrationError(
             f"{len(survivors)} convention candidates survive at tolerance "
-            f"{cfg.tolerance:.1e} (need exactly 1); residual table:\n{table}")
-
-    cand, evidence = survivors[0]
-    resolved = ConventionSet(s_phi=cand.s_phi, sigma_phi=cand.sigma_phi, s_R=cand.s_R,
-                             status="resolved", evidence=tuple(evidence))
-    if persist_path is not None:
-        resolved.dump(persist_path)
-    return resolved
+            f"{cfg.tolerance:.1e} (need exactly 1, s_phi=-1 sigma_phi=-1 s_R=-1); "
+            f"residual table:\n{table}")
+    return replace(DERIVED, evidence=tuple(survivors[0][1]))

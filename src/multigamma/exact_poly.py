@@ -9,7 +9,8 @@ any code path.  The polynomial families built here are
 * binomial-coefficient polynomials binom(z, r),
 * the expansion coefficients G_{r,j}(z) of binom(z - u, r - 1) in powers of u,
 * the multiplication exponents psi_r(z) and Q_r(z) and the zeta-constant
-  bracket polynomials phi_{r,j}(z),
+  bracket polynomials phi_{r,j}(z), with the derived signs (DERIVED) that
+  fix their orientation,
 
 together with an exact identity checker covering the relations that connect
 them (Vandermonde addition, the integral identity for psi_r, Q_r = (-1)^r
@@ -19,17 +20,18 @@ law, and the forward-difference law).
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Iterable, Sequence, Union
 
 import mpmath
 
-from .conventions import ConventionSet
-
 __all__ = [
+    "ConventionSet",
+    "DERIVED",
     "RationalPoly",
     "IdentityReport",
     "bernoulli_numbers",
@@ -398,20 +400,65 @@ def composition_counts(p: int, r: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+@dataclass(frozen=True)
+class ConventionSet:
+    """The signs that tie G_r to the Barnes gamma Gamma_r and to phi_{r,j}.
+
+    * s_R: log G_r(w) = (-1)^(r-1) log Gamma_r(w) + s_R sum_j G_{r,j}(w-1) zeta'(-j);
+    * s_phi, sigma_phi: the sign and the inner shift of phi_rj_poly's bracket.
+
+    All three follow from the Barnes zeta with unit periods,
+    zeta_r(sigma, z) = sum_{n in N^r} (z + |n|)^-sigma.  With s_R = -1 the
+    R_r term is the polynomial that the zeta route adds to log Gamma_r to
+    fix G_r(1) = 1.  Writing n = p m + s
+    with s in [0, p)^r gives, exactly,
+
+        zeta_r(sigma, z) = p^-sigma sum_s zeta_r(sigma, (z + |s|)/p),
+
+    and the sigma-derivative at 0 is the multiplication formula once each
+    log Gamma_r is replaced by log G_r and its R_r term: the bracket is
+    s_R [sum_s G_{r,j}((z+|s|)/p - 1) - G_{r,j}(z-1)], so s_phi = s_R and
+    sigma_phi = -1.  At p = 1 the bracket G_{r,j}(z + sigma_phi) - G_{r,j}(z-1)
+    vanishes only for sigma_phi = -1.  DERIVED is the only value the program
+    uses; calibrate_conventions checks it against the other seven candidates.
+    """
+
+    s_phi: int
+    sigma_phi: Fraction
+    s_R: int
+    evidence: tuple[dict[str, Any], ...] = field(default=(), compare=False)
+
+    def to_json_obj(self) -> dict[str, Any]:
+        return {
+            "s_phi": self.s_phi,
+            "sigma_phi": str(self.sigma_phi),
+            "s_R": self.s_R,
+            "status": "resolved",
+            "evidence": list(self.evidence),
+        }
+
+    def dump(self, path: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.to_json_obj(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+DERIVED = ConventionSet(s_phi=-1, sigma_phi=Fraction(-1), s_R=-1)
+
+
 def phi_rj_poly(r: int, j: int, p: int, conv: ConventionSet) -> RationalPoly:
     """Exact bracket polynomial multiplying zeta'(-j) in the multiplication formula.
 
     s_phi * [ sum_s N(p,r,s) * G_{r,j}((z+s)/p + sigma_phi)  -  G_{r,j}(z-1) ]
 
     where N(p,r,s) counts r-tuples in [0,p-1]^r summing to s.  The argument
-    substitution is exact rational composition.  With the calibrated
-    conventions the result is the zero polynomial at p = 1.
+    substitution is exact rational composition.  With DERIVED the result is
+    the zero polynomial at p = 1.
     """
     if not 0 <= j <= r - 1:
         raise ValueError("need 0 <= j <= r-1")
     if p < 1:
         raise ValueError("p must be >= 1")
-    conv.require_resolved("phi_rj_poly")
     g = grj_poly(r, j)
     acc = RationalPoly.zero()
     inv_p = Fraction(1, p)

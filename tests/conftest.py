@@ -1,19 +1,11 @@
-"""Shared fixtures: one calibration per session, one default config."""
+"""Shared fixtures: one default config."""
 
 import pytest
 
 from multigamma.constants import Precision
-from multigamma.evaluate import EvalConfig, calibrate_conventions
+from multigamma.evaluate import EvalConfig
 
 
 @pytest.fixture(scope="session")
 def acceptance_cfg():
     return EvalConfig(precision=Precision(digits=30))
-
-
-@pytest.fixture(scope="session")
-def session_conventions():
-    # calibration is precision-independent (it picks signs); a lighter config
-    # keeps the session start fast
-    return calibrate_conventions(
-        EvalConfig(precision=Precision(digits=20), truncation_n=2**12))

@@ -27,7 +27,7 @@ from multigamma.evaluate import (
     log_multigamma_asymptotic,
     multiplication_residual,
 )
-from multigamma.exact_poly import RationalPoly, check_identities
+from multigamma.exact_poly import DERIVED, RationalPoly, check_identities
 
 HALF = Fraction(1, 2)
 
@@ -199,8 +199,8 @@ def test_criterion_06_asymptotic_form_and_decay(acceptance_cfg):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_07_oracle_equivalence(acceptance_cfg, session_conventions):
-    cfg = EvalConfig(precision=Precision(digits=30), conventions=session_conventions)
+def test_criterion_07_oracle_equivalence(acceptance_cfg):
+    cfg = acceptance_cfg
     with mpmath.workdps(40):
         worst = mpmath.mpf(0)
         for r in (1, 2, 3):
@@ -223,8 +223,8 @@ def test_criterion_07_oracle_equivalence(acceptance_cfg, session_conventions):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_08_multiplication(acceptance_cfg, session_conventions):
-    cfg = EvalConfig(precision=Precision(digits=30), conventions=session_conventions)
+def test_criterion_08_multiplication(acceptance_cfg):
+    cfg = acceptance_cfg
     zs = [mpmath.mpf(1), mpmath.mpf("1.5"), mpmath.mpf(2), mpmath.mpf("2.5")]
     worst = mpmath.mpf(0)
     with mpmath.workdps(40):
@@ -253,14 +253,17 @@ def test_criterion_08_multiplication(acceptance_cfg, session_conventions):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_09_calibration_unique_and_idempotent(session_conventions):
-    assert session_conventions.resolved
-    again = calibrate_conventions(
-        EvalConfig(precision=Precision(digits=20), truncation_n=2**12))
-    assert again == session_conventions
-    ok("criterion 9: calibration returns one survivor, reruns identical",
-       f"s_phi={session_conventions.s_phi}, sigma_phi={session_conventions.sigma_phi}, "
-       f"s_R={session_conventions.s_R}")
+def test_criterion_09_calibration_unique_and_idempotent():
+    # calibration is precision-independent (it picks signs); a lighter config
+    # keeps it fast
+    cfg = EvalConfig(precision=Precision(digits=20), truncation_n=2**12)
+    first = calibrate_conventions(cfg)
+    assert first == DERIVED
+    again = calibrate_conventions(cfg)
+    assert again == first and again.evidence == first.evidence
+    ok("criterion 9: calibration returns the derived set as its one survivor, "
+       "reruns identical",
+       f"s_phi={first.s_phi}, sigma_phi={first.sigma_phi}, s_R={first.s_R}")
 
 
 # ---------------------------------------------------------------------------

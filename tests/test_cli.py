@@ -20,14 +20,11 @@ import mpmath
 import pytest
 
 from multigamma import cli, evaluate
-from multigamma.cli import CONVENTIONS_ENV_VAR, main, parse_z
+from multigamma.cli import main, parse_z
 from fractions import Fraction
 
 
-def run(argv, env=None, monkeypatch=None):
-    if env:
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -81,10 +78,27 @@ def test_usage_errors_exit_1():
         ["eval", "--r", "1", "--z", "1", "--precision", "2"],
         ["verify", "--suite", "symbolic", "--r-max", "0"],
         ["constants", "--j", "-1,0"],
+        # only calibrate and verify take a conventions file
+        ["eval", "--r", "1", "--z", "1", "--conventions", "c.json"],
+        ["table", "--r", "1", "--from", "1", "--to", "2", "--step", "1",
+         "--conventions", "c.json"],
+        ["constants", "--conventions", "c.json"],
     ):
         code, _, err = run(argv)
         assert code == 1, argv
         assert err.strip(), argv
+
+
+def test_negative_r_is_a_usage_error():
+    for argv in (["eval", "--r", "-1", "--z", "2"],
+                 ["table", "--r", "-1", "--from", "1", "--to", "2", "--step", "1"]):
+        assert run(argv + FAST) == (1, "", "error: --r must be >= 0\n"), argv
+
+
+def test_p_below_one_is_a_usage_error():
+    for p in ("0", "-2", "2,0"):
+        argv = ["verify", "--suite", "symbolic", "--p", p]
+        assert run(argv) == (1, "", "error: --p entries must be >= 1\n"), argv
 
 
 def test_negative_values_after_a_space_parse_like_attached_ones():
@@ -245,12 +259,14 @@ def test_verify_symbolic_passes_and_reports():
     assert all(rep["residual"] == "exact" for rep in obj["reports"])
 
 
-def test_verify_numeric_without_conventions_is_a_hard_error(tmp_path, monkeypatch):
+def test_verify_numeric_needs_no_conventions_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(CONVENTIONS_ENV_VAR, raising=False)
-    code, _, err = run(["verify", "--suite", "numeric"] + FAST)
-    assert code == 1
-    assert "calibrate" in err
+    monkeypatch.delenv("MULTIGAMMA_CONVENTIONS", raising=False)
+    code, out, err = run(["verify", "--suite", "numeric", "--r-max", "1",
+                          "--p", "2", "--format", "json"] + FAST)
+    assert code == 0, err
+    assert json.loads(out)["pass"] is True
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_numeric_with_conventions(conventions_file):
@@ -328,13 +344,15 @@ def test_report_passes_strictly_below_the_tolerance():
     assert cli._report("x", {}, mpmath.mpf(tol) / 2, tol)["pass"] is True
 
 
-def test_verify_numeric_reads_env_var(conventions_file, monkeypatch):
-    code, out, _ = run(["verify", "--suite", "numeric", "--r-max", "1",
-                        "--p", "2", "--format", "json", "--precision", "12"],
-                       env={CONVENTIONS_ENV_VAR: conventions_file},
-                       monkeypatch=monkeypatch)
-    assert code == 0
-    assert json.loads(out)["pass"] is True
+def test_verify_rejects_a_conventions_file_with_other_signs(conventions_file, tmp_path):
+    obj = json.loads(Path(conventions_file).read_text(encoding="utf-8"))
+    obj["s_phi"] = 1
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(["verify", "--suite", "numeric", "--r-max", "1", "--p", "2",
+                          "--conventions", str(path)] + FAST)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "derived conventions" in err
 
 
 def test_verify_failure_exits_3(conventions_file):

@@ -10,6 +10,7 @@ Error estimates are treated as part of the contract: the value lies within
 err_est of the reference.
 """
 
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -21,9 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multigamma import evaluate
+from multigamma.cli import check_conventions_file
 from multigamma.constants import Precision, zeta_prime_neg
-from multigamma.conventions import ConventionSet
-from multigamma.exact_poly import grj_poly
+from multigamma.exact_poly import DERIVED, grj_poly
 from multigamma.evaluate import (
     CalibrationError,
     EvalConfig,
@@ -51,11 +52,6 @@ CFG30 = EvalConfig(precision=Precision(digits=30))
 @lru_cache(maxsize=None)
 def resolved():
     return calibrate_conventions(CFG)
-
-
-def cfg_resolved():
-    return EvalConfig(precision=Precision(digits=20), truncation_n=2**12,
-                      conventions=resolved())
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +610,7 @@ def test_cross_validation_agrees_left_of_the_imaginary_axis(r):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_zeta_route_pins_s_r_by_derivation(r):
     # The zeta route's polynomial, log G_r(w) - (-1)^(r-1) log Gamma_r(w), is
-    # s_R sum_j G_{r,j}(w-1) zeta'(-j) with s_R = -1; calibration agrees.
+    # s_R sum_j G_{r,j}(w-1) zeta'(-j) with s_R = -1, the derived value.
     prec = CFG30.precision
     with mpmath.workdps(prec.working_dps):
         for zq in (Fraction(1, 2), Fraction(29, 4), Fraction(40)):
@@ -624,7 +620,7 @@ def test_zeta_route_pins_s_r_by_derivation(r):
             grj_sum = mpmath.fsum(grj_poly(r, j).evaluate(w - 1) * zeta_prime_neg(j, prec)
                                   for j in range(r))
             assert abs(correction - (-1) * grj_sum) <= 1e-25 * max(1, abs(grj_sum)), zq
-    assert resolved().s_R == -1
+    assert DERIVED.s_R == -1
 
 
 # ---------------------------------------------------------------------------
@@ -677,12 +673,11 @@ def test_config_validation():
 
 
 def test_oracle_matches_normalized_gamma_on_rationals():
-    conv = cfg_resolved()
     with mpmath.workdps(40):
         for r in (1, 2, 3):
             for zq in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
                 want = barnes_zeta_oracle(r, zq, Precision(digits=20)).value
-                got = log_gamma_r(r, mpmath.mpf(zq.numerator) / zq.denominator, conv).value
+                got = log_gamma_r(r, mpmath.mpf(zq.numerator) / zq.denominator, CFG).value
                 assert abs(got - want) < 1e-10, (r, zq)
 
 
@@ -709,41 +704,37 @@ def test_oracle_rejects_nonpositive_arguments():
 
 
 def test_multiple_sine_level_one_closed_form():
-    conv = cfg_resolved()
     with mpmath.workdps(30):
-        s_half = multiple_sine(1, mpmath.mpf("0.5"), conv)
+        s_half = multiple_sine(1, mpmath.mpf("0.5"), CFG)
         assert abs(s_half - mpmath.mpf("0.5")) < 1e-12
         for z in (mpmath.mpf("0.3"), mpmath.mpf("0.7"), mpmath.mpf("1.25")):
-            s = multiple_sine(1, z, conv)
+            s = multiple_sine(1, z, CFG)
             assert abs(s * 2 * mpmath.sin(mpmath.pi * z) - 1) < 1e-10, z
 
 
 def test_multiple_sine_level_two_fixed_point():
-    conv = cfg_resolved()
     with mpmath.workdps(30):
-        assert abs(multiple_sine(2, 1, conv) - 1) < 1e-12
-
-
-def test_gamma_r_requires_resolved_conventions():
-    from multigamma.conventions import ConventionError
-    with pytest.raises(ConventionError):
-        log_gamma_r(1, 2, CFG)
-    with pytest.raises(ConventionError):
-        multiplication_residual(1, 2, 1, CFG)
+        assert abs(multiple_sine(2, 1, CFG) - 1) < 1e-12
 
 
 def test_multiplication_residuals_vanish_on_and_off_anchor():
-    conv = cfg_resolved()
     cases = [(1, 2, "1"), (1, 3, "1.5"), (2, 2, "2.5"), (2, 3, "2")]
     for r, p, z in cases:
-        rep = multiplication_residual(r, p, mpmath.mpf(z), conv)
+        rep = multiplication_residual(r, p, mpmath.mpf(z), CFG)
         assert rep.passed, (r, p, z, rep.residual)
         assert rep.residual < 1e-12
 
 
+def test_multiplication_residual_fails_with_the_wrong_s_phi():
+    # At r = 1 the bracket is the constant s_phi, so s_phi = +1 moves the
+    # right side by 2 zeta'(0) = -log(2 pi).
+    wrong = replace(CFG, conventions=replace(DERIVED, s_phi=1))
+    rep = multiplication_residual(1, 2, Fraction(3, 2), wrong)
+    assert not rep.passed and rep.residual > 1, rep.residual
+
+
 def test_multiplication_p_equals_one_is_trivially_exact():
-    conv = cfg_resolved()
-    rep = multiplication_residual(2, 1, mpmath.mpf("1.5"), conv)
+    rep = multiplication_residual(2, 1, mpmath.mpf("1.5"), CFG)
     assert rep.passed
 
 
@@ -754,7 +745,7 @@ def test_multiplication_p_equals_one_is_trivially_exact():
 
 def test_calibration_finds_the_documented_unique_survivor():
     conv = resolved()
-    assert conv.resolved
+    assert conv == DERIVED
     assert (conv.s_phi, conv.sigma_phi, conv.s_R) == (-1, Fraction(-1), -1)
     assert len(conv.evidence) == 9
     for item in conv.evidence:
@@ -766,13 +757,26 @@ def test_calibration_is_idempotent():
     assert calibrate_conventions(CFG) == resolved()
 
 
+def test_calibration_fails_when_its_survivor_is_not_the_derived_set(monkeypatch):
+    monkeypatch.setattr(evaluate, "DERIVED", replace(DERIVED, s_R=1))
+    with pytest.raises(CalibrationError) as exc:
+        calibrate_conventions(CFG)
+    assert "1 convention candidates survive" in str(exc.value)
+
+
 def test_calibration_persists_loadable_file(tmp_path):
     path = tmp_path / "conv.json"
-    conv = calibrate_conventions(CFG, persist_path=str(path))
-    assert ConventionSet.load(str(path)) == conv
+    conv = calibrate_conventions(CFG)
+    conv.dump(str(path))
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    assert (obj["s_phi"], Fraction(obj["sigma_phi"]), obj["s_R"]) == \
+        (conv.s_phi, conv.sigma_phi, conv.s_R)
+    assert obj["evidence"] == list(conv.evidence)
+    # the file verify reads back is accepted as the derived set
+    check_conventions_file(str(path))
     # byte-stable on re-persist
     first = path.read_bytes()
-    calibrate_conventions(CFG, persist_path=str(path))
+    calibrate_conventions(CFG).dump(str(path))
     assert path.read_bytes() == first
 
 
@@ -794,12 +798,3 @@ def test_log_value_json_shape():
     assert set(obj) == {"re", "im", "method", "err_est"}
     assert isinstance(obj["re"], str) and isinstance(obj["im"], str)
     float(obj["re"]), float(obj["im"])  # parseable
-
-
-def test_residual_report_json_shape():
-    conv = cfg_resolved()
-    rep = multiplication_residual(1, 2, mpmath.mpf(1), conv)
-    obj = rep.to_json_obj()
-    assert set(obj) == {"identity", "params", "residual", "pass"}
-    assert obj["pass"] is True
-    assert set(obj["params"]) == {"r", "p", "z"}

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multigamma import exact_poly
-from multigamma.conventions import ConventionError, ConventionSet, UNRESOLVED
 from multigamma.exact_poly import (
+    DERIVED,
+    ConventionSet,
     RationalPoly,
     bernoulli_numbers,
     bernoulli_poly,
@@ -33,7 +34,7 @@ from multigamma.exact_poly import (
     telescoping_variants,
 )
 
-RESOLVED = ConventionSet(s_phi=-1, sigma_phi=Fraction(-1), s_R=-1, status="resolved")
+RESOLVED = ConventionSet(s_phi=-1, sigma_phi=Fraction(-1), s_R=-1)
 
 fractions_small = st.fractions(min_value=-5, max_value=5, max_denominator=24)
 
@@ -308,11 +309,6 @@ def test_composition_counts_palindrome_and_mass(p, r):
     assert sum(counts) == p**r
 
 
-def test_phi_rj_requires_resolved_conventions():
-    with pytest.raises(ConventionError):
-        phi_rj_poly(1, 0, 2, UNRESOLVED)
-
-
 def test_phi_rj_frozen_values():
     for p in range(1, 6):
         assert phi_rj_poly(1, 0, p, RESOLVED) == RationalPoly.constant(-(p - 1))
@@ -320,9 +316,14 @@ def test_phi_rj_frozen_values():
 
 
 def test_phi_rj_collapses_at_p_equal_one():
-    for r in range(1, 5):
+    # p = 1 leaves G_{r,j}(z + sigma_phi) - G_{r,j}(z - 1), which vanishes
+    # only at sigma_phi = -1 unless G_{r,j} is constant (j = r - 1).
+    assert RESOLVED == DERIVED
+    shifted = ConventionSet(s_phi=-1, sigma_phi=Fraction(-2), s_R=-1)
+    for r in range(1, 9):
         for j in range(r):
             assert phi_rj_poly(r, j, 1, RESOLVED).is_zero
+            assert phi_rj_poly(r, j, 1, shifted).is_zero == (j == r - 1), (r, j)
 
 
 def test_phi_rj_rejects_bad_j():
