@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -418,6 +419,10 @@ def cmd_verify(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = make_config(args)
     path = args.conventions
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise UsageError(f"cannot write conventions to {path!r}: "
+                         f"no directory {directory!r}")
     resolved = calibrate_conventions(cfg)
     resolved.dump(path)
     if args.format == "json":

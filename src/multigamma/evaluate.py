@@ -14,7 +14,10 @@ Three routes are implemented and cross-checked:
   term, so it stays accurate where the products lose accuracy (large |z|).
 
 The front door runs Gauss and falls back on the zeta route where Gauss
-misses the tolerance.  On top of these sit the Hurwitz-zeta oracle for
+misses the tolerance.  Before the full Gauss sweep it probes the ladder's
+first octaves, the start of the same row: where they predict that the
+ladder cannot reach tolerance/10 (large |z|), the zeta route answers alone
+and the sweep never runs.  On top of these sit the Hurwitz-zeta oracle for
 log Gamma_r(z) (the zeta route's sum at rational z > 0, sharing no code with
 the products), the raw higher Stirling formula, the multiple sine, the
 multiplication-formula residual, and the calibration that checks the
@@ -191,13 +194,15 @@ class EvalConfig:
 
     truncation_n: top of the doubling ladder for the product routes.
     extrapolation_order: Richardson depth of the front door's product value.
-    tolerance: the absolute error the front door must reach; the zeta route
-    also runs wherever the product route's err_est misses tolerance/10.
+    tolerance: the absolute error the front door must reach, positive and
+    finite; the zeta route answers wherever the product route's err_est is
+    predicted (from the ladder's first octaves) or found to miss
+    tolerance/10.
     conventions: the signs that log_gamma_r and multiplication_residual
     use; the front door uses none.  Always DERIVED, except while
     calibrate_conventions tries its candidates.
-    cross_validate: run the zeta route at every front-door call and check
-    that both routes agree.
+    cross_validate: run both routes in full at every front-door call, with
+    no prediction, and check that they agree.
     """
 
     precision: Precision = Precision(digits=30)
@@ -212,8 +217,8 @@ class EvalConfig:
             raise ValueError("extrapolation_order must be in 0..8")
         if self.truncation_n < 2 ** (self.extrapolation_order + 1):
             raise ValueError("truncation_n too small for the requested extrapolation order")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -745,6 +750,29 @@ def product_extrapolated(method: str, r: int, z: ComplexLike, cfg: EvalConfig = 
     return result
 
 
+def _ladder_predicted_err(zm, cfg: EvalConfig):
+    """The err_est the Gauss ladder at z is predicted to reach, from its first octaves.
+
+    Sweeps level 1 over the ladder's first q+2 rungs, q = extrapolation_order,
+    and extrapolates at order q; the full ladder's estimate comes from its
+    last q+2 rungs, which lie octaves above, and Richardson's error after q
+    steps falls like N^-(q+1), so the probe's estimate scales by
+    (rung / N)^(q+1).  Level 1 stands for every r: a level r >= 2 at the
+    same z has its truncation coefficients at a higher degree in z, so it
+    reaches no smaller an estimate.  The probe's level-0 entries are the
+    full row's first ones and stay in _ROW0_SLOT for it.  None when the
+    ladder is too short to leave octaves above the probe.
+    """
+    ns = _ladder_ns(cfg.truncation_n)
+    q = cfg.extrapolation_order
+    if len(ns) <= q + 2:
+        return None
+    probe = ns[:q + 2]
+    rows = [_shifted_log_row0(zm, cfg, probe[-1])]
+    est = extrapolate(_partial_checkpoints("gauss", 1, zm, cfg, probe, rows), q).err_est
+    return est * (mpmath.mpf(probe[-1]) / ns[-1]) ** (q + 1)
+
+
 # ---------------------------------------------------------------------------
 # Asymptotic formula and the Hurwitz-zeta route
 # ---------------------------------------------------------------------------
@@ -858,11 +886,17 @@ def log_g0(z: ComplexLike, prec: Precision = Precision(digits=30)) -> LogValue:
 def log_multigamma(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> LogValue:
     """log G_r(z) — the front door.
 
-    Runs the extrapolated Gauss product at z-1.  When that route's error
-    estimate cannot beat tolerance/10 (large |z|), the Hurwitz-zeta route
-    also runs and the better estimate wins; cfg.cross_validate runs it at
-    every call as a check only.  Whenever both run, they must agree within
-    max(10 max(err), 100 tolerance), or ArithmeticError is raised.
+    Runs the extrapolated Gauss product at z-1.  First a probe sweeps the
+    ladder's first q+2 rungs (to N/8 at the defaults) and predicts the full
+    ladder's err_est (_ladder_predicted_err); when that prediction is not
+    below tolerance/10 (large |z|), the Hurwitz-zeta route answers alone,
+    with cross_check None.  The probe is skipped when the Gauss value is
+    memoized and under cfg.cross_validate.  Otherwise the full ladder runs;
+    when its error estimate cannot beat tolerance/10 either, the zeta route
+    also runs and the better estimate wins, and cfg.cross_validate runs it at
+    every call as a check only.  Whenever both run, cross_check is their
+    difference, and they must agree within max(10 max(err), 100 tolerance),
+    or ArithmeticError is raised.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -871,8 +905,13 @@ def log_multigamma(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> Lo
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
         _check_not_singular(r, zm)
-        gauss = product_extrapolated("gauss", r, zm - 1, cfg)
         tol = mpmath.mpf(cfg.tolerance)
+        memoized = _extrap_key("gauss", r, zm - 1, cfg, cfg.extrapolation_order) in _EXTRAP_CACHE
+        if not (memoized or cfg.cross_validate):
+            predicted = _ladder_predicted_err(zm - 1, cfg)
+            if predicted is not None and not predicted < tol / 10:
+                return _log_multigamma_zeta(r, zm, cfg)
+        gauss = product_extrapolated("gauss", r, zm - 1, cfg)
         fallback = not (gauss.err_est < tol / 10)
         if not (fallback or cfg.cross_validate):
             return gauss

@@ -89,6 +89,15 @@ def test_usage_errors_exit_1():
         assert err.strip(), argv
 
 
+def test_non_finite_tolerance_is_a_usage_error():
+    # nan compares false with everything and inf passes every residual
+    for argv in (["eval", "--r", "2", "--z", "7/3"],
+                 ["verify", "--suite", "numeric", "--r-max", "1", "--p", "2"]):
+        for tolerance in ("nan", "inf"):
+            got = run(argv + ["--tolerance", tolerance] + FAST)
+            assert got == (1, "", "error: tolerance must be positive and finite\n"), argv
+
+
 def test_negative_r_is_a_usage_error():
     for argv in (["eval", "--r", "-1", "--z", "2"],
                  ["table", "--r", "-1", "--from", "1", "--to", "2", "--step", "1"]):
@@ -382,6 +391,17 @@ def test_calibrate_writes_idempotent_file(tmp_path):
                        "--conventions", str(path)])
     assert code2 == 0
     assert path.read_bytes() == first
+
+
+def test_calibrate_into_a_missing_directory_is_a_usage_error(tmp_path, monkeypatch):
+    # checked before the calibration runs, not when its file is written
+    calls = []
+    monkeypatch.setattr(cli, "calibrate_conventions", lambda cfg: calls.append(cfg))
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(["calibrate", "--conventions", str(path)] + FAST)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+    assert calls == []
 
 
 def test_calibrate_absurd_tolerance_exits_4(tmp_path):

@@ -216,9 +216,12 @@ def test_single_partial_equals_its_ladder_checkpoint(monkeypatch):
 
     monkeypatch.setattr(evaluate, "extrapolate", recording)
     log_multigamma(2, z + 1, CFG30)
-    assert len(ladders) == 1  # the base came from the memo
+    # the base came from the memo; the other ladder is the front door's
+    # probe over the first rungs
+    full = [ladder for ladder in ladders if len(ladder) == 9]
+    assert len(full) == 1
     # the ladder doubles N up to truncation_n = 2^14
-    assert ladders[0][-5] == single
+    assert full[0][-5] == single
 
 
 def test_euler_extrapolant_equals_its_top_five_partials():
@@ -269,21 +272,33 @@ def test_one_call_takes_one_row_of_logs(monkeypatch):
 def test_far_argument_takes_o_n_logs_and_a_short_integer_table(monkeypatch):
     # Past m = 2N the shifted row takes a direct log per entry instead of
     # reading log m from the integer table, so a far z costs O(N) logs and
-    # leaves the table O(N) long, not O(Re z).
+    # leaves the table O(N) long, not O(Re z).  The front door's probe over
+    # the ladder's first rungs, to N/8, finds that the ladder cannot reach
+    # the tolerance, so the zeta route answers without the full row.
     n_top = CFG30.truncation_n
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
     calls = []
     real_log = mpmath.log
+    built = []
+    real_entries = evaluate._level0_entries
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real_log(*args, **kwargs)
 
+    def counting_entries(zm, cfg, shift, dr, di, cut, ms):
+        built.append(len(ms))
+        return real_entries(zm, cfg, shift, dr, di, cut, ms)
+
     monkeypatch.setattr(mpmath, "log", counting)
+    monkeypatch.setattr(evaluate, "_level0_entries", counting_entries)
     for z in (Fraction(10**7), Fraction(3 * 10**7 + 1, 3)):
         calls.clear()
+        built.clear()
         monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
-        log_multigamma(1, z, CFG30)
+        got = log_multigamma(1, z, CFG30)
+        assert got.method == "zeta" and got.cross_check is None, z
+        assert sum(built) <= n_top // 8 + evaluate._SLOT_MARGIN, z
         assert len(calls) <= 2 * n_top, z
         assert all(len(tabs[0]) <= 2 * n_top + 1 for tabs in evaluate._INT_TABLES.values()), z
 
@@ -597,6 +612,72 @@ def test_front_door_meets_the_tolerance_far_out(r, z):
         assert abs(got.value - want) <= got.err_est <= CFG30.tolerance
 
 
+def test_cross_validation_sweeps_the_full_ladder_where_the_probe_would_not(monkeypatch):
+    # At r = 1, z = 45 the probe predicts that the ladder misses tolerance/10,
+    # so a plain call answers from the zeta route alone.  Under
+    # cross_validate both routes still run in full and must agree: a zeta
+    # route off by 1e-3 is caught.
+    real_zeta = evaluate._log_multigamma_zeta
+
+    def off(r, zm, cfg):
+        got = real_zeta(r, zm, cfg)
+        return replace(got, value=got.value + mpmath.mpf("1e-3"))
+
+    assert log_multigamma(1, 45, CFG30).cross_check is None
+    monkeypatch.setattr(evaluate, "_log_multigamma_zeta", off)
+    with pytest.raises(ArithmeticError):
+        log_multigamma(1, 45, replace(CFG30, cross_validate=True))
+
+
+# The edges of the benchmark's eval-small domains (Re z at both ends, real
+# and complex, |Im z| = 1) and the far ends of cli-session's table grids
+# (Re z <= 7 at r = 2, <= 11/3 at r = 3): the probe lets every one through
+# to the Gauss ladder, whose value it leaves as a cold sweep gives it.
+GAUSS_DOMAINS = {1: (-12, 12), 2: (-12, 12), 3: (-9, 9), 4: (-3, 4)}
+TABLE_EDGES = {2: (Fraction(34, 5),), 3: (Fraction(25, 7),)}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_front_door_keeps_the_gauss_value_across_the_small_domains(r, monkeypatch):
+    lo, hi = GAUSS_DOMAINS[r]
+    args = [Fraction(hi * 13 - 1, 13), Fraction(lo * 13 + 1, 13),
+            (Fraction(hi), Fraction(1)), (Fraction(lo), Fraction(-1)),
+            *TABLE_EDGES.get(r, ())]
+    built, ladders = [], []
+    real_entries, real_extrapolate = evaluate._level0_entries, evaluate.extrapolate
+
+    def counting_entries(zm, cfg, shift, dr, di, cut, ms):
+        built.append(len(ms))
+        return real_entries(zm, cfg, shift, dr, di, cut, ms)
+
+    def counting_ladders(seq, order):
+        ladders.append(len(seq))
+        return real_extrapolate(seq, order)
+
+    monkeypatch.setattr(evaluate, "_level0_entries", counting_entries)
+    monkeypatch.setattr(evaluate, "extrapolate", counting_ladders)
+    for digits in (30, 60):
+        cfg = EvalConfig(precision=Precision(digits=digits))
+        for z in args:
+            with mpmath.workdps(cfg.precision.working_dps):
+                zm = mp_arg(z)
+                built.clear()
+                monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
+                got = log_multigamma(r, zm, cfg)
+                # the full row takes the probe's entries from the slot
+                assert sum(built) == cfg.truncation_n, (digits, z)
+                # memoized: neither the probe nor the ladder runs again
+                ladders.clear()
+                assert log_multigamma(r, zm, cfg) is got and ladders == [], (digits, z)
+                # the full ladder again, from a cold row
+                key = evaluate._extrap_key("gauss", r, zm - 1, cfg, cfg.extrapolation_order)
+                evaluate._EXTRAP_CACHE.pop(key)
+                monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
+                want = product_extrapolated("gauss", r, zm - 1, cfg)
+            assert got.method == "gauss", (digits, z)
+            assert got.value == want.value and got.err_est == want.err_est, (digits, z)
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_cross_validation_agrees_left_of_the_imaginary_axis(r):
     # Both routes sum principal logs of z+n, so they land on the same branch.
@@ -661,6 +742,9 @@ def test_negative_r_rejected():
 def test_config_validation():
     with pytest.raises(ValueError):
         EvalConfig(tolerance=0.0)
+    for tolerance in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            EvalConfig(tolerance=tolerance)
     with pytest.raises(ValueError):
         EvalConfig(truncation_n=16, extrapolation_order=4)
     with pytest.raises(ValueError):
