@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .exact_poly import bernoulli_numbers
+from .exact_poly import _bernoulli_upto
 
 __all__ = ["Precision", "hurwitz_zeta", "hurwitz_zeta_sderiv", "zeta_prime_neg"]
 
@@ -90,7 +90,7 @@ def _euler_maclaurin(s, a, cutoff: int, order_cap: int, target, want_deriv: bool
         dtotal += base ** (1 - s) * (-log_base / (s - 1) - (s - 1) ** -2)
         dtotal -= log_base * half
 
-    nums = bernoulli_numbers(2 * order_cap)
+    nums = _bernoulli_upto(2 * order_cap)
     scale = base ** (-s + 1)
     converged = False
     prev_size = mpmath.inf

@@ -15,9 +15,10 @@ Three routes are implemented and cross-checked:
 
 The front door runs Gauss and falls back on the zeta route where Gauss
 misses the tolerance.  Before the full Gauss sweep it probes the ladder's
-first octaves, the start of the same row: where they predict that the
-ladder cannot reach tolerance/10 (large |z|), the zeta route answers alone
-and the sweep never runs.  On top of these sit the Hurwitz-zeta oracle for
+first octaves at level min(r, 2), on the start of the same row (level 1 of
+the probe starts from mpmath.loggamma): where they predict that the ladder
+cannot reach tolerance/10 (large |z|), the zeta route answers alone and the
+sweep never runs.  On top of these sit the Hurwitz-zeta oracle for
 log Gamma_r(z) (the zeta route's sum at rational z > 0, sharing no code with
 the products), the raw higher Stirling formula, the multiple sine, the
 multiplication-formula residual, and the calibration that checks the
@@ -576,18 +577,27 @@ def _shifted_log_rows(r: int, zm, cfg: EvalConfig, n_max: int) -> list:
     The imaginary row is kept for real z too: log(z+n) carries i pi wherever
     z+n < 0.
     """
-    bits = _fixed_bits(cfg)
     if any(_extrap_key("gauss", k, zm, cfg, _BASE_ORDER) not in _EXTRAP_CACHE
            for k in range(1, r)):
         n_max = max(n_max, cfg.truncation_n)
     rows = [_shifted_log_row0(zm, cfg, n_max)]
     for k in range(1, r):
         base = product_extrapolated("gauss", k, zm, cfg, order=_BASE_ORDER, rows=rows).value
-        base_re, base_im = _to_fixed(base, bits)
-        below_re, below_im = rows[-1]
-        rows.append((list(accumulate(below_re[:n_max - 1], initial=base_re)),
-                     list(accumulate(below_im[:n_max - 1], initial=base_im))))
+        rows.append(_next_level(rows[-1], base, cfg, n_max))
     return rows
+
+
+def _next_level(below: tuple[list, list], base, cfg: EvalConfig, n_max: int) -> tuple[list, list]:
+    """(re, im) rows of log G_k(z+n), n = 1..n_max, from level k-1's rows and its base.
+
+    base, log G_k(z+1) as an mpf/mpc, is floored onto the grid; the
+    recurrence log G_k(z+n+1) = log G_k(z+n) + log G_{k-1}(z+n) makes the
+    rest an exact running sum of below.
+    """
+    base_re, base_im = _to_fixed(base, _fixed_bits(cfg))
+    below_re, below_im = below
+    return (list(accumulate(below_re[:n_max - 1], initial=base_re)),
+            list(accumulate(below_im[:n_max - 1], initial=base_im)))
 
 
 # ---------------------------------------------------------------------------
@@ -750,26 +760,34 @@ def product_extrapolated(method: str, r: int, z: ComplexLike, cfg: EvalConfig = 
     return result
 
 
-def _ladder_predicted_err(zm, cfg: EvalConfig):
-    """The err_est the Gauss ladder at z is predicted to reach, from its first octaves.
+def _ladder_predicted_err(r: int, zm, cfg: EvalConfig):
+    """The err_est the level-r Gauss ladder at z is predicted to reach, from its first octaves.
 
-    Sweeps level 1 over the ladder's first q+2 rungs, q = extrapolation_order,
-    and extrapolates at order q; the full ladder's estimate comes from its
-    last q+2 rungs, which lie octaves above, and Richardson's error after q
-    steps falls like N^-(q+1), so the probe's estimate scales by
-    (rung / N)^(q+1).  Level 1 stands for every r: a level r >= 2 at the
-    same z has its truncation coefficients at a higher degree in z, so it
-    reaches no smaller an estimate.  The probe's level-0 entries are the
-    full row's first ones and stay in _ROW0_SLOT for it.  None when the
-    ladder is too short to leave octaves above the probe.
+    Sweeps level min(r, 2) over the ladder's first q+2 rungs, q =
+    extrapolation_order, and extrapolates at order q; the full ladder's
+    estimate comes from its last q+2 rungs, which lie octaves above, and
+    Richardson's error after q steps falls like N^-(q+1), so the probe's
+    estimate scales by (rung / N)^(q+1).  Level 1 alone is 6-13x optimistic
+    for level 2 at 30 <= z <= 45, so r >= 2 probes level 2 itself.  Its
+    level-1 row starts from log G_1(z+1) = mpmath.loggamma(z+1), which lands
+    on the products' branch: a Gauss base would need the full row, and this
+    one only informs the decision, entering no returned value.  At r >= 3
+    the full ladder's estimate sits on the level-base floor (ROADMAP item 2),
+    not on Richardson's rate, so the prediction stays optimistic there.  The
+    probe's level-0 entries are the full row's first ones and stay in
+    _ROW0_SLOT for it.  None when the ladder is too short to leave octaves
+    above the probe.
     """
     ns = _ladder_ns(cfg.truncation_n)
     q = cfg.extrapolation_order
     if len(ns) <= q + 2:
         return None
     probe = ns[:q + 2]
+    level = min(r, 2)
     rows = [_shifted_log_row0(zm, cfg, probe[-1])]
-    est = extrapolate(_partial_checkpoints("gauss", 1, zm, cfg, probe, rows), q).err_est
+    if level == 2:
+        rows.append(_next_level(rows[0], mpmath.loggamma(zm + 1), cfg, probe[-1]))
+    est = extrapolate(_partial_checkpoints("gauss", level, zm, cfg, probe, rows), q).err_est
     return est * (mpmath.mpf(probe[-1]) / ns[-1]) ** (q + 1)
 
 
@@ -886,8 +904,9 @@ def log_g0(z: ComplexLike, prec: Precision = Precision(digits=30)) -> LogValue:
 def log_multigamma(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> LogValue:
     """log G_r(z) — the front door.
 
-    Runs the extrapolated Gauss product at z-1.  First a probe sweeps the
-    ladder's first q+2 rungs (to N/8 at the defaults) and predicts the full
+    Runs the extrapolated Gauss product at z-1.  First a probe sweeps level
+    min(r, 2) over the ladder's first q+2 rungs (to N/8 at the defaults),
+    its level-1 row started from mpmath.loggamma(z), and predicts the full
     ladder's err_est (_ladder_predicted_err); when that prediction is not
     below tolerance/10 (large |z|), the Hurwitz-zeta route answers alone,
     with cross_check None.  The probe is skipped when the Gauss value is
@@ -908,7 +927,7 @@ def log_multigamma(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> Lo
         tol = mpmath.mpf(cfg.tolerance)
         memoized = _extrap_key("gauss", r, zm - 1, cfg, cfg.extrapolation_order) in _EXTRAP_CACHE
         if not (memoized or cfg.cross_validate):
-            predicted = _ladder_predicted_err(zm - 1, cfg)
+            predicted = _ladder_predicted_err(r, zm - 1, cfg)
             if predicted is not None and not predicted < tol / 10:
                 return _log_multigamma_zeta(r, zm, cfg)
         gauss = product_extrapolated("gauss", r, zm - 1, cfg)

@@ -238,16 +238,31 @@ class RationalPoly:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# B_0, B_1, ...: one table, grown on demand and replaced whole, so that a
+# tuple handed out never changes.
+_BERNOULLI: tuple[Fraction, ...] = (Fraction(1), Fraction(-1, 2))
+
+
 def _bernoulli_upto(n_max: int) -> tuple[Fraction, ...]:
-    # sum_{k=0}^{n-1} binom(n+1, k) B_k = -(n+1) B_n  for n >= 1, B_1 = -1/2.
-    out = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for k in range(n):
+    """B_0..B_m for some m >= n_max; callers index it.
+
+    sum_{k=0}^{n-1} binom(n+1, k) B_k = -(n+1) B_n for n >= 1, and the odd
+    B_k vanish from k = 3 on, so an even n sums k = 0, 1 and the even k only.
+    """
+    global _BERNOULLI
+    if len(_BERNOULLI) > n_max:
+        return _BERNOULLI
+    out = list(_BERNOULLI)
+    for n in range(len(out), n_max + 1):
+        if n % 2:
+            out.append(Fraction(0))
+            continue
+        acc = 1 + (n + 1) * out[1]
+        for k in range(2, n, 2):
             acc += math.comb(n + 1, k) * out[k]
         out.append(-acc / (n + 1))
-    return tuple(out)
+    _BERNOULLI = tuple(out)
+    return _BERNOULLI
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
@@ -258,7 +273,7 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return list(_bernoulli_upto(n_max))
+    return list(_bernoulli_upto(n_max)[:n_max + 1])
 
 
 @lru_cache(maxsize=None)

@@ -678,6 +678,68 @@ def test_front_door_keeps_the_gauss_value_across_the_small_domains(r, monkeypatc
             assert got.value == want.value and got.err_est == want.err_est, (digits, z)
 
 
+def test_probe_sends_eval_large_shaped_r2_calls_to_the_zeta_route(monkeypatch):
+    # r = 2 at 30 <= |z| <= 40: the full ladder's err_est (2.1e-9 at z = 30)
+    # misses tolerance/10.  The probe at level 2 sees it from the first
+    # octaves, so the zeta route answers and no full row or ladder is built.
+    n_top = CFG30.truncation_n
+    built = []
+    real_entries = evaluate._level0_entries
+
+    def counting_entries(zm, cfg, shift, dr, di, cut, ms):
+        built.append(len(ms))
+        return real_entries(zm, cfg, shift, dr, di, cut, ms)
+
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("the full Gauss ladder ran")
+
+    monkeypatch.setattr(evaluate, "_level0_entries", counting_entries)
+    monkeypatch.setattr(evaluate, "product_extrapolated", no_ladder)
+    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
+    for z in (Fraction(30), Fraction(36), Fraction(40), (Fraction(33), Fraction(5))):
+        built.clear()
+        monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
+        with mpmath.workdps(CFG30.precision.working_dps):
+            got = log_multigamma(2, mp_arg(z), CFG30)
+        assert got.method == "zeta" and got.cross_check is None, z
+        assert sum(built) <= n_top // 8 + evaluate._SLOT_MARGIN, z
+
+
+def test_probe_lets_the_last_gauss_argument_of_r2_through(monkeypatch):
+    # r = 2, z = 27: the probe predicts 6.5e-10 and the full ladder reaches
+    # 9.75e-10 < tolerance/10, so the call keeps the Gauss value, as a cold
+    # sweep gives it.  A more pessimistic probe would lose this call first.
+    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
+    got = log_multigamma(2, 27, CFG30)
+    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
+    monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
+    want = product_extrapolated("gauss", 2, 26, CFG30)
+    assert got.method == "gauss" and got.cross_check is None
+    assert got.value == want.value and got.err_est == want.err_est
+
+
+def test_probe_level_one_base_is_on_the_gauss_branch(monkeypatch):
+    # The level-2 probe starts its level-1 row from mpmath.loggamma; the full
+    # ladder starts it from the Gauss product.  Left of the imaginary axis
+    # the two must continue log along the same path.
+    bases = []
+    real_next_level = evaluate._next_level
+
+    def recording(below, base, cfg, n_max):
+        bases.append(base)
+        return real_next_level(below, base, cfg, n_max)
+
+    monkeypatch.setattr(evaluate, "_next_level", recording)
+    for z in (Fraction(-35, 3), (Fraction(-11), Fraction(1, 4)),
+              (Fraction(-11), Fraction(-1, 4)), (Fraction(-5), Fraction(20))):
+        bases.clear()
+        with mpmath.workdps(CFG30.precision.working_dps):
+            zm = mp_arg(z) - 1
+            evaluate._ladder_predicted_err(2, zm, CFG30)
+            want = product_extrapolated("gauss", 1, zm, CFG30, order=evaluate._BASE_ORDER)
+            assert len(bases) == 1 and abs(bases[0] - want.value) < 1e-15, z
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_cross_validation_agrees_left_of_the_imaginary_axis(r):
     # Both routes sum principal logs of z+n, so they land on the same branch.

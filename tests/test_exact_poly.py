@@ -73,7 +73,17 @@ def stirling_oracle(r):
 
 
 def test_bernoulli_against_series_division():
-    assert bernoulli_numbers(24) == bernoulli_oracle(24)
+    # 160 = 2 order_cap at 60 digits, the Hurwitz Euler-Maclaurin sum's need
+    assert bernoulli_numbers(160) == bernoulli_oracle(160)
+
+
+def test_bernoulli_table_does_not_depend_on_the_order_of_requests(monkeypatch):
+    seed = exact_poly._BERNOULLI[:2]
+    for sizes in ((20, 160), (160, 20)):
+        monkeypatch.setattr(exact_poly, "_BERNOULLI", seed)
+        got = {n: bernoulli_numbers(n) for n in sizes}
+        assert len(got[20]) == 21 and len(got[160]) == 161
+        assert got[160][:21] == got[20], sizes
 
 
 def test_stirling_against_cycle_recurrence():
