@@ -41,21 +41,28 @@ integer row plus log(1 + d/m) from short real odd series in fixed point:
 log|m+d| - log m and atan of another for arg(m+d).  Each series is a Horner
 sum whose k-th accumulator keeps only the bits that its later factor
 t^(2k+1) leaves above the sum's last place; its term count is set per octave
-of m, from the argument at the octave's first m.  Only the entries with m
-below a cutoff of 2^4 or more (|Im z| raises it), every z+n with Re <= 0
-among them, and those with m past 2N keep a direct log, so the integer row
-never grows past 2N.  Logs and series run a few bits past the grid, so every
-level-0 entry x is within (2 + log2 max(2, |x|)) 2^-(p+g) of log x
-(_integer_log_table and _shifted_log_row0 give the details).  An entry
+of m, from the argument at the octave's first m, and it runs over blocks of
+at most 2^10 m, so that its temporary rows stay short.  Only the entries
+with m below a cutoff of 2^4 or more (|Im z| raises it), every z+n with
+Re <= 0 among them, and those with m past 2N keep a direct log, so the
+integer row never grows past 2N.  Logs and series run a few bits past the
+grid, so every level-0 entry x is within (2 + log2 max(2, |x|)) 2^-(p+g) of
+log x (_integer_log_table and _shifted_log_row0 give the details).  An entry
 depends on m and d alone, so the last shifted row is kept in a one-row slot
 and serves the next z with the same exact d: a walk over z + Z, as the
 recurrence and the multiplication formula take, builds each entry once.
 
-The real and imaginary parts of the levels above and of the
-partial sums are exact integer sums of level-0 entries.  Values return to
-mpf/mpc only at ladder checkpoints.  A call builds its shifted lattice once,
-bottom-up: the starting value of each level comes from a Gauss sweep over
-the levels already built.
+The real and imaginary parts of the levels above and of the partial sums
+are exact integer sums of level-0 entries, so no level above 0 is kept
+whole.  The integer lattice keeps level 0 alone, one row for each of the
+four most recently used precisions; a sweep reads log G_k(N+1) at the
+ladder rungs N only, from a small memo that streamed running sums over
+level 0 fill, and the Euler route streams the levels it telescopes.  A call
+builds its shifted lattice once, bottom-up, and holds at most two of its
+levels: the starting value of level k comes from a Gauss sweep at level k,
+which reads level k-1 alone, and level k-1 is dropped once level k is
+built.  Values return to mpf/mpc only at ladder checkpoints.  cache_info()
+reports what the module-level caches hold.
 """
 
 from __future__ import annotations
@@ -64,13 +71,14 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import add, floordiv, mul, rshift, sub
 from typing import Any, Sequence, Union
 
 import mpmath
 from mpmath.libmp import from_int, fzero, mpf_sub, to_fixed
 
+from . import constants
 from .constants import Precision, hurwitz_zeta_sderiv, zeta_prime_neg
 from .exact_poly import (
     DERIVED,
@@ -104,6 +112,7 @@ __all__ = [
     "multiple_sine",
     "multiplication_residual",
     "calibrate_conventions",
+    "cache_info",
 ]
 
 SINGULAR_EPS = 1e-8
@@ -333,10 +342,29 @@ _SERIES_GUARD = 10
 # Shifted entries log(z+n), z+n = m + d, with m below 2^4 (or below 2|d|)
 # take a direct log: a series there needs many terms for few entries.
 _FIRST_SERIES_OCTAVE = 4
+# The most entries one _log1p_block sums at once, so that the series'
+# temporary rows stay short.
+_SERIES_BLOCK = 2**10
 
-# _INT_TABLES[(dps, bits)][k][n] = log G_k(n) scaled by 2^bits, n >= 1 (index 0
-# unused); grown on demand.
-_INT_TABLES: dict[tuple[int, int], list[list]] = {}
+# _INT_TABLES[(dps, bits)][n] = log n scaled by 2^bits, n >= 1 (index 0
+# unused); grown on demand.  _INT_RUNGS[(dps, bits)][n] = (log G_k(n) for
+# k = 0..K), the levels above 0 kept at the ladder rungs only.  Both keep the
+# same _INT_KEYS most recently used (dps, bits).
+_INT_TABLES: dict[tuple[int, int], list] = {}
+_INT_RUNGS: dict[tuple[int, int], dict[int, tuple]] = {}
+_INT_KEYS = 4
+
+
+def _integer_caches(cfg: EvalConfig) -> tuple[list, dict]:
+    """cfg's level-0 row and rung memo, made the most recently used of _INT_KEYS keys."""
+    key = (cfg.precision.working_dps, _fixed_bits(cfg))
+    row0 = _INT_TABLES.pop(key, [None])
+    memo = _INT_RUNGS.pop(key, {})
+    _INT_TABLES[key], _INT_RUNGS[key] = row0, memo
+    for cache in (_INT_TABLES, _INT_RUNGS):
+        while len(cache) > _INT_KEYS:
+            del cache[next(iter(cache))]
+    return row0, memo
 
 
 def _smallest_prime_factors(n_max: int) -> list[int]:
@@ -348,36 +376,64 @@ def _smallest_prime_factors(n_max: int) -> list[int]:
     return spf
 
 
-def _integer_log_table(cfg: EvalConfig, levels: int, n_max: int) -> list[list]:
-    """log G_k(n) for 0 <= k < levels, 1 <= n <= n_max, as fixed-point ints.
+def _integer_log_table(cfg: EvalConfig, n_max: int) -> list:
+    """log n for 1 <= n <= n_max (list index n), as fixed-point ints: level 0.
 
-    G_k(1) = 1 and G_k(n+1) = G_{k-1}(n) G_k(n); the levels above 0 are exact
-    integer running sums of level 0.  Level 0 takes one log per prime: a
-    prime's log is computed _SERIES_GUARD bits past the grid and floored onto
-    it, and a composite n with smallest prime factor p is log p + log(n/p).
-    Entry n is therefore below log n by less than
-    Omega(n) (1 + 2^-10 log n) 2^-bits, Omega(n) <= log2(n) the number of
-    prime factors with multiplicity, and it depends on n alone, not on how
-    the table was grown.
+    Takes one log per prime: a prime's log is computed _SERIES_GUARD bits
+    past the grid and floored onto it, and a composite n with smallest prime
+    factor p is log p + log(n/p).  Entry n is therefore below log n by less
+    than Omega(n) (1 + 2^-10 log n) 2^-bits, Omega(n) <= log2(n) the number
+    of prime factors with multiplicity, and it depends on n alone, not on
+    how the table was grown.  The levels above are never kept whole: they
+    are exact running sums of this row (_integer_levels), read at the
+    ladder rungs (_integer_rungs).
     """
-    dps = cfg.precision.working_dps
     bits = _fixed_bits(cfg)
-    with mpmath.workdps(dps):
-        tabs = _INT_TABLES.setdefault((dps, bits), [])
-        while len(tabs) < levels:
-            tabs.append([None, 0] if tabs else [None])
-        row0 = tabs[0]
-        if len(row0) <= n_max:
-            spf = _smallest_prime_factors(n_max)
-            with mpmath.workprec(bits + _SERIES_GUARD):
-                for n in range(len(row0), n_max + 1):
-                    p = spf[n]
-                    row0.append(row0[p] + row0[n // p] if p < n
-                                else to_fixed(mpmath.log(n)._mpf_, bits))
-        for k in range(1, levels):
-            row, below = tabs[k], tabs[k - 1]
-            row.extend(list(accumulate(below[len(row) - 1:n_max], initial=row[-1]))[1:])
-        return tabs
+    row0, _ = _integer_caches(cfg)
+    if len(row0) <= n_max:
+        spf = _smallest_prime_factors(n_max)
+        with mpmath.workprec(bits + _SERIES_GUARD):
+            for n in range(len(row0), n_max + 1):
+                p = spf[n]
+                row0.append(row0[p] + row0[n // p] if p < n
+                            else to_fixed(mpmath.log(n)._mpf_, bits))
+    return row0
+
+
+def _integer_levels(row0: list, k: int):
+    """log G_k(n), n = 1, 2, ..., streamed from level 0 without keeping a row.
+
+    G_k(1) = 1 and G_k(n+1) = G_{k-1}(n) G_k(n), so level k is k nested
+    exact running sums of level 0.
+    """
+    level = islice(row0, 1, None)
+    for _ in range(k):
+        level = accumulate(level, initial=0)
+    return level
+
+
+def _integer_rungs(cfg: EvalConfig, levels: int, ms: Sequence[int]) -> list[tuple]:
+    """(log G_k(m) for k < levels, and possibly more) at each m in ms, fixed-point ints.
+
+    Memoized in _INT_RUNGS; a miss streams each level k through _integer_levels
+    up to the largest m that lacks it, keeping only its values at those m.
+    They are exact integer sums of level 0, so they are the values a full
+    table of the levels would hold.
+    """
+    _, memo = _integer_caches(cfg)
+    todo = sorted(m for m in set(ms) if len(memo.get(m, ())) < levels)
+    if todo:
+        row0 = _integer_log_table(cfg, todo[-1])
+        columns = []
+        for k in range(levels):
+            level, at = _integer_levels(row0, k), 1
+            column = []
+            for m in todo:
+                column.append(next(islice(level, m - at, None)))
+                at = m + 1
+            columns.append(column)
+        memo.update(zip(todo, zip(*columns)))
+    return [memo[m] for m in ms]
 
 
 def _odd_series(t: list, sign: int, prec: int, shift: int, top: int) -> list:
@@ -461,11 +517,11 @@ def _level0_entries(zm, cfg: EvalConfig, shift: int, dr: int, di: int,
     """(re, im) fixed-point rows of log(m + d) for m in ms, z = shift + d.
 
     The entries with cut <= m <= 2 truncation_n are log m from the integer
-    table plus, for d != 0, log(1 + d/m) from _log1p_block, one block per
-    octave of m; d = (dr + i di) 2^-prec.  The others are direct logs of
-    z + (m - shift), prec bits, floored onto the grid.  The series stops at
-    m = 2 truncation_n so that the integer table stays O(truncation_n) long
-    however large Re z is.
+    table plus, for d != 0, log(1 + d/m) from _log1p_block, in blocks of at
+    most _SERIES_BLOCK m within one octave; d = (dr + i di) 2^-prec.  The
+    others are direct logs of z + (m - shift), prec bits, floored onto the
+    grid.  The series stops at m = 2 truncation_n so that the integer table
+    stays O(truncation_n) long however large Re z is.
     """
     bits = _fixed_bits(cfg)
     prec = bits + _SERIES_GUARD
@@ -477,16 +533,18 @@ def _level0_entries(zm, cfg: EvalConfig, shift: int, dr: int, di: int,
     re0 = [re for re, _ in direct[:lo - ms.start]]
     im0 = [im for _, im in direct[:lo - ms.start]]
     if hi > lo:
-        log_m = _integer_log_table(cfg, 1, hi - 1)[0]
+        log_m = _integer_log_table(cfg, hi - 1)
         if not (dr or di):
             re0.extend(log_m[lo:hi])
             im0.extend(repeat(0, hi - lo))
         else:
             for j in range(lo.bit_length() - 1, (hi - 1).bit_length()):
-                block = range(max(lo, 1 << j), min(hi, 2 << j))
-                series_re, series_im = _log1p_block(block, dr, di, prec, bits)
-                re0.extend(map(add, log_m[block.start:block.stop], series_re))
-                im0.extend(repeat(0, len(block)) if series_im is None else series_im)
+                octave = range(max(lo, 1 << j), min(hi, 2 << j))
+                for start in range(octave.start, octave.stop, _SERIES_BLOCK):
+                    block = range(start, min(octave.stop, start + _SERIES_BLOCK))
+                    series_re, series_im = _log1p_block(block, dr, di, prec, bits)
+                    re0.extend(map(add, log_m[block.start:block.stop], series_re))
+                    im0.extend(repeat(0, len(block)) if series_im is None else series_im)
     re0.extend(re for re, _ in direct[lo - ms.start:])
     im0.extend(im for _, im in direct[lo - ms.start:])
     return re0, im0
@@ -498,10 +556,10 @@ def _shifted_log_row0(zm, cfg: EvalConfig, n_max: int) -> tuple[list, list]:
     Write z+n = m + d with m = n + floor(Re z) and 0 <= Re d < 1, d floored
     onto 2^-prec, prec = bits + _SERIES_GUARD.  From m >= 2^j >= 2|d|,
     j >= _FIRST_SERIES_OCTAVE, up to m = 2 truncation_n, the entry is log m
-    from the integer table plus log(1 + d/m) from _log1p_block, one block of
-    m per octave: for complex d, log|m+d| - log m and arg(m+d) are two real
-    series.  Each series takes its term count from its argument at the
-    octave's first m.  Its error in ints scaled by 2^prec, from that
+    from the integer table plus log(1 + d/m) from _log1p_block, in blocks of
+    m within one octave: for complex d, log|m+d| - log m and arg(m+d) are
+    two real series.  Each series takes its term count from its argument at
+    the octave's first m.  Its error in ints scaled by 2^prec, from that
     argument's floor, the floor of its square, the dropped tail and the
     tapered Horner floors, stays below 8 units (16 for real d's 2 atanh),
     2^-6 2^-bits; with the floor onto the grid and log m's error, such an
@@ -562,17 +620,19 @@ def _m_window(rows: tuple[list, list], u_lo: int, lo: int, hi: int) -> tuple[lis
     return rows[0][lo - u_lo:hi - u_lo], rows[1][lo - u_lo:hi - u_lo]
 
 
-def _shifted_log_rows(r: int, zm, cfg: EvalConfig, n_max: int) -> list:
-    """log G_k(z+n) for 0 <= k <= r-1, n = 1..n_max (list index n-1).
+def _shifted_log_rows(r: int, zm, cfg: EvalConfig, n_max: int) -> tuple[list, list]:
+    """log G_{r-1}(z+n), n = 1..n_max (list index n-1): the top level the level-r sweep reads.
 
-    Each level is a pair (re, im) of fixed-point int rows, built bottom-up in
-    one pass: level 0 is log(z+n) from _shifted_log_row0; level k >= 1 starts
-    from log G_k(z+1), extrapolated from a Gauss sweep over the levels already
-    built, and walks the recurrence as an exact running sum.  The starting
-    values enter the level-r product sum with O(N)-fold amplification, so
-    they are computed at a higher extrapolation order than the caller's and
-    memoized.  A starting value not yet memoized needs the whole ladder, so
-    the rows then reach truncation_n whatever n_max is.
+    The level is a pair (re, im) of fixed-point int rows, built bottom-up:
+    level 0 is log(z+n) from _shifted_log_row0; level k >= 1 starts from
+    log G_k(z+1), extrapolated from a Gauss sweep at level k, which reads
+    level k-1 alone, and walks the recurrence as an exact running sum of
+    level k-1, which is then dropped.  So at most two levels are alive at
+    once, and level 0 may also be held by _ROW0_SLOT.  The starting values
+    enter the level-r product sum with O(N)-fold amplification, so they are
+    computed at a higher extrapolation order than the caller's and memoized.
+    A starting value not yet memoized needs the whole ladder, so the rows
+    then reach truncation_n whatever n_max is.
 
     The imaginary row is kept for real z too: log(z+n) carries i pi wherever
     z+n < 0.
@@ -580,10 +640,10 @@ def _shifted_log_rows(r: int, zm, cfg: EvalConfig, n_max: int) -> list:
     if any(_extrap_key("gauss", k, zm, cfg, _BASE_ORDER) not in _EXTRAP_CACHE
            for k in range(1, r)):
         n_max = max(n_max, cfg.truncation_n)
-    rows = [_shifted_log_row0(zm, cfg, n_max)]
+    rows = _shifted_log_row0(zm, cfg, n_max)
     for k in range(1, r):
         base = product_extrapolated("gauss", k, zm, cfg, order=_BASE_ORDER, rows=rows).value
-        rows.append(_next_level(rows[-1], base, cfg, n_max))
+        rows = _next_level(rows, base, cfg, n_max)
     return rows
 
 
@@ -596,8 +656,8 @@ def _next_level(below: tuple[list, list], base, cfg: EvalConfig, n_max: int) -> 
     """
     base_re, base_im = _to_fixed(base, _fixed_bits(cfg))
     below_re, below_im = below
-    return (list(accumulate(below_re[:n_max - 1], initial=base_re)),
-            list(accumulate(below_im[:n_max - 1], initial=base_im)))
+    return (list(accumulate(islice(below_re, n_max - 1), initial=base_re)),
+            list(accumulate(islice(below_im, n_max - 1), initial=base_im)))
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +666,7 @@ def _next_level(below: tuple[list, list], base, cfg: EvalConfig, n_max: int) -> 
 
 
 def _partial_checkpoints(method: str, r: int, zm, cfg: EvalConfig,
-                         ns: Sequence[int], rows: list) -> list[LogValue]:
+                         ns: Sequence[int], rows: tuple[list, list]) -> list[LogValue]:
     """Partial-product log values at each checkpoint N in ns, one shared sweep.
 
     gauss: sum_{n<=N} [log G_{r-1}(n) - log G_{r-1}(z+n)]
@@ -615,42 +675,51 @@ def _partial_checkpoints(method: str, r: int, zm, cfg: EvalConfig,
            distributed as telescoping ratios (G_k(n+1)/G_k(n))^binom(z, r-k),
            each rounded onto the fixed-point grid.
 
-    rows are _shifted_log_rows(r, zm, cfg, n) with n >= max(ns).  The sums run
-    exactly over fixed-point ints; values become mpf/mpc only at checkpoints,
-    where gauss also adds its corrections at the working precision.
+    rows is the top level _shifted_log_rows(r, zm, cfg, n) with n >= max(ns).
+    The integer sum up to N is log G_r(N+1), read with the corrections'
+    log G_k(N+1) from the rung memo (_integer_rungs); euler streams each
+    ratio G_k(n+1)/G_k(n), G_{k-1}(n) or (n+1)/n at k = 0, from level 0.  The
+    sums run exactly over fixed-point ints; values become mpf/mpc only at
+    checkpoints, where gauss also adds its corrections at the working
+    precision.
     """
     n_top = ns[-1]
     bits = _fixed_bits(cfg)
     with mpmath.workdps(cfg.precision.working_dps):
-        int_tabs = _integer_log_table(cfg, r, n_top + 1)
-        top_int = int_tabs[r - 1]
-        shift_re, shift_im = rows[r - 1]
+        shift_re, shift_im = rows
         exponents = [binom_poly(r - k).evaluate(zm) for k in range(r)]
-        cplx = isinstance(zm, mpmath.mpc) or any(shift_im[:n_top])
-        telescoped = []  # euler: (0 for re or 1 for im, per-n correction terms)
+        cplx = isinstance(zm, mpmath.mpc) or any(islice(shift_im, n_top))
+        rungs = _integer_rungs(cfg, r + 1, [n + 1 for n in ns])
+        # per part (re, im): what each segment between rungs adds to the sum
+        segments = [[-x for x in _segment_sums(iter(part), ns)] for part in rows]
         if method == "euler":
+            row0 = _integer_log_table(cfg, n_top + 1)
             for k, exponent in enumerate(exponents):
-                tab = int_tabs[k]
                 for part, e in enumerate(_to_fixed(exponent, bits)):
                     if e:
-                        telescoped.append((part, [(e * (tab[n + 1] - tab[n])) >> bits
-                                                  for n in range(1, n_top + 1)]))
+                        ratios = (map(sub, islice(row0, 2, None), islice(row0, 1, None)) if k == 0
+                                  else _integer_levels(row0, k - 1))
+                        terms = map(rshift, map(mul, repeat(e), ratios), repeat(bits))
+                        segments[part] = list(map(add, segments[part], _segment_sums(terms, ns)))
 
         out = []
-        running = [0, 0]
-        lo = 0
-        for n in ns:
-            running[0] += sum(top_int[lo + 1:n + 1]) - sum(shift_re[lo:n])
-            running[1] -= sum(shift_im[lo:n])
-            for part, terms in telescoped:
-                running[part] += sum(terms[lo:n])
-            lo = n
-            value = _from_fixed(*running, bits, cplx)
+        running_re, running_im = accumulate(segments[0]), accumulate(segments[1])
+        for rung, sum_re, sum_im in zip(rungs, running_re, running_im):
+            value = _from_fixed(rung[r] + sum_re, sum_im, bits, cplx)
             if method == "gauss":
                 for k in range(r):
-                    value += exponents[k] * mpmath.mpf((int_tabs[k][n + 1], -bits))
+                    value += exponents[k] * mpmath.mpf((rung[k], -bits))
             out.append(LogValue(value=+value, method=method))
         return out
+
+
+def _segment_sums(values, ns: Sequence[int]) -> list[int]:
+    """Sums of an iterator's values for n = 1..ns[-1] over each (previous rung, rung]."""
+    out, lo = [], 0
+    for n in ns:
+        out.append(sum(islice(values, n - lo)))
+        lo = n
+    return out
 
 
 def _validated_r_n(r: int, n: int) -> None:
@@ -673,8 +742,8 @@ def gauss_partial(r: int, z: ComplexLike, n: int, cfg: EvalConfig = EvalConfig()
     """log of the N-th Gauss bracket for log G_r(z+1).
 
     prod_{m<=N} G_{r-1}(m)/G_{r-1}(z+m) * prod_{k<r} G_k(N+1)^binom(z, r-k),
-    computed additively in O(N r): all integer levels are maintained in one
-    recurrence sweep, the shifted lattice likewise.
+    computed additively in O(N r): the integer levels are running sums of
+    log n read at N+1, and the shifted lattice is built level by level.
     """
     return _single_partial("gauss", r, z, n, cfg)
 
@@ -728,15 +797,38 @@ def _extrap_key(method: str, r: int, zm, cfg: EvalConfig, order: int) -> tuple:
     return (method, r, cfg.precision.working_dps, cfg.truncation_n, order, _z_key(zm))
 
 
+def cache_info() -> dict[str, dict[str, int]]:
+    """Rows and entries that each module-level cache holds now.
+
+    A row is one level-0 row of _INT_TABLES (one per precision key), one
+    rung of _INT_RUNGS (log G_k(m) for k = 0..K at one m), one memoized
+    LogValue of _EXTRAP_CACHE, the (re, im) row of _ROW0_SLOT, or one
+    zeta'(-j) of constants._ZETA_PRIME_CACHE; entries count the fixed-point
+    ints or the values in them.
+    """
+    rungs = [levels for memo in _INT_RUNGS.values() for levels in memo.values()]
+    return {
+        "_INT_TABLES": {"rows": len(_INT_TABLES),
+                        "entries": sum(len(row) - 1 for row in _INT_TABLES.values())},
+        "_INT_RUNGS": {"rows": len(rungs), "entries": sum(map(len, rungs))},
+        "_EXTRAP_CACHE": {"rows": len(_EXTRAP_CACHE), "entries": len(_EXTRAP_CACHE)},
+        "_ROW0_SLOT": {"rows": len(_ROW0_SLOT),
+                       "entries": sum(len(re) for _, re, _ in _ROW0_SLOT.values())},
+        "constants._ZETA_PRIME_CACHE": {"rows": len(constants._ZETA_PRIME_CACHE),
+                                        "entries": len(constants._ZETA_PRIME_CACHE)},
+    }
+
+
 def product_extrapolated(method: str, r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig(),
-                         order: int | None = None, rows: list | None = None) -> LogValue:
+                         order: int | None = None,
+                         rows: tuple[list, list] | None = None) -> LogValue:
     """Extrapolated product value of log G_r(z+1), memoized per (method, r, z, cfg).
 
     method is "gauss" or "euler".  One sweep takes the partial products at
     every rung of the doubling ladder up to truncation_n; order defaults to
-    cfg.extrapolation_order.  rows: levels 0..r-1 of the shifted lattice
-    reaching truncation_n, when the caller has built them already; otherwise
-    they are built here.
+    cfg.extrapolation_order.  rows: the top level r-1 of the shifted lattice,
+    log G_{r-1}(z+n) as _shifted_log_rows gives it, reaching truncation_n,
+    when the caller has built it already; otherwise it is built here.
     """
     if method not in ("gauss", "euler"):
         raise ValueError(f"unknown product method {method!r}")
@@ -784,9 +876,9 @@ def _ladder_predicted_err(r: int, zm, cfg: EvalConfig):
         return None
     probe = ns[:q + 2]
     level = min(r, 2)
-    rows = [_shifted_log_row0(zm, cfg, probe[-1])]
+    rows = _shifted_log_row0(zm, cfg, probe[-1])
     if level == 2:
-        rows.append(_next_level(rows[0], mpmath.loggamma(zm + 1), cfg, probe[-1]))
+        rows = _next_level(rows, mpmath.loggamma(zm + 1), cfg, probe[-1])
     est = extrapolate(_partial_checkpoints("gauss", level, zm, cfg, probe, rows), q).err_est
     return est * (mpmath.mpf(probe[-1]) / ns[-1]) ** (q + 1)
 

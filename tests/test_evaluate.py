@@ -12,9 +12,11 @@ err_est of the reference.
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import mpmath
 import pytest
@@ -244,7 +246,7 @@ def prime_count(n):
 def test_one_call_takes_one_row_of_logs(monkeypatch):
     # Every level of the shifted lattice derives from the one row log(z+n),
     # n <= N, and only its entries below the series cutoff take a log: with
-    # the integer tables warm, a call takes a handful.  The integer table
+    # the integer row warm, a call takes a handful.  The integer row
     # takes one log per prime.
     log_multigamma(1, Fraction(7, 2), CFG30)
     calls = []
@@ -265,7 +267,7 @@ def test_one_call_takes_one_row_of_logs(monkeypatch):
     assert len(calls) <= 64
     calls.clear()
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
-    evaluate._integer_log_table(CFG30, 1, CFG30.truncation_n)
+    evaluate._integer_log_table(CFG30, CFG30.truncation_n)
     assert len(calls) <= prime_count(CFG30.truncation_n + 64) + 64
 
 
@@ -300,7 +302,7 @@ def test_far_argument_takes_o_n_logs_and_a_short_integer_table(monkeypatch):
         assert got.method == "zeta" and got.cross_check is None, z
         assert sum(built) <= n_top // 8 + evaluate._SLOT_MARGIN, z
         assert len(calls) <= 2 * n_top, z
-        assert all(len(tabs[0]) <= 2 * n_top + 1 for tabs in evaluate._INT_TABLES.values()), z
+        assert all(len(row0) <= 2 * n_top + 1 for row0 in evaluate._INT_TABLES.values()), z
 
 
 # Real and complex z: z+n < 0 for small n (-37/3), an integer Re z
@@ -338,7 +340,7 @@ def test_level0_row_is_within_16_ulps_of_log(digits):
     for z in LEVEL0_ARGS:
         with mpmath.workdps(cfg.precision.working_dps):
             zm = mp_arg(z)
-            re0, im0 = evaluate._shifted_log_rows(1, zm, cfg, 2**14)[0]
+            re0, im0 = evaluate._shifted_log_rows(1, zm, cfg, 2**14)
         with mpmath.workdps(cfg.precision.working_dps + 20):
             for n in LEVEL0_NS:
                 assert_within_16_ulps(re0[n - 1], im0[n - 1], mpmath.log(zm + n), cfg)
@@ -362,7 +364,7 @@ def test_level0_entries_meet_their_stated_bound():
     for z in LEVEL0_ARGS:
         with mpmath.workdps(CFG30.precision.working_dps):
             zm = mp_arg(z)
-            re0, im0 = evaluate._shifted_log_rows(1, zm, CFG30, 2**14)[0]
+            re0, im0 = evaluate._shifted_log_rows(1, zm, CFG30, 2**14)
         shift = math.floor(z[0] if isinstance(z, tuple) else z)
         with mpmath.workdps(CFG30.precision.working_dps + 20):
             for n in LEVEL0_NS:
@@ -398,9 +400,9 @@ def test_level0_row_does_not_depend_on_its_length(monkeypatch):
         with mpmath.workdps(CFG30.precision.working_dps):
             zm = mp_arg(z)
             monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
-            short = evaluate._shifted_log_rows(1, zm, CFG30, 2**10)[0]
+            short = evaluate._shifted_log_rows(1, zm, CFG30, 2**10)
             monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
-            full = evaluate._shifted_log_rows(1, zm, CFG30, 2**14)[0]
+            full = evaluate._shifted_log_rows(1, zm, CFG30, 2**14)
         assert short[0] == full[0][:2**10] and short[1] == full[1][:2**10], z
 
 
@@ -455,17 +457,88 @@ def test_level0_row_from_the_slot_equals_a_cold_build(digits, monkeypatch):
 
 
 def test_integer_table_grown_in_pieces_equals_one_build(monkeypatch):
+    # The integer lattice keeps level 0 alone; the levels above are read at
+    # the ladder rungs from a memo, filled by streamed running sums.  Both
+    # must be what one full build gives, however they were grown.
     top = 2**14 + 13
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
-    whole = [list(row) for row in evaluate._integer_log_table(CFG30, 3, top)]
+    row0 = list(evaluate._integer_log_table(CFG30, top))
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
-    evaluate._integer_log_table(CFG30, 3, 100)
-    assert evaluate._integer_log_table(CFG30, 3, top) == whole
-    row0 = whole[0]
+    evaluate._integer_log_table(CFG30, 100)
+    assert evaluate._integer_log_table(CFG30, top) == row0
     # n <= 300 covers primes and composites, then every 37th and the last entry
     with mpmath.workdps(CFG30.precision.working_dps + 20):
         for n in LEVEL0_NS + [top]:
             assert_within_16_ulps(row0[n], 0, mpmath.log(n), CFG30)
+    # levels 0..5 in full, transiently: G_k(1) = 1, G_k(n+1) = G_{k-1}(n) G_k(n)
+    levels = [row0]
+    for _ in range(5):
+        levels.append([None, *accumulate(levels[-1][1:top], initial=0)])
+    # the probe's rungs first, then the whole ladder and the top, level by level
+    rungs = [n + 1 for n in evaluate._ladder_ns(CFG30.truncation_n)]
+    monkeypatch.setattr(evaluate, "_INT_RUNGS", {})
+    for r in range(1, 6):
+        for ms in (rungs[:6], rungs + [top]):
+            got = evaluate._integer_rungs(CFG30, r + 1, ms)
+            assert [g[:r + 1] for g in got] == [
+                tuple(levels[k][m] for k in range(r + 1)) for m in ms], r
+
+
+def test_integer_caches_hold_one_row_per_precision_for_four_precisions(monkeypatch):
+    # After r = 4 sweeps, each precision key holds level 0 as its one row
+    # and the levels above only at the 9 ladder rungs.
+    monkeypatch.setattr(evaluate, "_INT_TABLES", {})
+    monkeypatch.setattr(evaluate, "_INT_RUNGS", {})
+    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
+    for digits in (30, 60):
+        log_multigamma(4, Fraction(7, 3), EvalConfig(precision=Precision(digits=digits)))
+    info = evaluate.cache_info()
+    assert info["_INT_TABLES"]["rows"] == len(evaluate._INT_TABLES) == 2
+    for row0 in evaluate._INT_TABLES.values():
+        assert row0[0] is None and all(type(x) is int for x in row0[1:])
+    assert info["_INT_TABLES"]["entries"] == sum(len(row0) - 1
+                                                 for row0 in evaluate._INT_TABLES.values())
+    assert info["_INT_RUNGS"] == {"rows": 2 * evaluate._LADDER_STEPS,
+                                  "entries": 2 * evaluate._LADDER_STEPS * 5}
+    assert set(info) == {"_INT_TABLES", "_INT_RUNGS", "_EXTRAP_CACHE", "_ROW0_SLOT",
+                         "constants._ZETA_PRIME_CACHE"}
+    # a fifth precision evicts the least recently used key from both
+    cfgs = {d: EvalConfig(precision=Precision(digits=d)) for d in (10, 11, 12, 13, 14)}
+    monkeypatch.setattr(evaluate, "_INT_TABLES", {})
+    monkeypatch.setattr(evaluate, "_INT_RUNGS", {})
+    for digits in (10, 11, 12, 13, 10, 14):
+        evaluate._integer_rungs(cfgs[digits], 3, [9, 65])
+    want = [(cfgs[d].precision.working_dps, evaluate._fixed_bits(cfgs[d]))
+            for d in (12, 13, 10, 14)]
+    assert list(evaluate._INT_TABLES) == want and list(evaluate._INT_RUNGS) == want
+
+
+def test_r4_sweep_holds_few_more_shifted_rows_than_r2(monkeypatch):
+    # Each shifted level is dropped once the next is built, so a cold r = 4
+    # product holds at most two levels and the slot's level 0, like r = 2:
+    # its traced peak exceeds r = 2's by less than 1.6 level-0 rows.  Four
+    # live levels would put it about two rows above.
+    with mpmath.workdps(CFG30.precision.working_dps):
+        zm = mp_arg((Fraction(7, 6), Fraction(1, 4)))
+        # warms the integer row, the rungs and mpmath's caches
+        product_extrapolated("gauss", 4, zm, CFG30)
+        monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
+        tracemalloc.start()
+        try:
+            row = evaluate._shifted_log_row0(zm, CFG30, CFG30.truncation_n)
+            row_size = tracemalloc.get_traced_memory()[0]
+            del row
+            peaks = {}
+            for r in (2, 4):
+                monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
+                monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                product_extrapolated("gauss", r, zm, CFG30)
+                peaks[r] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert (peaks[4] - peaks[2]) / row_size < 1.6, (peaks, row_size)
 
 
 def test_three_routes_agree_within_stated_errors():
