@@ -423,6 +423,8 @@ def cmd_calibrate(args) -> int:
     if not os.path.isdir(directory):
         raise UsageError(f"cannot write conventions to {path!r}: "
                          f"no directory {directory!r}")
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write conventions to {path!r}: it is a directory")
     resolved = calibrate_conventions(cfg)
     resolved.dump(path)
     if args.format == "json":

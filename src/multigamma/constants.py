@@ -11,10 +11,11 @@ The algorithm is Euler-Maclaurin continuation,
                  + sum_{k=1..K} B_{2k}/(2k)! * poch(s, 2k-1) * (M+a)^(-s-2k+1),
 
 with the cutoff M and correction order K chosen from the size of the first
-omitted term (both overridable).  The s-derivative differentiates every term
-of the same formula; the Pochhammer derivative is accumulated by the product
-rule, which stays finite at negative integer s where a logarithmic-derivative
-shortcut would divide by zero.
+omitted term: M starts near 0.4 (digits + GUARD_DIGITS) and doubles until
+the corrections fall below the target.  The s-derivative differentiates
+every term of the same formula; the Pochhammer derivative is accumulated by
+the product rule, which stays finite at negative integer s where a
+logarithmic-derivative shortcut would divide by zero.
 
 The parameter a may be complex with Re a > 0: the summand (x+a)^-s is then
 analytic on x >= 0 and the same formula holds with principal powers and
@@ -36,22 +37,23 @@ from .exact_poly import _bernoulli_upto
 __all__ = ["Precision", "hurwitz_zeta", "hurwitz_zeta_sderiv", "zeta_prime_neg"]
 
 
+# Decimal digits every evaluation carries past the requested ones.
+GUARD_DIGITS = 10
+
+
 @dataclass(frozen=True)
 class Precision:
-    """Requested decimal digits plus guard digits; work at digits + guard."""
+    """Requested decimal digits; work at digits + GUARD_DIGITS."""
 
-    digits: int = 15
-    guard: int = 10
+    digits: int = 30
 
     def __post_init__(self) -> None:
         if self.digits < 10:
             raise ValueError("digits must be >= 10")
-        if self.guard < 10:
-            raise ValueError("guard digits must be >= 10")
 
     @property
     def working_dps(self) -> int:
-        return self.digits + self.guard
+        return self.digits + GUARD_DIGITS
 
 
 def _to_mpf(x):
@@ -126,7 +128,7 @@ def _euler_maclaurin(s, a, cutoff: int, order_cap: int, target, want_deriv: bool
     return total, dtotal, converged
 
 
-def _hurwitz_core(s, a, prec: Precision, cutoff, order, want_deriv: bool):
+def _hurwitz_core(s, a, prec: Precision, want_deriv: bool):
     with mpmath.workdps(prec.working_dps):
         s = _to_mpf(s)
         a = mpmath.mpmathify(a)
@@ -134,34 +136,19 @@ def _hurwitz_core(s, a, prec: Precision, cutoff, order, want_deriv: bool):
             raise ValueError("hurwitz zeta requires Re a > 0")
         if s == 1:
             raise ValueError("hurwitz zeta has a pole at s = 1")
-        target = mpmath.mpf(10) ** -(prec.digits + prec.guard // 2)
-
-        if order is not None:
-            order_cap = int(order)
-            if order_cap < 0:
-                raise ValueError("order must be >= 0")
-        else:
-            order_cap = max(20, prec.working_dps)
-
-        if cutoff is not None:
-            m = int(cutoff)
-            if m < 0:
-                raise ValueError("cutoff must be >= 0")
+        target = mpmath.mpf(10) ** -(prec.digits + GUARD_DIGITS // 2)
+        order_cap = max(20, prec.working_dps)
+        # First omitted term decays like ((|s|+2k)/(2*pi*(M+a)))^(2k):
+        # M+a modestly above dps*ln(10)/(2*pi) makes the series reach the target;
+        # |M+a| >= M + Re a, so Re a alone sets the cutoff for complex a too.
+        m = max(1, math.ceil(0.40 * prec.working_dps + 0.5 * abs(s) + 2 - mpmath.re(a)))
+        for _ in range(12):
             value, deriv, converged = _euler_maclaurin(s, a, m, order_cap, target, want_deriv)
-            if order is None and not converged:
-                raise ArithmeticError("Euler-Maclaurin failed to converge at the requested cutoff")
+            if converged:
+                break
+            m *= 2
         else:
-            # First omitted term decays like ((|s|+2k)/(2*pi*(M+a)))^(2k):
-            # M+a modestly above dps*ln(10)/(2*pi) makes the series reach the target;
-            # |M+a| >= M + Re a, so Re a alone sets the cutoff for complex a too.
-            m = max(1, math.ceil(0.40 * prec.working_dps + 0.5 * abs(s) + 2 - mpmath.re(a)))
-            for _ in range(12):
-                value, deriv, converged = _euler_maclaurin(s, a, m, order_cap, target, want_deriv)
-                if converged:
-                    break
-                m *= 2
-            else:
-                raise ArithmeticError("Euler-Maclaurin failed to converge")
+            raise ArithmeticError("Euler-Maclaurin failed to converge")
 
         _check_finite(value, "hurwitz_zeta")
         if want_deriv:
@@ -169,37 +156,34 @@ def _hurwitz_core(s, a, prec: Precision, cutoff, order, want_deriv: bool):
         return +value, +deriv
 
 
-def hurwitz_zeta(s, a, prec: Precision = Precision(), *, cutoff: int | None = None,
-                 order: int | None = None):
+def hurwitz_zeta(s, a, prec: Precision = Precision()):
     """zeta(s, a) = sum_{n>=0} (n+a)^-s, continued to all real s != 1.
 
     a is real or complex with Re a > 0 (principal powers).  Absolute error
-    target 10^-digits; cutoff and correction order are chosen adaptively
-    unless given.
+    target 10^-digits; cutoff and correction order are chosen adaptively.
     """
-    value, _ = _hurwitz_core(s, a, prec, cutoff, order, want_deriv=False)
+    value, _ = _hurwitz_core(s, a, prec, want_deriv=False)
     return value
 
 
-def hurwitz_zeta_sderiv(s, a, prec: Precision = Precision(), *, cutoff: int | None = None,
-                        order: int | None = None):
+def hurwitz_zeta_sderiv(s, a, prec: Precision = Precision()):
     """d/ds zeta(s, a) by term-wise differentiation of Euler-Maclaurin.
 
     Never finite differencing — this stays accurate at s = 0, -1, -2, ...
     where the zeta'(-j) constants live.
     """
-    _, deriv = _hurwitz_core(s, a, prec, cutoff, order, want_deriv=True)
+    _, deriv = _hurwitz_core(s, a, prec, want_deriv=True)
     return deriv
 
 
-_ZETA_PRIME_CACHE: dict[tuple[int, int, int], object] = {}
+_ZETA_PRIME_CACHE: dict[tuple[int, int], object] = {}
 
 
 def zeta_prime_neg(j: int, prec: Precision = Precision()):
     """zeta'(-j) for integer j >= 0; memoized per (j, precision)."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    key = (j, prec.digits, prec.guard)
+    key = (j, prec.digits)
     if key not in _ZETA_PRIME_CACHE:
         _ZETA_PRIME_CACHE[key] = hurwitz_zeta_sderiv(-j, 1, prec)
     return _ZETA_PRIME_CACHE[key]

@@ -33,7 +33,7 @@ the positive real axis.
 The product sweep runs in fixed point.  Each log G_k value of the integer and
 the shifted lattices is a Python int scaled by 2^(p+g): p is the working
 precision in bits and g = N.bit_length() guard bits for the ladder top
-N = truncation_n.  Level 0, log n and log(z+n), takes few logs.  The
+N = 2^14 (_N).  Level 0, log n and log(z+n), takes few logs.  The
 integer row takes one per prime and adds the logs of prime factors; the
 shifted row writes z+n = m + d with m an integer and takes log m from the
 integer row plus log(1 + d/m) from short real odd series in fixed point:
@@ -116,11 +116,15 @@ __all__ = [
 ]
 
 SINGULAR_EPS = 1e-8
-_LADDER_STEPS = 9
+# The doubling ladder of the product routes: their partial products at these
+# N, Richardson-extrapolated in 1/N.
+_LADDER = tuple(2**k for k in range(6, 15))
+_N = _LADDER[-1]
+# Richardson depth of the front door's product value.
+_ORDER = 4
 # Bases feed every shifted-row entry, so their error is amplified ~N times
-# per level above them; the ladder always holds _LADDER_STEPS values, so the
-# deepest tableau the ladder supports is the right depth for them (memoized —
-# the extra columns are free).
+# per level above them; the deepest tableau the ladder's nine rungs support
+# is the right depth for them (memoized — the extra columns are free).
 _BASE_ORDER = 8
 
 ComplexLike = Union[int, float, complex, Fraction, Any]
@@ -200,33 +204,23 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation knobs shared by every numeric operation.
+    """Evaluation settings shared by every numeric operation.
 
-    truncation_n: top of the doubling ladder for the product routes.
-    extrapolation_order: Richardson depth of the front door's product value.
+    precision: the decimal digits asked for; the product ladder (_LADDER)
+    and its Richardson order (_ORDER) are fixed.
     tolerance: the absolute error the front door must reach, positive and
     finite; the zeta route answers wherever the product route's err_est is
     predicted (from the ladder's first octaves) or found to miss
     tolerance/10.
-    conventions: the signs that log_gamma_r and multiplication_residual
-    use; the front door uses none.  Always DERIVED, except while
-    calibrate_conventions tries its candidates.
     cross_validate: run both routes in full at every front-door call, with
     no prediction, and check that they agree.
     """
 
-    precision: Precision = Precision(digits=30)
-    truncation_n: int = 2**14
-    extrapolation_order: int = 4
+    precision: Precision = Precision()
     tolerance: float = 1e-8
-    conventions: ConventionSet = DERIVED
     cross_validate: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 <= self.extrapolation_order <= 8:
-            raise ValueError("extrapolation_order must be in 0..8")
-        if self.truncation_n < 2 ** (self.extrapolation_order + 1):
-            raise ValueError("truncation_n too small for the requested extrapolation order")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be positive and finite")
 
@@ -314,12 +308,12 @@ def _fixed_bits(cfg: EvalConfig) -> int:
 
     Each level-0 entry lies on the grid 2^-bits; the levels above and the
     partial sums are exact integer sums of those entries.  N.bit_length()
-    guard bits, N = truncation_n, make 2^-bits at most 2^-p / N, p the
+    guard bits, N = _N the ladder top, make 2^-bits at most 2^-p / N, p the
     working precision in bits, so the few units of 2^-bits by which each
-    level-0 entry misses its log add a few 2^-p over a row of N.
+    level-0 entry misses its log add a few 2^-p over a row of N.  The bits
+    therefore depend on the precision alone.
     """
-    return (mpmath.libmp.dps_to_prec(cfg.precision.working_dps)
-            + cfg.truncation_n.bit_length())
+    return mpmath.libmp.dps_to_prec(cfg.precision.working_dps) + _N.bit_length()
 
 
 def _to_fixed(x, bits: int) -> tuple[int, int]:
@@ -346,18 +340,18 @@ _FIRST_SERIES_OCTAVE = 4
 # temporary rows stay short.
 _SERIES_BLOCK = 2**10
 
-# _INT_TABLES[(dps, bits)][n] = log n scaled by 2^bits, n >= 1 (index 0
-# unused); grown on demand.  _INT_RUNGS[(dps, bits)][n] = (log G_k(n) for
-# k = 0..K), the levels above 0 kept at the ladder rungs only.  Both keep the
-# same _INT_KEYS most recently used (dps, bits).
-_INT_TABLES: dict[tuple[int, int], list] = {}
-_INT_RUNGS: dict[tuple[int, int], dict[int, tuple]] = {}
+# _INT_TABLES[dps][n] = log n scaled by 2^bits, n >= 1 (index 0 unused);
+# grown on demand.  _INT_RUNGS[dps][n] = (log G_k(n) for k = 0..K), the
+# levels above 0 kept at the ladder rungs only.  Both keep the same _INT_KEYS
+# most recently used working precisions dps, which fix bits.
+_INT_TABLES: dict[int, list] = {}
+_INT_RUNGS: dict[int, dict[int, tuple]] = {}
 _INT_KEYS = 4
 
 
 def _integer_caches(cfg: EvalConfig) -> tuple[list, dict]:
     """cfg's level-0 row and rung memo, made the most recently used of _INT_KEYS keys."""
-    key = (cfg.precision.working_dps, _fixed_bits(cfg))
+    key = cfg.precision.working_dps
     row0 = _INT_TABLES.pop(key, [None])
     memo = _INT_RUNGS.pop(key, {})
     _INT_TABLES[key], _INT_RUNGS[key] = row0, memo
@@ -504,8 +498,8 @@ def _log1p_block(ms: range, dr: int, di: int, prec: int, bits: int) -> tuple[lis
 # The last shifted level-0 row that took the series, kept for the next
 # argument with the same fractional part d (a walk over z + Z, as the
 # recurrence and the multiplication formula take): at most one entry,
-# (dps, bits, truncation_n, exact d) -> (first m, re row, im row), the rows
-# indexed by m - first m, m = n + floor(Re z).
+# (dps, exact d) -> (first m, re row, im row), the rows indexed by
+# m - first m, m = n + floor(Re z).
 _ROW0_SLOT: dict[tuple, tuple[int, list, list]] = {}
 # Entries the slot keeps on either side of the row it last served, so that
 # a walk z + k, |k| <= 16, builds each entry once.
@@ -516,17 +510,17 @@ def _level0_entries(zm, cfg: EvalConfig, shift: int, dr: int, di: int,
                     cut: int, ms: range) -> tuple[list, list]:
     """(re, im) fixed-point rows of log(m + d) for m in ms, z = shift + d.
 
-    The entries with cut <= m <= 2 truncation_n are log m from the integer
+    The entries with cut <= m <= 2N, N = _N, are log m from the integer
     table plus, for d != 0, log(1 + d/m) from _log1p_block, in blocks of at
     most _SERIES_BLOCK m within one octave; d = (dr + i di) 2^-prec.  The
     others are direct logs of z + (m - shift), prec bits, floored onto the
-    grid.  The series stops at m = 2 truncation_n so that the integer table
-    stays O(truncation_n) long however large Re z is.
+    grid.  The series stops at m = 2N so that the integer table stays O(N)
+    long however large Re z is.
     """
     bits = _fixed_bits(cfg)
     prec = bits + _SERIES_GUARD
     lo = min(max(cut, ms.start), ms.stop)
-    hi = max(lo, min(ms.stop, 2 * cfg.truncation_n + 1))
+    hi = max(lo, min(ms.stop, 2 * _N + 1))
     with mpmath.workprec(prec):
         direct = [_to_fixed(mpmath.log(zm + (m - shift)), bits)
                   for m in chain(range(ms.start, lo), range(hi, ms.stop))]
@@ -555,7 +549,7 @@ def _shifted_log_row0(zm, cfg: EvalConfig, n_max: int) -> tuple[list, list]:
 
     Write z+n = m + d with m = n + floor(Re z) and 0 <= Re d < 1, d floored
     onto 2^-prec, prec = bits + _SERIES_GUARD.  From m >= 2^j >= 2|d|,
-    j >= _FIRST_SERIES_OCTAVE, up to m = 2 truncation_n, the entry is log m
+    j >= _FIRST_SERIES_OCTAVE, up to m = 2N, N = _N, the entry is log m
     from the integer table plus log(1 + d/m) from _log1p_block, in blocks of
     m within one octave: for complex d, log|m+d| - log m and arg(m+d) are
     two real series.  Each series takes its term count from its argument at
@@ -569,11 +563,10 @@ def _shifted_log_row0(zm, cfg: EvalConfig, n_max: int) -> tuple[list, list]:
     top, is mpmath.log(z+n) taken _SERIES_GUARD bits past the grid and
     floored onto it: within (1 + 2^-10 |log(z+n)|) 2^-bits.
 
-    Every entry depends on m, d, the precision and truncation_n alone, not on
-    n_max or on the row it was built in.  So a row of non-integer z that
-    takes the series is kept in _ROW0_SLOT, and the next row with the same
-    exact d takes its entries from there, building only the m's the slot
-    lacks.  A row with another d empties the slot before it is built.
+    Every entry depends on m, d and the precision alone, not on n_max or on
+    the row it was built in.  So a row of non-integer z that takes the
+    series is kept in _ROW0_SLOT, and the next row with the same exact d
+    takes its entries from there, building only the m's the slot lacks.  A row with another d empties the slot before it is built.
     """
     bits = _fixed_bits(cfg)
     prec = bits + _SERIES_GUARD
@@ -588,7 +581,7 @@ def _shifted_log_row0(zm, cfg: EvalConfig, n_max: int) -> tuple[list, list]:
     dr -= shift << prec
     d_log2 = math.log2(math.isqrt(dr * dr + di * di) + 2) - prec  # >= log2 |d|
     cut = 1 << max(_FIRST_SERIES_OCTAVE, math.ceil(d_log2) + 1)
-    key = (cfg.precision.working_dps, bits, cfg.truncation_n, d_key)
+    key = (cfg.precision.working_dps, d_key)
     held = _ROW0_SLOT.pop(key, None)
     _ROW0_SLOT.clear()
     if held is not None and held[0] < m_hi and m_lo < held[0] + len(held[1]):
@@ -602,9 +595,9 @@ def _shifted_log_row0(zm, cfg: EvalConfig, n_max: int) -> tuple[list, list]:
         held = None  # so that a miss never holds two rows
         u_lo = m_lo
         rows = _level0_entries(zm, cfg, shift, dr, di, cut, range(m_lo, m_hi))
-    if max(m_lo, cut) < min(m_hi, 2 * cfg.truncation_n + 1):  # the row takes the series
+    if max(m_lo, cut) < min(m_hi, 2 * _N + 1):  # the row takes the series
         w_lo = max(u_lo, m_lo - _SLOT_MARGIN)
-        w_hi = min(u_lo + len(rows[0]), m_lo + max(n_max, cfg.truncation_n) + _SLOT_MARGIN)
+        w_hi = min(u_lo + len(rows[0]), m_lo + max(n_max, _N) + _SLOT_MARGIN)
         _ROW0_SLOT[key] = (w_lo, *_m_window(rows, u_lo, w_lo, w_hi))
     return _m_window(rows, u_lo, m_lo, m_hi)
 
@@ -632,14 +625,14 @@ def _shifted_log_rows(r: int, zm, cfg: EvalConfig, n_max: int) -> tuple[list, li
     enter the level-r product sum with O(N)-fold amplification, so they are
     computed at a higher extrapolation order than the caller's and memoized.
     A starting value not yet memoized needs the whole ladder, so the rows
-    then reach truncation_n whatever n_max is.
+    then reach _N whatever n_max is.
 
     The imaginary row is kept for real z too: log(z+n) carries i pi wherever
     z+n < 0.
     """
     if any(_extrap_key("gauss", k, zm, cfg, _BASE_ORDER) not in _EXTRAP_CACHE
            for k in range(1, r)):
-        n_max = max(n_max, cfg.truncation_n)
+        n_max = max(n_max, _N)
     rows = _shifted_log_row0(zm, cfg, n_max)
     for k in range(1, r):
         base = product_extrapolated("gauss", k, zm, cfg, order=_BASE_ORDER, rows=rows).value
@@ -786,15 +779,11 @@ def extrapolate(seq: Sequence[LogValue], order: int) -> LogValue:
     return LogValue(value=col[-1], method=seq[0].method, err_est=err)
 
 
-def _ladder_ns(n_top: int) -> list[int]:
-    return sorted({max(2, n_top >> i) for i in range(_LADDER_STEPS)})
-
-
 _EXTRAP_CACHE: dict[tuple, LogValue] = {}
 
 
 def _extrap_key(method: str, r: int, zm, cfg: EvalConfig, order: int) -> tuple:
-    return (method, r, cfg.precision.working_dps, cfg.truncation_n, order, _z_key(zm))
+    return (method, r, cfg.precision.working_dps, order, _z_key(zm))
 
 
 def cache_info() -> dict[str, dict[str, int]]:
@@ -822,12 +811,12 @@ def cache_info() -> dict[str, dict[str, int]]:
 def product_extrapolated(method: str, r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig(),
                          order: int | None = None,
                          rows: tuple[list, list] | None = None) -> LogValue:
-    """Extrapolated product value of log G_r(z+1), memoized per (method, r, z, cfg).
+    """Extrapolated product value of log G_r(z+1), memoized per (method, r, z, precision, order).
 
     method is "gauss" or "euler".  One sweep takes the partial products at
-    every rung of the doubling ladder up to truncation_n; order defaults to
-    cfg.extrapolation_order.  rows: the top level r-1 of the shifted lattice,
-    log G_{r-1}(z+n) as _shifted_log_rows gives it, reaching truncation_n,
+    every rung of the doubling ladder _LADDER, N = 2^6..2^14; order, at most
+    8, defaults to _ORDER = 4.  rows: the top level r-1 of the shifted
+    lattice, log G_{r-1}(z+n) as _shifted_log_rows gives it, reaching _N,
     when the caller has built it already; otherwise it is built here.
     """
     if method not in ("gauss", "euler"):
@@ -835,7 +824,7 @@ def product_extrapolated(method: str, r: int, z: ComplexLike, cfg: EvalConfig = 
     if r < 1:
         raise ValueError("r must be >= 1")
     if order is None:
-        order = cfg.extrapolation_order
+        order = _ORDER
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
         _check_not_singular(r, zm + 1)
@@ -843,11 +832,10 @@ def product_extrapolated(method: str, r: int, z: ComplexLike, cfg: EvalConfig = 
         hit = _EXTRAP_CACHE.get(key)
         if hit is not None:
             return hit
-        ns = _ladder_ns(cfg.truncation_n)
         if rows is None:
-            rows = _shifted_log_rows(r, zm, cfg, cfg.truncation_n)
-        values = _partial_checkpoints(method, r, zm, cfg, ns, rows)
-        result = extrapolate(values, min(order, len(ns) - 1))
+            rows = _shifted_log_rows(r, zm, cfg, _N)
+        values = _partial_checkpoints(method, r, zm, cfg, _LADDER, rows)
+        result = extrapolate(values, order)
     _EXTRAP_CACHE[key] = result
     return result
 
@@ -855,11 +843,11 @@ def product_extrapolated(method: str, r: int, z: ComplexLike, cfg: EvalConfig = 
 def _ladder_predicted_err(r: int, zm, cfg: EvalConfig):
     """The err_est the level-r Gauss ladder at z is predicted to reach, from its first octaves.
 
-    Sweeps level min(r, 2) over the ladder's first q+2 rungs, q =
-    extrapolation_order, and extrapolates at order q; the full ladder's
-    estimate comes from its last q+2 rungs, which lie octaves above, and
-    Richardson's error after q steps falls like N^-(q+1), so the probe's
-    estimate scales by (rung / N)^(q+1).  Level 1 alone is 6-13x optimistic
+    Sweeps level min(r, 2) over the ladder's first q+2 rungs, q = _ORDER,
+    and extrapolates at order q; the full ladder's estimate comes from its
+    last q+2 rungs, which lie octaves above, and Richardson's error after q
+    steps falls like N^-(q+1), so the probe's estimate scales by
+    (rung / N)^(q+1).  Level 1 alone is 6-13x optimistic
     for level 2 at 30 <= z <= 45, so r >= 2 probes level 2 itself.  Its
     level-1 row starts from log G_1(z+1) = mpmath.loggamma(z+1), which lands
     on the products' branch: a Gauss base would need the full row, and this
@@ -867,20 +855,16 @@ def _ladder_predicted_err(r: int, zm, cfg: EvalConfig):
     the full ladder's estimate sits on the level-base floor (ROADMAP item 2),
     not on Richardson's rate, so the prediction stays optimistic there.  The
     probe's level-0 entries are the full row's first ones and stay in
-    _ROW0_SLOT for it.  None when the ladder is too short to leave octaves
-    above the probe.
+    _ROW0_SLOT for it.
     """
-    ns = _ladder_ns(cfg.truncation_n)
-    q = cfg.extrapolation_order
-    if len(ns) <= q + 2:
-        return None
-    probe = ns[:q + 2]
+    q = _ORDER
+    probe = _LADDER[:q + 2]
     level = min(r, 2)
     rows = _shifted_log_row0(zm, cfg, probe[-1])
     if level == 2:
         rows = _next_level(rows, mpmath.loggamma(zm + 1), cfg, probe[-1])
     est = extrapolate(_partial_checkpoints("gauss", level, zm, cfg, probe, rows), q).err_est
-    return est * (mpmath.mpf(probe[-1]) / ns[-1]) ** (q + 1)
+    return est * (mpmath.mpf(probe[-1]) / _N) ** (q + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -985,7 +969,7 @@ def _log_multigamma_zeta(r: int, zm, cfg: EvalConfig) -> LogValue:
 # ---------------------------------------------------------------------------
 
 
-def log_g0(z: ComplexLike, prec: Precision = Precision(digits=30)) -> LogValue:
+def log_g0(z: ComplexLike, prec: Precision = Precision()) -> LogValue:
     """log G_0(z) = principal log z."""
     with mpmath.workdps(prec.working_dps):
         zm = _to_mp(z)
@@ -1017,10 +1001,9 @@ def log_multigamma(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> Lo
         zm = _to_mp(z)
         _check_not_singular(r, zm)
         tol = mpmath.mpf(cfg.tolerance)
-        memoized = _extrap_key("gauss", r, zm - 1, cfg, cfg.extrapolation_order) in _EXTRAP_CACHE
+        memoized = _extrap_key("gauss", r, zm - 1, cfg, _ORDER) in _EXTRAP_CACHE
         if not (memoized or cfg.cross_validate):
-            predicted = _ladder_predicted_err(r, zm - 1, cfg)
-            if predicted is not None and not predicted < tol / 10:
+            if not _ladder_predicted_err(r, zm - 1, cfg) < tol / 10:
                 return _log_multigamma_zeta(r, zm, cfg)
         gauss = product_extrapolated("gauss", r, zm - 1, cfg)
         fallback = not (gauss.err_est < tol / 10)
@@ -1057,7 +1040,7 @@ def _exact_fraction(x) -> Fraction:
     raise TypeError(f"cannot convert {type(x).__name__} to an exact Fraction")
 
 
-def barnes_zeta_oracle(r: int, z, prec: Precision = Precision(digits=30)) -> LogValue:
+def barnes_zeta_oracle(r: int, z, prec: Precision = Precision()) -> LogValue:
     """log Gamma_r(z) by the zeta route, for real z > 0.
 
     The Barnes-type series sum over r-tuples collapses to
@@ -1084,15 +1067,17 @@ def barnes_zeta_oracle(r: int, z, prec: Precision = Precision(digits=30)) -> Log
         return LogValue(value=+total, method="oracle", err_est=err)
 
 
-def log_gamma_r(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> LogValue:
+def log_gamma_r(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig(), *,
+                conventions: ConventionSet = DERIVED) -> LogValue:
     """log Gamma_r(z) via G_r and the residual factor R_r.
 
     G_r(z) = R_r(z) Gamma_r(z)^((-1)^(r-1)) with
     log R_r(z) = s_R sum_j G_{r,j}(z-1) zeta'(-j) (ConventionSet derives s_R).
+    conventions is DERIVED except while calibrate_conventions tries its
+    candidates.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    conv = cfg.conventions
     base = log_multigamma(r, z, cfg)
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
@@ -1100,7 +1085,7 @@ def log_gamma_r(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> LogVa
         for j in range(r):
             correction += grj_poly(r, j).evaluate(zm - 1) * zeta_prime_neg(j, cfg.precision)
         sign = (-1) ** (r - 1)
-        value = sign * (base.value - conv.s_R * correction)
+        value = sign * (base.value - conventions.s_R * correction)
         return LogValue(value=+value, method=base.method, err_est=base.err_est,
                         cross_check=base.cross_check)
 
@@ -1126,16 +1111,17 @@ def multiple_sine(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()):
 
 
 def multiplication_residual(r: int, p: int, z: ComplexLike,
-                            cfg: EvalConfig = EvalConfig()) -> ResidualReport:
+                            cfg: EvalConfig = EvalConfig(), *,
+                            conventions: ConventionSet = DERIVED) -> ResidualReport:
     """Residual of the order-p multiplication formula for G_r at z.
 
     LHS = sum over the p^r shifted arguments (collapsed by composition
-    counts) of log G_r((z+s)/p); RHS = phi_r(z) - psi_r(z) log p + log G_r(z).
+    counts) of log G_r((z+s)/p); RHS = phi_r(z) - psi_r(z) log p + log G_r(z),
+    phi_r under conventions (DERIVED except in calibrate_conventions).
     Residual is |LHS - RHS| relative to max(1, |LHS|).
     """
     if r < 1 or p < 1:
         raise ValueError("need r >= 1 and p >= 1")
-    conv = cfg.conventions
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
         lhs = mpmath.mpf(0)
@@ -1143,7 +1129,7 @@ def multiplication_residual(r: int, p: int, z: ComplexLike,
             lhs += count * log_multigamma(r, (zm + s) / p, cfg).value
         phi = mpmath.mpf(0)
         for j in range(r):
-            phi += phi_rj_poly(r, j, p, conv).evaluate(zm) * zeta_prime_neg(j, cfg.precision)
+            phi += phi_rj_poly(r, j, p, conventions).evaluate(zm) * zeta_prime_neg(j, cfg.precision)
         rhs = phi - psi_poly(r).evaluate(zm) * mpmath.log(p) + log_multigamma(r, zm, cfg).value
         residual = abs(lhs - rhs) / max(mpmath.mpf(1), abs(lhs))
         verdict = "pass" if residual < cfg.tolerance else "fail"
@@ -1185,18 +1171,17 @@ def calibrate_conventions(cfg: EvalConfig = EvalConfig()) -> ConventionSet:
         rows = []
         survivors = []
         for cand in candidates:
-            cand_cfg = replace(cfg, conventions=cand)
             evidence = []
             worst = mpmath.mpf(0)
             for r, p, zq in _MULT_ANCHORS:
-                rep = multiplication_residual(r, p, zq, cand_cfg)
+                rep = multiplication_residual(r, p, zq, cfg, conventions=cand)
                 evidence.append({
                     "anchor": "multiplication", "r": r, "p": p, "z": str(zq),
                     "residual": float(rep.residual),
                 })
                 worst = max(worst, rep.residual)
             for zq in _ORACLE_ANCHORS:
-                got = log_gamma_r(1, zq, cand_cfg).value
+                got = log_gamma_r(1, zq, cfg, conventions=cand).value
                 resid = abs(got - oracle_vals[zq]) / max(mpmath.mpf(1), abs(oracle_vals[zq]))
                 evidence.append({
                     "anchor": "oracle", "r": 1, "p": 1, "z": str(zq),

@@ -2,10 +2,9 @@
 
 import pytest
 
-from multigamma.constants import Precision
 from multigamma.evaluate import EvalConfig
 
 
 @pytest.fixture(scope="session")
 def acceptance_cfg():
-    return EvalConfig(precision=Precision(digits=30))
+    return EvalConfig()

@@ -173,7 +173,7 @@ def test_criterion_06_asymptotic_form_and_decay(acceptance_cfg):
     assert terms.zeta_multipliers == ((0, RationalPoly([Fraction(1)])),)
 
     # numeric: raw-formula error against the product route decays like C/|z|
-    cfg = EvalConfig(precision=Precision(digits=30))
+    cfg = EvalConfig()
     with mpmath.workdps(40):
         zs = [mpmath.mpf(20), mpmath.mpf(40), mpmath.mpf(80)]
         errs = []
@@ -256,7 +256,7 @@ def test_criterion_08_multiplication(acceptance_cfg):
 def test_criterion_09_calibration_unique_and_idempotent():
     # calibration is precision-independent (it picks signs); a lighter config
     # keeps it fast
-    cfg = EvalConfig(precision=Precision(digits=20), truncation_n=2**12)
+    cfg = EvalConfig(precision=Precision(digits=20))
     first = calibrate_conventions(cfg)
     assert first == DERIVED
     again = calibrate_conventions(cfg)
@@ -293,7 +293,7 @@ def glaisher_route_zeta_prime_neg1(dps=40):
 
 
 def test_criterion_10_constants():
-    prec = Precision(digits=30)
+    prec = Precision()
     with mpmath.workdps(45):
         d0 = abs(zeta_prime_neg(0, prec) + mpmath.log(2 * mpmath.pi) / 2)
         assert d0 < 1e-12

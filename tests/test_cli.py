@@ -342,7 +342,7 @@ def test_verify_walks_build_the_half_row_series_once(monkeypatch):
         "recurrence", "euler_vs_gauss", "log_convexity"}
     assert all(rep["pass"] for rep in reports)
     # the series runs from m = 16 to the top of the rows, 2^14 + 2
-    assert min(built) == 16 and max(built) >= cfg.truncation_n
+    assert min(built) == 16 and max(built) >= evaluate._N
     assert set(built.values()) == {1}
 
 
@@ -401,6 +401,17 @@ def test_calibrate_into_a_missing_directory_is_a_usage_error(tmp_path, monkeypat
     code, out, err = run(["calibrate", "--conventions", str(path)] + FAST)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+    assert calls == []
+
+
+def test_calibrate_into_a_directory_is_a_usage_error(tmp_path, monkeypatch):
+    # the path names an existing directory: rejected before the calibration
+    # runs, not by an IsADirectoryError when its file is written
+    calls = []
+    monkeypatch.setattr(cli, "calibrate_conventions", lambda cfg: calls.append(cfg))
+    code, out, err = run(["calibrate", "--conventions", str(tmp_path)] + FAST)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(tmp_path) in err and "Traceback" not in err
     assert calls == []
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from multigamma.constants import Precision, hurwitz_zeta, hurwitz_zeta_sderiv, zeta_prime_neg
 
-P30 = Precision(digits=30)
+P30 = Precision()
 
 
 def mpf_frac(q):
@@ -172,7 +172,7 @@ def test_complex_a_matches_mpmath(digits):
 
 
 # ---------------------------------------------------------------------------
-# Precision behaviour, overrides, errors
+# Precision behaviour and errors
 # ---------------------------------------------------------------------------
 
 
@@ -186,15 +186,6 @@ def test_precision_monotonicity():
             assert err < mpmath.mpf(10) ** -digits
             errs.append(err)
         assert errs[1] <= errs[0] and errs[2] <= errs[1]
-
-
-def test_explicit_cutoff_and_order():
-    with mpmath.workdps(40):
-        got = hurwitz_zeta(2, 1, P30, cutoff=50, order=30)
-        assert abs(got - mpmath.pi**2 / 6) < mpmath.mpf(10) ** -30
-        # both overridden: no adaptivity, result merely finite and sane
-        rough = hurwitz_zeta(2, 1, P30, cutoff=5, order=2)
-        assert abs(rough - mpmath.pi**2 / 6) < mpmath.mpf(10) ** -5
 
 
 def test_fraction_inputs_accepted():
@@ -218,8 +209,6 @@ def test_domain_errors():
         zeta_prime_neg(-1, P30)
     with pytest.raises(ValueError):
         Precision(digits=5)
-    with pytest.raises(ValueError):
-        Precision(digits=15, guard=3)
 
 
 def test_zeta_prime_cache_is_stable():

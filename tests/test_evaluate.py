@@ -45,10 +45,10 @@ from multigamma.evaluate import (
     product_extrapolated,
 )
 
-# Fast config for bulk checks; the default (digits=30, N=2^14) where a test
-# needs the extra headroom.
-CFG = EvalConfig(precision=Precision(digits=20), truncation_n=2**12)
-CFG30 = EvalConfig(precision=Precision(digits=30))
+# Fast config for bulk checks; the default (digits=30) where a test needs
+# the extra headroom.
+CFG = EvalConfig(precision=Precision(digits=20))
+CFG30 = EvalConfig()
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +120,7 @@ def test_gamma_at_half_is_sqrt_pi():
 def test_barnes_function_at_half_glaisher_form():
     # G_2(1/2) = 2^(1/24) e^(1/8) pi^(-1/4) A^(-3/2), ln A = 1/12 - zeta'(-1)
     with mpmath.workdps(40):
-        ln_a = mpmath.mpf(1) / 12 - zeta_prime_neg(1, Precision(digits=30))
+        ln_a = mpmath.mpf(1) / 12 - zeta_prime_neg(1)
         want = (mpmath.log(2) / 24 + mpmath.mpf(1) / 8
                 - mpmath.log(mpmath.pi) / 4 - 3 * ln_a / 2)
         got = log_multigamma(2, mpmath.mpf("0.5"), CFG30)
@@ -206,7 +206,7 @@ def test_partials_match_the_bracket_summed_from_loggamma(digits):
 
 def test_single_partial_equals_its_ladder_checkpoint(monkeypatch):
     # On a fresh z the level-1 base is not memoized, so gauss_partial builds
-    # the lattice up to truncation_n to extrapolate it; the N = 2^10 value
+    # the lattice up to N = 2^14 to extrapolate it; the N = 2^10 value
     # must not depend on how far the lattice reaches.
     z = Fraction(37, 16)
     single = gauss_partial(2, z, 2**10, CFG30).value
@@ -222,7 +222,7 @@ def test_single_partial_equals_its_ladder_checkpoint(monkeypatch):
     # probe over the first rungs
     full = [ladder for ladder in ladders if len(ladder) == 9]
     assert len(full) == 1
-    # the ladder doubles N up to truncation_n = 2^14
+    # the ladder doubles N up to 2^14
     assert full[0][-5] == single
 
 
@@ -267,8 +267,8 @@ def test_one_call_takes_one_row_of_logs(monkeypatch):
     assert len(calls) <= 64
     calls.clear()
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
-    evaluate._integer_log_table(CFG30, CFG30.truncation_n)
-    assert len(calls) <= prime_count(CFG30.truncation_n + 64) + 64
+    evaluate._integer_log_table(CFG30, evaluate._N)
+    assert len(calls) <= prime_count(evaluate._N + 64) + 64
 
 
 def test_far_argument_takes_o_n_logs_and_a_short_integer_table(monkeypatch):
@@ -277,7 +277,7 @@ def test_far_argument_takes_o_n_logs_and_a_short_integer_table(monkeypatch):
     # leaves the table O(N) long, not O(Re z).  The front door's probe over
     # the ladder's first rungs, to N/8, finds that the ladder cannot reach
     # the tolerance, so the zeta route answers without the full row.
-    n_top = CFG30.truncation_n
+    n_top = evaluate._N
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
     calls = []
     real_log = mpmath.log
@@ -417,7 +417,7 @@ SLOT_WALKS = ([Fraction(1, 2) + k for k in range(-3, 4)],
 @pytest.mark.parametrize("digits", [30, 60])
 def test_level0_row_from_the_slot_equals_a_cold_build(digits, monkeypatch):
     cfg = EvalConfig(precision=Precision(digits=digits))
-    n_top = cfg.truncation_n
+    n_top = evaluate._N
     built = []
     real_entries = evaluate._level0_entries
 
@@ -475,7 +475,7 @@ def test_integer_table_grown_in_pieces_equals_one_build(monkeypatch):
     for _ in range(5):
         levels.append([None, *accumulate(levels[-1][1:top], initial=0)])
     # the probe's rungs first, then the whole ladder and the top, level by level
-    rungs = [n + 1 for n in evaluate._ladder_ns(CFG30.truncation_n)]
+    rungs = [n + 1 for n in evaluate._LADDER]
     monkeypatch.setattr(evaluate, "_INT_RUNGS", {})
     for r in range(1, 6):
         for ms in (rungs[:6], rungs + [top]):
@@ -498,8 +498,8 @@ def test_integer_caches_hold_one_row_per_precision_for_four_precisions(monkeypat
         assert row0[0] is None and all(type(x) is int for x in row0[1:])
     assert info["_INT_TABLES"]["entries"] == sum(len(row0) - 1
                                                  for row0 in evaluate._INT_TABLES.values())
-    assert info["_INT_RUNGS"] == {"rows": 2 * evaluate._LADDER_STEPS,
-                                  "entries": 2 * evaluate._LADDER_STEPS * 5}
+    assert info["_INT_RUNGS"] == {"rows": 2 * len(evaluate._LADDER),
+                                  "entries": 2 * len(evaluate._LADDER) * 5}
     assert set(info) == {"_INT_TABLES", "_INT_RUNGS", "_EXTRAP_CACHE", "_ROW0_SLOT",
                          "constants._ZETA_PRIME_CACHE"}
     # a fifth precision evicts the least recently used key from both
@@ -508,8 +508,7 @@ def test_integer_caches_hold_one_row_per_precision_for_four_precisions(monkeypat
     monkeypatch.setattr(evaluate, "_INT_RUNGS", {})
     for digits in (10, 11, 12, 13, 10, 14):
         evaluate._integer_rungs(cfgs[digits], 3, [9, 65])
-    want = [(cfgs[d].precision.working_dps, evaluate._fixed_bits(cfgs[d]))
-            for d in (12, 13, 10, 14)]
+    want = [cfgs[d].precision.working_dps for d in (12, 13, 10, 14)]
     assert list(evaluate._INT_TABLES) == want and list(evaluate._INT_RUNGS) == want
 
 
@@ -525,7 +524,7 @@ def test_r4_sweep_holds_few_more_shifted_rows_than_r2(monkeypatch):
         monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
         tracemalloc.start()
         try:
-            row = evaluate._shifted_log_row0(zm, CFG30, CFG30.truncation_n)
+            row = evaluate._shifted_log_row0(zm, CFG30, evaluate._N)
             row_size = tracemalloc.get_traced_memory()[0]
             del row
             peaks = {}
@@ -642,7 +641,7 @@ def test_zeta_route_descent_estimate_covers_actual_error():
 
 
 def test_front_door_prefers_product_route_at_small_arguments():
-    got = log_multigamma(2, 4, EvalConfig(precision=Precision(digits=30), cross_validate=True))
+    got = log_multigamma(2, 4, EvalConfig(cross_validate=True))
     assert got.method == "gauss"
     assert got.cross_check is not None
     with mpmath.workdps(40):
@@ -738,12 +737,12 @@ def test_front_door_keeps_the_gauss_value_across_the_small_domains(r, monkeypatc
                 monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
                 got = log_multigamma(r, zm, cfg)
                 # the full row takes the probe's entries from the slot
-                assert sum(built) == cfg.truncation_n, (digits, z)
+                assert sum(built) == evaluate._N, (digits, z)
                 # memoized: neither the probe nor the ladder runs again
                 ladders.clear()
                 assert log_multigamma(r, zm, cfg) is got and ladders == [], (digits, z)
                 # the full ladder again, from a cold row
-                key = evaluate._extrap_key("gauss", r, zm - 1, cfg, cfg.extrapolation_order)
+                key = evaluate._extrap_key("gauss", r, zm - 1, cfg, evaluate._ORDER)
                 evaluate._EXTRAP_CACHE.pop(key)
                 monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
                 want = product_extrapolated("gauss", r, zm - 1, cfg)
@@ -755,7 +754,7 @@ def test_probe_sends_eval_large_shaped_r2_calls_to_the_zeta_route(monkeypatch):
     # r = 2 at 30 <= |z| <= 40: the full ladder's err_est (2.1e-9 at z = 30)
     # misses tolerance/10.  The probe at level 2 sees it from the first
     # octaves, so the zeta route answers and no full row or ladder is built.
-    n_top = CFG30.truncation_n
+    n_top = evaluate._N
     built = []
     real_entries = evaluate._level0_entries
 
@@ -880,10 +879,6 @@ def test_config_validation():
     for tolerance in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             EvalConfig(tolerance=tolerance)
-    with pytest.raises(ValueError):
-        EvalConfig(truncation_n=16, extrapolation_order=4)
-    with pytest.raises(ValueError):
-        EvalConfig(extrapolation_order=9)
 
 
 # ---------------------------------------------------------------------------
@@ -947,9 +942,20 @@ def test_multiplication_residuals_vanish_on_and_off_anchor():
 def test_multiplication_residual_fails_with_the_wrong_s_phi():
     # At r = 1 the bracket is the constant s_phi, so s_phi = +1 moves the
     # right side by 2 zeta'(0) = -log(2 pi).
-    wrong = replace(CFG, conventions=replace(DERIVED, s_phi=1))
-    rep = multiplication_residual(1, 2, Fraction(3, 2), wrong)
+    rep = multiplication_residual(1, 2, Fraction(3, 2), CFG,
+                                  conventions=replace(DERIVED, s_phi=1))
     assert not rep.passed and rep.residual > 1, rep.residual
+
+
+def test_log_gamma_r_with_the_wrong_s_r_moves_by_twice_the_residual_factor():
+    # log Gamma_1 = log G_1 - s_R sum_j G_{1,j}(z-1) zeta'(-j), j = 0 alone at
+    # r = 1: flipping s_R from the derived -1 to +1 subtracts that sum twice.
+    z = Fraction(7, 3)
+    got = log_gamma_r(1, z, CFG).value
+    wrong = log_gamma_r(1, z, CFG, conventions=replace(DERIVED, s_R=1)).value
+    with mpmath.workdps(CFG.precision.working_dps):
+        log_r = evaluate._to_mp(grj_poly(1, 0).evaluate(z - 1)) * zeta_prime_neg(0, CFG.precision)
+        assert abs(got - wrong - 2 * log_r) < 1e-25
 
 
 def test_multiplication_p_equals_one_is_trivially_exact():
@@ -1000,7 +1006,7 @@ def test_calibration_persists_loadable_file(tmp_path):
 
 
 def test_calibration_with_unreachable_tolerance_reports_the_table():
-    cfg = EvalConfig(precision=Precision(digits=20), truncation_n=2**12, tolerance=1e-300)
+    cfg = EvalConfig(precision=Precision(digits=20), tolerance=1e-300)
     with pytest.raises(CalibrationError) as exc:
         calibrate_conventions(cfg)
     assert "s_phi" in str(exc.value)
