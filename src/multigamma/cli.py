@@ -81,13 +81,14 @@ def parse_z(text: str) -> tuple[Fraction, Fraction]:
 
 
 def parse_int_list(text: str) -> list[int]:
+    """Comma-separated integers; an empty item is a usage error."""
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise UsageError(f"empty item in integer list {text!r}")
     try:
-        items = [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in parts]
     except ValueError as exc:
         raise UsageError(f"bad integer list {text!r}: {exc}") from None
-    if not items:
-        raise UsageError(f"empty integer list {text!r}")
-    return items
 
 
 # Options whose value may begin with "-" (a negative or complex number).

@@ -15,8 +15,8 @@ Three routes are implemented and cross-checked:
 
 The front door runs Gauss and falls back on the zeta route where Gauss
 misses the tolerance.  Before the full Gauss sweep it probes the ladder's
-first octaves at level min(r, 2), on the start of the same row (level 1 of
-the probe starts from mpmath.loggamma): where they predict that the ladder
+first octaves at level min(r, 2), on the start of the same sweep (level 1
+of the probe starts from mpmath.loggamma): where they predict that the ladder
 cannot reach tolerance/10 (large |z|), the zeta route answers alone and the
 sweep never runs.  On top of these sit the Hurwitz-zeta oracle for
 log Gamma_r(z) (the zeta route's sum at rational z > 0, sharing no code with
@@ -35,7 +35,7 @@ the shifted lattices is a Python int scaled by 2^(p+g): p is the working
 precision in bits and g = N.bit_length() guard bits for the ladder top
 N = 2^14 (_N).  Level 0, log n and log(z+n), takes few logs.  The
 integer row takes one per prime and adds the logs of prime factors; the
-shifted row writes z+n = m + d with m an integer and takes log m from the
+shifted level 0 writes z+n = m + d with m an integer and takes log m from the
 integer row plus log(1 + d/m) from short real odd series in fixed point:
 2 atanh(d/(2m+d)) for real d; for complex d, atanh of one real argument for
 log|m+d| - log m and atan of another for arg(m+d).  Each series is a Horner
@@ -47,21 +47,26 @@ with m below a cutoff of 2^4 or more (|Im z| raises it), every z+n with
 Re <= 0 among them, and those with m past 2N keep a direct log, so the
 integer row never grows past 2N.  Logs and series run a few bits past the
 grid, so every level-0 entry x is within (2 + log2 max(2, |x|)) 2^-(p+g) of
-log x (_integer_log_table and _shifted_log_row0 give the details).  An entry
-depends on m and d alone, so the last shifted row is kept in a one-row slot
-and serves the next z with the same exact d: a walk over z + Z, as the
-recurrence and the multiplication formula take, builds each entry once.
+log x (_integer_log_table and _level0_entries give the details).
 
 The real and imaginary parts of the levels above and of the partial sums
 are exact integer sums of level-0 entries, so no level above 0 is kept
 whole.  The integer lattice keeps level 0 alone, one row for each of the
 four most recently used precisions; a sweep reads log G_k(N+1) at the
 ladder rungs N only, from a small memo that streamed running sums over
-level 0 fill, and the Euler route streams the levels it telescopes.  A call
-builds its shifted lattice once, bottom-up, and holds at most two of its
-levels: the starting value of level k comes from a Gauss sweep at level k,
-which reads level k-1 alone, and level k-1 is dropped once level k is
-built.  Values return to mpf/mpc only at ladder checkpoints.  cache_info()
+level 0 fill, and the Euler route streams the levels it telescopes.  The
+shifted lattice keeps no row at all: level 0 is streamed once, in blocks,
+through K = max(r, 3) nested running sums, which are kept at m = s+1 and
+m = s+N+1 for the rungs N only, s = floor(Re z).  Level k starts from its
+extrapolated base log G_k(z+1), so its partial sums are the bases times
+binomials in N plus differences of those running sums: the same exact
+integers a row of level k would add up to (_sums_at).  An entry
+depends on m and d alone, so the rung points are memoized per exact d
+(_SHIFTED_RUNGS, ten keys): a later z + k with |k| <= 16, as the recurrence
+and the multiplication formula take, walks each point k steps and builds
+only those entries.  A single partial (gauss_partial, euler_partial)
+streams its own level 0 instead, so it stays an independent check of the
+ladder.  Values return to mpf/mpc only at ladder checkpoints.  cache_info()
 reports what the module-level caches hold.
 """
 
@@ -70,7 +75,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, chain, islice, repeat
 from operator import add, floordiv, mul, rshift, sub
 from typing import Any, Sequence, Union
@@ -122,7 +127,7 @@ _LADDER = tuple(2**k for k in range(6, 15))
 _N = _LADDER[-1]
 # Richardson depth of the front door's product value.
 _ORDER = 4
-# Bases feed every shifted-row entry, so their error is amplified ~N times
+# Bases feed every shifted-level entry, so their error is amplified ~N times
 # per level above them; the deepest tableau the ladder's nine rungs support
 # is the right depth for them (memoized — the extra columns are free).
 _BASE_ORDER = 8
@@ -349,6 +354,12 @@ _INT_RUNGS: dict[int, dict[int, tuple]] = {}
 _INT_KEYS = 4
 
 
+def _evict(cache: dict, keys: int) -> None:
+    """Drop cache's least recently inserted keys until at most keys are left."""
+    while len(cache) > keys:
+        del cache[next(iter(cache))]
+
+
 def _integer_caches(cfg: EvalConfig) -> tuple[list, dict]:
     """cfg's level-0 row and rung memo, made the most recently used of _INT_KEYS keys."""
     key = cfg.precision.working_dps
@@ -356,17 +367,20 @@ def _integer_caches(cfg: EvalConfig) -> tuple[list, dict]:
     memo = _INT_RUNGS.pop(key, {})
     _INT_TABLES[key], _INT_RUNGS[key] = row0, memo
     for cache in (_INT_TABLES, _INT_RUNGS):
-        while len(cache) > _INT_KEYS:
-            del cache[next(iter(cache))]
+        _evict(cache, _INT_KEYS)
     return row0, memo
 
 
-def _smallest_prime_factors(n_max: int) -> list[int]:
-    """spf[n] = the smallest prime factor of n for 2 <= n <= n_max (spf[n] = n below 2)."""
-    spf = list(range(n_max + 1))
+def _smallest_prime_factors(lo: int, hi: int) -> list[int]:
+    """spf[n - lo] = the smallest prime factor of n for lo <= n <= hi (n itself below 2).
+
+    Sieves [lo, hi] alone, so a table grown in pieces sieves each n once.
+    """
+    spf = list(range(lo, hi + 1))
     # descending, so that the smallest divisor >= 2 of each n, a prime, writes last
-    for p in range(math.isqrt(n_max), 1, -1):
-        spf[p * p::p] = [p] * len(range(p * p, n_max + 1, p))
+    for p in range(math.isqrt(hi), 1, -1):
+        first = max(p * p, -(-lo // p) * p)
+        spf[first - lo::p] = [p] * len(range(first, hi + 1, p))
     return spf
 
 
@@ -385,10 +399,11 @@ def _integer_log_table(cfg: EvalConfig, n_max: int) -> list:
     bits = _fixed_bits(cfg)
     row0, _ = _integer_caches(cfg)
     if len(row0) <= n_max:
-        spf = _smallest_prime_factors(n_max)
+        lo = len(row0)
+        spf = _smallest_prime_factors(lo, n_max)
         with mpmath.workprec(bits + _SERIES_GUARD):
-            for n in range(len(row0), n_max + 1):
-                p = spf[n]
+            for n in range(lo, n_max + 1):
+                p = spf[n - lo]
                 row0.append(row0[p] + row0[n // p] if p < n
                             else to_fixed(mpmath.log(n)._mpf_, bits))
     return row0
@@ -495,15 +510,14 @@ def _log1p_block(ms: range, dr: int, di: int, prec: int, bits: int) -> tuple[lis
             _odd_series(v, -1, prec, 2 * prec - bits, v0[0]))
 
 
-# The last shifted level-0 row that took the series, kept for the next
-# argument with the same fractional part d (a walk over z + Z, as the
-# recurrence and the multiplication formula take): at most one entry,
-# (dps, exact d) -> (first m, re row, im row), the rows indexed by
-# m - first m, m = n + floor(Re z).
-_ROW0_SLOT: dict[tuple, tuple[int, list, list]] = {}
-# Entries the slot keeps on either side of the row it last served, so that
-# a walk z + k, |k| <= 16, builds each entry once.
-_SLOT_MARGIN = 16
+# _SHIFTED_RUNGS[(dps, exact d)] = (shift s, {m: point}): the running sums of
+# the shifted level 0 with fractional part d at m = s+1 and at m = s+R+1 for
+# a prefix of the ladder rungs R, centred on the latest s.  At most
+# _SHIFTED_KEYS keys, the least recently used evicted first; a later shift
+# within _WALK of s walks every point there.
+_SHIFTED_RUNGS: dict[tuple, tuple[int, dict[int, tuple]]] = {}
+_SHIFTED_KEYS = 10
+_WALK = 16
 
 
 def _level0_entries(zm, cfg: EvalConfig, shift: int, dr: int, di: int,
@@ -516,6 +530,20 @@ def _level0_entries(zm, cfg: EvalConfig, shift: int, dr: int, di: int,
     others are direct logs of z + (m - shift), prec bits, floored onto the
     grid.  The series stops at m = 2N so that the integer table stays O(N)
     long however large Re z is.
+
+    With m = n + shift and 0 <= Re d < 1 (_shifted_grid), the entry is
+    log(z+n).  From m >= 2^j >= 2|d|, j >= _FIRST_SERIES_OCTAVE, each series
+    takes its term count from its argument at the octave's first m.  Its
+    error in ints scaled by 2^prec, from that argument's floor, the floor of
+    its square, the dropped tail and the tapered Horner floors, stays below
+    8 units (16 for real d's 2 atanh), 2^-6 2^-bits; with the floor onto the
+    grid and log m's error, such an entry is within (Omega(m) + 2) 2^-bits
+    of log(z+n) in each part (Omega as in _integer_log_table); for integer z
+    it is the table's own entry.  Every other entry, including each z+n with
+    Re <= 0 and each m past the top, is mpmath.log(z+n) taken _SERIES_GUARD
+    bits past the grid and floored onto it: within (1 + 2^-10 |log(z+n)|)
+    2^-bits.  Every entry depends on m, d and the precision alone, not on
+    ms or on z's shift.
     """
     bits = _fixed_bits(cfg)
     prec = bits + _SERIES_GUARD
@@ -544,113 +572,146 @@ def _level0_entries(zm, cfg: EvalConfig, shift: int, dr: int, di: int,
     return re0, im0
 
 
-def _shifted_log_row0(zm, cfg: EvalConfig, n_max: int) -> tuple[list, list]:
-    """(re, im) fixed-point rows of log(z+n), n = 1..n_max (list index n-1).
+def _shifted_grid(zm, cfg: EvalConfig) -> tuple[tuple, int, int, int, int]:
+    """(memo key, shift, dr, di, cut): z's shifted level 0 as _level0_entries builds it.
 
-    Write z+n = m + d with m = n + floor(Re z) and 0 <= Re d < 1, d floored
-    onto 2^-prec, prec = bits + _SERIES_GUARD.  From m >= 2^j >= 2|d|,
-    j >= _FIRST_SERIES_OCTAVE, up to m = 2N, N = _N, the entry is log m
-    from the integer table plus log(1 + d/m) from _log1p_block, in blocks of
-    m within one octave: for complex d, log|m+d| - log m and arg(m+d) are
-    two real series.  Each series takes its term count from its argument at
-    the octave's first m.  Its error in ints scaled by 2^prec, from that
-    argument's floor, the floor of its square, the dropped tail and the
-    tapered Horner floors, stays below 8 units (16 for real d's 2 atanh),
-    2^-6 2^-bits; with the floor onto the grid and log m's error, such an
-    entry is within (Omega(m) + 2) 2^-bits of log(z+n) in each part (Omega
-    as in _integer_log_table); for integer z it is the table's own entry.
-    Every other entry, including each z+n with Re <= 0 and each m past the
-    top, is mpmath.log(z+n) taken _SERIES_GUARD bits past the grid and
-    floored onto it: within (1 + 2^-10 |log(z+n)|) 2^-bits.
-
-    Every entry depends on m, d and the precision alone, not on n_max or on
-    the row it was built in.  So a row of non-integer z that takes the
-    series is kept in _ROW0_SLOT, and the next row with the same exact d
-    takes its entries from there, building only the m's the slot lacks.  A row with another d empties the slot before it is built.
+    z+n = m + d with m = n + shift, shift = floor(Re z), 0 <= Re d < 1; the
+    key is (working dps, exact d), and d floored onto 2^-prec, prec = bits +
+    _SERIES_GUARD, is (dr + i di) 2^-prec.  The series starts at m = cut,
+    the first power of two >= 2^_FIRST_SERIES_OCTAVE and >= 2|d|; an integer
+    z reads the integer table from m = 1.
     """
-    bits = _fixed_bits(cfg)
-    prec = bits + _SERIES_GUARD
+    prec = _fixed_bits(cfg) + _SERIES_GUARD
     shift = int(mpmath.floor(mpmath.re(zm)))
     re_z, im_z = zm._mpc_ if isinstance(zm, mpmath.mpc) else (zm._mpf_, fzero)
     # exact; z - shift at the working precision can round when -1 < Re z < 0
     d_key = (mpf_sub(re_z, from_int(shift)), im_z)
-    m_lo, m_hi = shift + 1, shift + n_max + 1
+    key = (cfg.precision.working_dps, d_key)
     if d_key == (fzero, fzero):  # z+n = m: the integer table's own entries
-        return _level0_entries(zm, cfg, shift, 0, 0, 1, range(m_lo, m_hi))
+        return key, shift, 0, 0, 1
     dr, di = _to_fixed(zm, prec)
     dr -= shift << prec
     d_log2 = math.log2(math.isqrt(dr * dr + di * di) + 2) - prec  # >= log2 |d|
-    cut = 1 << max(_FIRST_SERIES_OCTAVE, math.ceil(d_log2) + 1)
-    key = (cfg.precision.working_dps, d_key)
-    held = _ROW0_SLOT.pop(key, None)
-    _ROW0_SLOT.clear()
-    if held is not None and held[0] < m_hi and m_lo < held[0] + len(held[1]):
-        u_lo, held_re, held_im = held
-        below = _level0_entries(zm, cfg, shift, dr, di, cut, range(m_lo, u_lo))
-        above = _level0_entries(zm, cfg, shift, dr, di, cut,
-                                range(u_lo + len(held_re), m_hi))
-        u_lo = min(m_lo, u_lo)
-        rows = (below[0] + held_re + above[0], below[1] + held_im + above[1])
-    else:
-        held = None  # so that a miss never holds two rows
-        u_lo = m_lo
-        rows = _level0_entries(zm, cfg, shift, dr, di, cut, range(m_lo, m_hi))
-    if max(m_lo, cut) < min(m_hi, 2 * _N + 1):  # the row takes the series
-        w_lo = max(u_lo, m_lo - _SLOT_MARGIN)
-        w_hi = min(u_lo + len(rows[0]), m_lo + max(n_max, _N) + _SLOT_MARGIN)
-        _ROW0_SLOT[key] = (w_lo, *_m_window(rows, u_lo, w_lo, w_hi))
-    return _m_window(rows, u_lo, m_lo, m_hi)
+    return key, shift, dr, di, 1 << max(_FIRST_SERIES_OCTAVE, math.ceil(d_log2) + 1)
 
 
-def _m_window(rows: tuple[list, list], u_lo: int, lo: int, hi: int) -> tuple[list, list]:
-    """The entries with lo <= m < hi of rows that start at m = u_lo.
+def _running_sums(start: Sequence[int], row: list, offsets: Sequence[int]) -> list[tuple]:
+    """The running sums (W_1..W_K) at each offset, from their values start at offset 0.
 
-    The rows themselves when they are exactly that window: the slot and the
-    caller then share one row, which neither changes.
+    offsets ascend in (0, len(row)].  row holds level 0, W_0, from offset 0
+    on, and W_k(m+1) = W_k(m) + W_{k-1}(m): each level is one exact running
+    sum of the one below.  The top level is read at the offsets only, and a
+    part that is 0 throughout (the imaginary part of a real lattice right of
+    0) stays 0.
     """
-    if (lo, hi) == (u_lo, u_lo + len(rows[0])):
-        return rows
-    return rows[0][lo - u_lo:hi - u_lo], rows[1][lo - u_lo:hi - u_lo]
+    if not (any(start) or any(row)):
+        return [tuple(start)] * len(offsets)
+    columns = []
+    level = row
+    for w in start[:-1]:
+        level = list(accumulate(islice(level, len(row)), initial=w))
+        columns.append([level[t] for t in offsets])
+    top, below, column = start[-1], iter(level), []
+    for t, at in zip(offsets, [0, *offsets]):
+        top += sum(islice(below, t - at))
+        column.append(top)
+    columns.append(column)
+    return list(zip(*columns))
 
 
-def _shifted_log_rows(r: int, zm, cfg: EvalConfig, n_max: int) -> tuple[list, list]:
-    """log G_{r-1}(z+n), n = 1..n_max (list index n-1): the top level the level-r sweep reads.
+def _streamed(build, point: tuple, m0: int, ms: Sequence[int]) -> list[tuple]:
+    """The (re, im) running sums at each m in ms, ascending and > m0, from point at m0.
 
-    The level is a pair (re, im) of fixed-point int rows, built bottom-up:
-    level 0 is log(z+n) from _shifted_log_row0; level k >= 1 starts from
-    log G_k(z+1), extrapolated from a Gauss sweep at level k, which reads
-    level k-1 alone, and walks the recurrence as an exact running sum of
-    level k-1, which is then dropped.  So at most two levels are alive at
-    once, and level 0 may also be held by _ROW0_SLOT.  The starting values
-    enter the level-r product sum with O(N)-fold amplification, so they are
-    computed at a higher extrapolation order than the caller's and memoized.
-    A starting value not yet memoized needs the whole ladder, so the rows
-    then reach _N whatever n_max is.
-
-    The imaginary row is kept for real z too: log(z+n) carries i pi wherever
-    z+n < 0.
+    build(range) gives level 0 over the range; it is built and summed in
+    blocks that end at multiples of _SERIES_BLOCK, like the series' own, so
+    no row longer than that is alive.
     """
-    if any(_extrap_key("gauss", k, zm, cfg, _BASE_ORDER) not in _EXTRAP_CACHE
-           for k in range(1, r)):
-        n_max = max(n_max, _N)
-    rows = _shifted_log_row0(zm, cfg, n_max)
-    for k in range(1, r):
-        base = product_extrapolated("gauss", k, zm, cfg, order=_BASE_ORDER, rows=rows).value
-        rows = _next_level(rows, base, cfg, n_max)
-    return rows
+    out = []
+    for lo in chain([m0], range(m0 - m0 % _SERIES_BLOCK + _SERIES_BLOCK, ms[-1], _SERIES_BLOCK)):
+        hi = min(lo - lo % _SERIES_BLOCK + _SERIES_BLOCK, ms[-1])
+        offsets = [m - lo for m in ms if lo < m <= hi]
+        sums = [_running_sums(levels, row, offsets + [hi - lo])
+                for levels, row in zip(point, build(range(lo, hi)))]
+        out.extend(zip(*(part[:-1] for part in sums)))
+        point = tuple(part[-1] for part in sums)
+    return out
 
 
-def _next_level(below: tuple[list, list], base, cfg: EvalConfig, n_max: int) -> tuple[list, list]:
-    """(re, im) rows of log G_k(z+n), n = 1..n_max, from level k-1's rows and its base.
+def _walked_back(levels: Sequence[int], row: list) -> tuple:
+    """The running sums len(row) steps before levels, row the level-0 entries over those steps."""
+    levels = list(levels)
+    for below in reversed(row):
+        for k, w in enumerate(levels):
+            levels[k] = below = w - below
+    return tuple(levels)
 
-    base, log G_k(z+1) as an mpf/mpc, is floored onto the grid; the
-    recurrence log G_k(z+n+1) = log G_k(z+n) + log G_{k-1}(z+n) makes the
-    rest an exact running sum of below.
+
+def _shifted_rungs(zm, cfg: EvalConfig, depth: int, ns: Sequence[int]) -> tuple[tuple, list[tuple]]:
+    """The running sums of z's shifted level 0 at m = s+1 and at each m = s+n+1, n in ns.
+
+    s = floor(Re z), and ns is a prefix of the ladder _LADDER.  A point is
+    a pair (re, im) of tuples (W_1..W_K), K >= max(depth, 3), W_0 = log(z+n)
+    at m = n + s (_level0_entries) and W_k the exact running sums above it:
+    W_k(m+1) = W_k(m) + W_{k-1}(m).  Memoized in _SHIFTED_RUNGS; a miss
+    streams level 0 on from the last rung held (_streamed).  A key held at
+    another shift s' with |s - s'| <= _WALK is first walked there point by
+    point from the few entries between; one held too far away or too
+    shallow is swept again from m = s+1, where every W_k is 0.
     """
-    base_re, base_im = _to_fixed(base, _fixed_bits(cfg))
-    below_re, below_im = below
-    return (list(accumulate(islice(below_re, n_max - 1), initial=base_re)),
-            list(accumulate(islice(below_im, n_max - 1), initial=base_im)))
+    key, shift, dr, di, cut = _shifted_grid(zm, cfg)
+    depth = max(depth, 3)
+    build = partial(_level0_entries, zm, cfg, shift, dr, di, cut)
+    held_shift, points = _SHIFTED_RUNGS.pop(key, (shift, {}))
+    step = shift - held_shift
+    if not points or len(points[held_shift + 1][0]) < depth or abs(step) > _WALK:
+        points = {shift + 1: ((0,) * depth, (0,) * depth)}
+    elif step > 0:
+        points = {m + step: _streamed(build, point, m, [m + step])[0]
+                  for m, point in points.items()}
+    elif step < 0:
+        points = {m + step: tuple(map(_walked_back, point, build(range(m + step, m))))
+                  for m, point in points.items()}
+    _SHIFTED_RUNGS[key] = (shift, points)
+    _evict(_SHIFTED_RUNGS, _SHIFTED_KEYS)
+    wanted = [shift + n + 1 for n in ns]
+    last = max(points)
+    ahead = [m for m in wanted if m > last]
+    if ahead:
+        points.update(zip(ahead, _streamed(build, points[last], last, ahead)))
+    return points[shift + 1], [points[m] for m in wanted]
+
+
+def _level_bases(r: int, zm, cfg: EvalConfig) -> list[tuple[int, int]]:
+    """B_k = log G_k(z+1), k = 1..r-1, as (re, im) ints on the grid.
+
+    Each is the level-k Gauss ladder extrapolated at _BASE_ORDER: the bases
+    enter the level-r sums with O(N)-fold amplification, so they take a
+    higher order than the caller's, and they are memoized.
+    """
+    bits = _fixed_bits(cfg)
+    return [_to_fixed(product_extrapolated("gauss", k, zm, cfg, order=_BASE_ORDER).value, bits)
+            for k in range(1, r)]
+
+
+def _sums_at(r: int, ns: Sequence[int], start: tuple, points: Sequence[tuple],
+             bases: Sequence[tuple]) -> list[tuple[int, int]]:
+    """(re, im) of sum_{n<=N} log G_{r-1}(z+n) at each N in ns, fixed-point ints.
+
+    start and points are the running sums at m = s+1 and m = s+N+1, bases
+    B_1..B_{r-1} as (re, im) ints.  Level k of the shifted lattice starts
+    from B_k and walks the recurrence log G_k(z+n+1) = log G_k(z+n) +
+    log G_{k-1}(z+n), so the sum is sum_{k<r} B_k binom(N, r-k) + U_r(N+1),
+    U_r the r-fold running sum of level 0 from n = 1, and U_r(N+1) is
+    W_r(s+N+1) - sum_{k<=r} W_k(s+1) binom(N, r-k): the same exact integer
+    that a row of level r-1 adds up to.
+    """
+    out = []
+    for n, point in zip(ns, points):
+        binoms = [math.comb(n, r - k) for k in range(1, r + 1)]
+        out.append(tuple(end[r - 1] - sum(map(mul, binoms, begin))
+                         + sum(base[part] * c for base, c in zip(bases, binoms))
+                         for part, (begin, end) in enumerate(zip(start, point))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +720,7 @@ def _next_level(below: tuple[list, list], base, cfg: EvalConfig, n_max: int) -> 
 
 
 def _partial_checkpoints(method: str, r: int, zm, cfg: EvalConfig,
-                         ns: Sequence[int], rows: tuple[list, list]) -> list[LogValue]:
+                         ns: Sequence[int], sums: Sequence[tuple[int, int]]) -> list[LogValue]:
     """Partial-product log values at each checkpoint N in ns, one shared sweep.
 
     gauss: sum_{n<=N} [log G_{r-1}(n) - log G_{r-1}(z+n)]
@@ -668,23 +729,23 @@ def _partial_checkpoints(method: str, r: int, zm, cfg: EvalConfig,
            distributed as telescoping ratios (G_k(n+1)/G_k(n))^binom(z, r-k),
            each rounded onto the fixed-point grid.
 
-    rows is the top level _shifted_log_rows(r, zm, cfg, n) with n >= max(ns).
-    The integer sum up to N is log G_r(N+1), read with the corrections'
-    log G_k(N+1) from the rung memo (_integer_rungs); euler streams each
-    ratio G_k(n+1)/G_k(n), G_{k-1}(n) or (n+1)/n at k = 0, from level 0.  The
-    sums run exactly over fixed-point ints; values become mpf/mpc only at
-    checkpoints, where gauss also adds its corrections at the working
-    precision.
+    sums are the shifted sums sum_{n<=N} log G_{r-1}(z+n) at each N in ns
+    (_sums_at).  The integer sum up to N is log G_r(N+1), read with the
+    corrections' log G_k(N+1) from the rung memo (_integer_rungs); euler
+    streams each ratio G_k(n+1)/G_k(n), G_{k-1}(n) or (n+1)/n at k = 0, from
+    level 0.  The sums run exactly over fixed-point ints; values become
+    mpf/mpc only at checkpoints, where gauss also adds its corrections at
+    the working precision.  A real z < -1 has z+1 < 0, and then log G_{r-1}(z+1)
+    carries a multiple of i pi, so the values are complex.
     """
     n_top = ns[-1]
     bits = _fixed_bits(cfg)
     with mpmath.workdps(cfg.precision.working_dps):
-        shift_re, shift_im = rows
         exponents = [binom_poly(r - k).evaluate(zm) for k in range(r)]
-        cplx = isinstance(zm, mpmath.mpc) or any(islice(shift_im, n_top))
+        cplx = isinstance(zm, mpmath.mpc) or zm < -1
         rungs = _integer_rungs(cfg, r + 1, [n + 1 for n in ns])
-        # per part (re, im): what each segment between rungs adds to the sum
-        segments = [[-x for x in _segment_sums(iter(part), ns)] for part in rows]
+        # per part (re, im): what the integer lattice adds to the sum at each rung
+        added = [[rung[r] for rung in rungs], [0] * len(ns)]
         if method == "euler":
             row0 = _integer_log_table(cfg, n_top + 1)
             for k, exponent in enumerate(exponents):
@@ -693,12 +754,12 @@ def _partial_checkpoints(method: str, r: int, zm, cfg: EvalConfig,
                         ratios = (map(sub, islice(row0, 2, None), islice(row0, 1, None)) if k == 0
                                   else _integer_levels(row0, k - 1))
                         terms = map(rshift, map(mul, repeat(e), ratios), repeat(bits))
-                        segments[part] = list(map(add, segments[part], _segment_sums(terms, ns)))
+                        added[part] = list(map(add, added[part],
+                                               accumulate(_segment_sums(terms, ns))))
 
         out = []
-        running_re, running_im = accumulate(segments[0]), accumulate(segments[1])
-        for rung, sum_re, sum_im in zip(rungs, running_re, running_im):
-            value = _from_fixed(rung[r] + sum_re, sum_im, bits, cplx)
+        for rung, (sum_re, sum_im), add_re, add_im in zip(rungs, sums, *added):
+            value = _from_fixed(add_re - sum_re, add_im - sum_im, bits, cplx)
             if method == "gauss":
                 for k in range(r):
                     value += exponents[k] * mpmath.mpf((rung[k], -bits))
@@ -723,12 +784,22 @@ def _validated_r_n(r: int, n: int) -> None:
 
 
 def _single_partial(method: str, r: int, z: ComplexLike, n: int, cfg: EvalConfig) -> LogValue:
+    """One partial at any N: it streams its own level 0 and leaves the rung memo alone.
+
+    So a single partial stays an independent check of the ladder's
+    checkpoints, which it must equal bit for bit at a rung.
+    """
     _validated_r_n(r, n)
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
         _check_not_singular(r, zm + 1)
-        rows = _shifted_log_rows(r, zm, cfg, n)
-        return _partial_checkpoints(method, r, zm, cfg, [n], rows)[0]
+        bases = _level_bases(r, zm, cfg)
+        _, shift, dr, di, cut = _shifted_grid(zm, cfg)
+        start = ((0,) * r, (0,) * r)
+        point = _streamed(partial(_level0_entries, zm, cfg, shift, dr, di, cut),
+                          start, shift + 1, [shift + n + 1])
+        sums = _sums_at(r, [n], start, point, bases)
+        return _partial_checkpoints(method, r, zm, cfg, [n], sums)[0]
 
 
 def gauss_partial(r: int, z: ComplexLike, n: int, cfg: EvalConfig = EvalConfig()) -> LogValue:
@@ -736,7 +807,8 @@ def gauss_partial(r: int, z: ComplexLike, n: int, cfg: EvalConfig = EvalConfig()
 
     prod_{m<=N} G_{r-1}(m)/G_{r-1}(z+m) * prod_{k<r} G_k(N+1)^binom(z, r-k),
     computed additively in O(N r): the integer levels are running sums of
-    log n read at N+1, and the shifted lattice is built level by level.
+    log n read at N+1, and the shifted level 0 is streamed through r
+    running sums, not read from the rung memo.
     """
     return _single_partial("gauss", r, z, n, cfg)
 
@@ -779,7 +851,10 @@ def extrapolate(seq: Sequence[LogValue], order: int) -> LogValue:
     return LogValue(value=col[-1], method=seq[0].method, err_est=err)
 
 
+# Extrapolated product values, per (method, r, working dps, order, exact z):
+# at most _EXTRAP_KEYS, the least recently used evicted first.
 _EXTRAP_CACHE: dict[tuple, LogValue] = {}
+_EXTRAP_KEYS = 4096
 
 
 def _extrap_key(method: str, r: int, zm, cfg: EvalConfig, order: int) -> tuple:
@@ -787,37 +862,39 @@ def _extrap_key(method: str, r: int, zm, cfg: EvalConfig, order: int) -> tuple:
 
 
 def cache_info() -> dict[str, dict[str, int]]:
-    """Rows and entries that each module-level cache holds now.
+    """What each module-level cache holds now.
 
-    A row is one level-0 row of _INT_TABLES (one per precision key), one
+    For _INT_TABLES, _INT_RUNGS, _EXTRAP_CACHE and constants._ZETA_PRIME_CACHE:
+    a row is one level-0 row of _INT_TABLES (one per precision key), one
     rung of _INT_RUNGS (log G_k(m) for k = 0..K at one m), one memoized
-    LogValue of _EXTRAP_CACHE, the (re, im) row of _ROW0_SLOT, or one
-    zeta'(-j) of constants._ZETA_PRIME_CACHE; entries count the fixed-point
-    ints or the values in them.
+    LogValue of _EXTRAP_CACHE, or one zeta'(-j); entries count the
+    fixed-point ints or the values in them.  For _SHIFTED_RUNGS: its keys,
+    the points (tuples of running sums) they hold, and the ints in those.
     """
     rungs = [levels for memo in _INT_RUNGS.values() for levels in memo.values()]
+    points = [point for _, held in _SHIFTED_RUNGS.values() for point in held.values()]
     return {
         "_INT_TABLES": {"rows": len(_INT_TABLES),
                         "entries": sum(len(row) - 1 for row in _INT_TABLES.values())},
         "_INT_RUNGS": {"rows": len(rungs), "entries": sum(map(len, rungs))},
         "_EXTRAP_CACHE": {"rows": len(_EXTRAP_CACHE), "entries": len(_EXTRAP_CACHE)},
-        "_ROW0_SLOT": {"rows": len(_ROW0_SLOT),
-                       "entries": sum(len(re) for _, re, _ in _ROW0_SLOT.values())},
+        "_SHIFTED_RUNGS": {"keys": len(_SHIFTED_RUNGS), "tuples": len(points),
+                           "ints": sum(len(re) + len(im) for re, im in points)},
         "constants._ZETA_PRIME_CACHE": {"rows": len(constants._ZETA_PRIME_CACHE),
                                         "entries": len(constants._ZETA_PRIME_CACHE)},
     }
 
 
 def product_extrapolated(method: str, r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig(),
-                         order: int | None = None,
-                         rows: tuple[list, list] | None = None) -> LogValue:
+                         order: int | None = None) -> LogValue:
     """Extrapolated product value of log G_r(z+1), memoized per (method, r, z, precision, order).
 
     method is "gauss" or "euler".  One sweep takes the partial products at
     every rung of the doubling ladder _LADDER, N = 2^6..2^14; order, at most
-    8, defaults to _ORDER = 4.  rows: the top level r-1 of the shifted
-    lattice, log G_{r-1}(z+n) as _shifted_log_rows gives it, reaching _N,
-    when the caller has built it already; otherwise it is built here.
+    8, defaults to _ORDER = 4.  The shifted sums come from the rung memo
+    _SHIFTED_RUNGS (_shifted_rungs, _sums_at), so the ladders of every level
+    and both methods at z, and at z + k for |k| <= _WALK, share one sweep
+    of level 0.
     """
     if method not in ("gauss", "euler"):
         raise ValueError(f"unknown product method {method!r}")
@@ -829,14 +906,17 @@ def product_extrapolated(method: str, r: int, z: ComplexLike, cfg: EvalConfig = 
         zm = _to_mp(z)
         _check_not_singular(r, zm + 1)
         key = _extrap_key(method, r, zm, cfg, order)
-        hit = _EXTRAP_CACHE.get(key)
+        hit = _EXTRAP_CACHE.pop(key, None)
         if hit is not None:
+            _EXTRAP_CACHE[key] = hit
             return hit
-        if rows is None:
-            rows = _shifted_log_rows(r, zm, cfg, _N)
-        values = _partial_checkpoints(method, r, zm, cfg, _LADDER, rows)
-        result = extrapolate(values, order)
+        # the rungs at depth r first: the bases' lower-level ladders then read
+        # them instead of sweeping a shallower lattice
+        start, points = _shifted_rungs(zm, cfg, r, _LADDER)
+        sums = _sums_at(r, _LADDER, start, points, _level_bases(r, zm, cfg))
+        result = extrapolate(_partial_checkpoints(method, r, zm, cfg, _LADDER, sums), order)
     _EXTRAP_CACHE[key] = result
+    _evict(_EXTRAP_CACHE, _EXTRAP_KEYS)
     return result
 
 
@@ -849,21 +929,22 @@ def _ladder_predicted_err(r: int, zm, cfg: EvalConfig):
     steps falls like N^-(q+1), so the probe's estimate scales by
     (rung / N)^(q+1).  Level 1 alone is 6-13x optimistic
     for level 2 at 30 <= z <= 45, so r >= 2 probes level 2 itself.  Its
-    level-1 row starts from log G_1(z+1) = mpmath.loggamma(z+1), which lands
-    on the products' branch: a Gauss base would need the full row, and this
-    one only informs the decision, entering no returned value.  At r >= 3
-    the full ladder's estimate sits on the level-base floor (ROADMAP item 2),
-    not on Richardson's rate, so the prediction stays optimistic there.  The
-    probe's level-0 entries are the full row's first ones and stay in
-    _ROW0_SLOT for it.
+    level-1 base is log G_1(z+1) = mpmath.loggamma(z+1), which lands
+    on the products' branch: a Gauss base would need the full ladder, and
+    this one only informs the decision, entering no returned value.  At
+    r >= 3 the full ladder's estimate sits on the level-base floor (ROADMAP
+    item 2), not on Richardson's rate, so the prediction stays optimistic
+    there.  The probe's rungs are the full ladder's first ones: it fills
+    _SHIFTED_RUNGS at the depth the level-r sweep needs, which then streams
+    level 0 on from the probe's last rung.
     """
     q = _ORDER
     probe = _LADDER[:q + 2]
     level = min(r, 2)
-    rows = _shifted_log_row0(zm, cfg, probe[-1])
-    if level == 2:
-        rows = _next_level(rows, mpmath.loggamma(zm + 1), cfg, probe[-1])
-    est = extrapolate(_partial_checkpoints("gauss", level, zm, cfg, probe, rows), q).err_est
+    start, points = _shifted_rungs(zm, cfg, r, probe)
+    bases = [_to_fixed(mpmath.loggamma(zm + 1), _fixed_bits(cfg))] if level == 2 else []
+    sums = _sums_at(level, probe, start, points, bases)
+    est = extrapolate(_partial_checkpoints("gauss", level, zm, cfg, probe, sums), q).err_est
     return est * (mpmath.mpf(probe[-1]) / _N) ** (q + 1)
 
 
@@ -982,7 +1063,7 @@ def log_multigamma(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> Lo
 
     Runs the extrapolated Gauss product at z-1.  First a probe sweeps level
     min(r, 2) over the ladder's first q+2 rungs (to N/8 at the defaults),
-    its level-1 row started from mpmath.loggamma(z), and predicts the full
+    its level 1 started from mpmath.loggamma(z), and predicts the full
     ladder's err_est (_ladder_predicted_err); when that prediction is not
     below tolerance/10 (large |z|), the Hurwitz-zeta route answers alone,
     with cross_check None.  The probe is skipped when the Gauss value is

@@ -12,7 +12,7 @@ import importlib.util
 import io
 import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -87,6 +87,29 @@ def test_usage_errors_exit_1():
         code, _, err = run(argv)
         assert code == 1, argv
         assert err.strip(), argv
+
+
+def test_empty_list_items_are_usage_errors():
+    # an empty item is not dropped: "0,,1" is not the list 0, 1
+    for argv in (["constants", "--j", "0,,1"], ["constants", "--j", ","],
+                 ["constants", "--j", "0,"], ["constants", "--j", ""],
+                 ["verify", "--suite", "numeric", "--r-max", "1", "--p", "2,,3"],
+                 ["verify", "--suite", "symbolic", "--p", ",2"]):
+        code, out, err = run(argv)
+        assert code == 1 and out == "", argv
+        assert "empty item" in err, argv
+    assert cli.parse_int_list(" 2, 3") == [2, 3]
+
+
+def test_console_script_entry_exits_with_the_code_of_main(monkeypatch, capsys):
+    # pyproject's multigamma script calls entry(), which hands main's code to SystemExit
+    for argv, code in ((["constants", "--j", "0"], 0), (["bogus"], 1),
+                       (["eval", "--r", "1", "--z", "0"], 2)):
+        monkeypatch.setattr("sys.argv", ["multigamma", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == code, argv
+    assert "zeta'(0)" in capsys.readouterr().out
 
 
 def test_non_finite_tolerance_is_a_usage_error():
@@ -320,30 +343,71 @@ def test_verify_sweeps_one_euler_ladder_per_point(conventions_file, monkeypatch)
     assert [method for method, _ in ladders].count("euler") == 4
 
 
-def test_verify_walks_build_the_half_row_series_once(monkeypatch):
-    # The recurrence and Euler-vs-Gauss checks walk 1/2 + Z at r = 1..3:
-    # every row they build has d = 1/2, and each one after the first takes
-    # its entries from the level-0 slot, so the series for each m is summed
-    # once.  Without the slot each m's entry is summed 16 times.
-    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
-    monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
-    built = Counter()
-    real_block = evaluate._log1p_block
+def count_series_entries(monkeypatch):
+    """Count each _log1p_block entry per (prec, dr, di, m), and record the
+    shifts at which each shifted lattice (prec, dr, di) builds level 0."""
+    built, shifts = Counter(), defaultdict(set)
+    real_block, real_entries = evaluate._log1p_block, evaluate._level0_entries
 
     def counting(ms, dr, di, prec, bits):
-        assert (dr, di) == (1 << (prec - 1), 0)
-        built.update(ms)
+        built.update((prec, dr, di, m) for m in ms)
         return real_block(ms, dr, di, prec, bits)
 
+    def recording(zm, cfg, shift, dr, di, cut, ms):
+        shifts[evaluate._fixed_bits(cfg) + evaluate._SERIES_GUARD, dr, di].add(shift)
+        return real_entries(zm, cfg, shift, dr, di, cut, ms)
+
     monkeypatch.setattr(evaluate, "_log1p_block", counting)
+    monkeypatch.setattr(evaluate, "_level0_entries", recording)
+    return built, shifts
+
+
+def summed_again_away_from_the_rungs(built, shifts):
+    """The entries summed more than once further than _WALK from every point
+    m = s+1 or s+N+1, N a ladder rung, of a shift s their lattice was built at."""
+    offsets = [1] + [n + 1 for n in evaluate._LADDER]
+    return [key for key, count in built.items()
+            if count > 1 and all(abs(key[3] - s - o) > evaluate._WALK
+                                 for s in shifts[key[:3]] for o in offsets)]
+
+
+def test_verify_walks_build_the_half_row_series_once(monkeypatch):
+    # The recurrence and Euler-vs-Gauss checks walk 1/2 + Z at r = 1..3:
+    # every lattice they sum the series for has d = 1/2, and each argument
+    # after the first walks the rung memo's points from the last one, so the
+    # series for each m away from the rungs is summed once.  Without the
+    # memo each m's entry is summed 16 times.
+    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
+    monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
+    built, shifts = count_series_entries(monkeypatch)
     cfg = evaluate.EvalConfig()
     reports = cli.numeric_reports(argparse.Namespace(r_max=3), cfg, [])
     assert {rep["identity"] for rep in reports} == {
         "recurrence", "euler_vs_gauss", "log_convexity"}
     assert all(rep["pass"] for rep in reports)
-    # the series runs from m = 16 to the top of the rows, 2^14 + 2
-    assert min(built) == 16 and max(built) >= evaluate._N
-    assert set(built.values()) == {1}
+    prec = evaluate._fixed_bits(cfg) + evaluate._SERIES_GUARD
+    assert {key[:3] for key in built} == {(prec, 1 << (prec - 1), 0)}
+    # the series runs from m = 16 to the top of the sweeps, 2^14 + 2
+    ms = [key[3] for key in built]
+    assert min(ms) == 16 and max(ms) >= evaluate._N
+    assert summed_again_away_from_the_rungs(built, shifts) == []
+    assert sum(built.values()) < 1.05 * len(built)
+
+
+def test_calibrate_then_verify_build_each_series_entry_once(monkeypatch):
+    # calibrate's multiplication residuals cycle through the fractional parts
+    # of (z+s)/p, and verify's walk them again: with every lattice kept in
+    # the rung memo, each series entry away from the rungs is summed once in
+    # the whole session.
+    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
+    monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
+    built, shifts = count_series_entries(monkeypatch)
+    cfg = evaluate.EvalConfig()
+    evaluate.calibrate_conventions(cfg)
+    reports = cli.numeric_reports(argparse.Namespace(r_max=3), cfg, [2, 3])
+    assert all(rep["pass"] for rep in reports)
+    assert summed_again_away_from_the_rungs(built, shifts) == []
+    assert sum(built.values()) < 1.05 * len(built)
 
 
 def test_report_passes_strictly_below_the_tolerance():

@@ -257,11 +257,11 @@ def test_one_call_takes_one_row_of_logs(monkeypatch):
         return real_log(*args, **kwargs)
 
     monkeypatch.setattr(mpmath, "log", counting)
-    monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
+    monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
     log_multigamma(4, Fraction(41, 16), CFG30)
     assert len(calls) <= 64
     calls.clear()
-    monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
+    monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
     with mpmath.workdps(CFG30.precision.working_dps):
         log_multigamma(4, mp_arg((Fraction(7, 6), Fraction(1, 4))), CFG30)
     assert len(calls) <= 64
@@ -272,11 +272,11 @@ def test_one_call_takes_one_row_of_logs(monkeypatch):
 
 
 def test_far_argument_takes_o_n_logs_and_a_short_integer_table(monkeypatch):
-    # Past m = 2N the shifted row takes a direct log per entry instead of
-    # reading log m from the integer table, so a far z costs O(N) logs and
+    # Past m = 2N the shifted level 0 takes a direct log per entry instead
+    # of reading log m from the integer table, so a far z costs O(N) logs and
     # leaves the table O(N) long, not O(Re z).  The front door's probe over
     # the ladder's first rungs, to N/8, finds that the ladder cannot reach
-    # the tolerance, so the zeta route answers without the full row.
+    # the tolerance, so the zeta route answers without the full sweep.
     n_top = evaluate._N
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
     calls = []
@@ -297,10 +297,10 @@ def test_far_argument_takes_o_n_logs_and_a_short_integer_table(monkeypatch):
     for z in (Fraction(10**7), Fraction(3 * 10**7 + 1, 3)):
         calls.clear()
         built.clear()
-        monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
+        monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
         got = log_multigamma(1, z, CFG30)
         assert got.method == "zeta" and got.cross_check is None, z
-        assert sum(built) <= n_top // 8 + evaluate._SLOT_MARGIN, z
+        assert sum(built) <= n_top // 8, z
         assert len(calls) <= 2 * n_top, z
         assert all(len(row0) <= 2 * n_top + 1 for row0 in evaluate._INT_TABLES.values()), z
 
@@ -326,6 +326,13 @@ def mp_arg(z):
     return mpmath.mpf(z.numerator) / z.denominator
 
 
+def level0_row(zm, cfg, n_max):
+    """(re, im) of log(z+n), n = 1..n_max (list index n-1), built cold in one piece."""
+    _, shift, dr, di, cut = evaluate._shifted_grid(zm, cfg)
+    return evaluate._level0_entries(zm, cfg, shift, dr, di, cut,
+                                    range(shift + 1, shift + n_max + 1))
+
+
 def assert_within_16_ulps(got_re, got_im, want, cfg):
     """got (fixed-point ints on cfg's lattice grid) within 16 2^-p of want."""
     bits = evaluate._fixed_bits(cfg)
@@ -340,7 +347,7 @@ def test_level0_row_is_within_16_ulps_of_log(digits):
     for z in LEVEL0_ARGS:
         with mpmath.workdps(cfg.precision.working_dps):
             zm = mp_arg(z)
-            re0, im0 = evaluate._shifted_log_rows(1, zm, cfg, 2**14)
+            re0, im0 = level0_row(zm, cfg, 2**14)
         with mpmath.workdps(cfg.precision.working_dps + 20):
             for n in LEVEL0_NS:
                 assert_within_16_ulps(re0[n - 1], im0[n - 1], mpmath.log(zm + n), cfg)
@@ -357,14 +364,14 @@ def prime_factor_count(m):
 
 
 def test_level0_entries_meet_their_stated_bound():
-    # _shifted_log_row0: an entry with m = n + floor(Re z) is within
+    # _level0_entries: an entry with m = n + floor(Re z) is within
     # (Omega(m) + 2) 2^-bits of log(z+n) in each part, a direct log within
     # (1 + 2^-10 |log(z+n)|) 2^-bits, which is below 2 2^-bits here.
     bits = evaluate._fixed_bits(CFG30)
     for z in LEVEL0_ARGS:
         with mpmath.workdps(CFG30.precision.working_dps):
             zm = mp_arg(z)
-            re0, im0 = evaluate._shifted_log_rows(1, zm, CFG30, 2**14)
+            re0, im0 = level0_row(zm, CFG30, 2**14)
         shift = math.floor(z[0] if isinstance(z, tuple) else z)
         with mpmath.workdps(CFG30.precision.working_dps + 20):
             for n in LEVEL0_NS:
@@ -392,32 +399,49 @@ def test_odd_series_is_within_4_units_of_atanh_and_atan(sign, exact):
                     assert abs(y - exact(mpmath.mpf(t) / 2**prec) * 2**prec) <= 4, (prec, gain, t)
 
 
-def test_level0_row_does_not_depend_on_its_length(monkeypatch):
+def test_level0_row_does_not_depend_on_its_length():
     # The N = 2^10 partial must equal its ladder checkpoint bit for bit
-    # (test_single_partial_equals_its_ladder_checkpoint).  Both rows are
-    # built cold: the full one must not come from the short one's slot.
+    # (test_single_partial_equals_its_ladder_checkpoint), and the sweep
+    # builds level 0 in blocks: an entry must not depend on where its row
+    # starts or stops.
     for z in LEVEL0_ARGS:
         with mpmath.workdps(CFG30.precision.working_dps):
             zm = mp_arg(z)
-            monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
-            short = evaluate._shifted_log_rows(1, zm, CFG30, 2**10)
-            monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
-            full = evaluate._shifted_log_rows(1, zm, CFG30, 2**14)
+            short = level0_row(zm, CFG30, 2**10)
+            full = level0_row(zm, CFG30, 2**14)
+            _, shift, dr, di, cut = evaluate._shifted_grid(zm, CFG30)
+            block = evaluate._level0_entries(zm, CFG30, shift, dr, di, cut,
+                                             range(shift + 700, shift + 1800))
         assert short[0] == full[0][:2**10] and short[1] == full[1][:2**10], z
+        assert block[0] == full[0][699:1799] and block[1] == full[1][699:1799], z
 
 
-# Walks over z + Z: d = 1/2 from Re z <= 0, where the row starts with direct
-# logs, to Re z = 7/2; d = 1/2 across floor(Re z) = 16, where the row starts
-# inside an octave of the series; and a complex d.
-SLOT_WALKS = ([Fraction(1, 2) + k for k in range(-3, 4)],
-              [Fraction(33, 2) + k for k in range(-3, 4)],
-              [(Fraction(3, 4) + k, Fraction(1, 4)) for k in range(-3, 4)])
+def shifted_sums_r123(zm, cfg, ns, bases):
+    """The rung memo's shifted sums at r = 1, 2, 3 with the given level bases."""
+    start, points = evaluate._shifted_rungs(zm, cfg, 3, ns)
+    return [evaluate._sums_at(r, ns, start, points, bases[:r - 1]) for r in (1, 2, 3)]
+
+
+# Walks over z + Z: d = 1/2 from Re z <= 0, where level 0 starts with direct
+# logs, to Re z = 19/2; d = 1/2 across floor(Re z) = 16, where it starts
+# inside an octave of the series, with steps of 16, the most the memo walks;
+# and a complex d.
+MEMO_WALKS = ([Fraction(1, 2) + k for k in (0, 3, -2, 9, -7, 0)],
+              [Fraction(33, 2) + k for k in (0, -16, 0, 16, 1)],
+              [(Fraction(3, 4) + k, Fraction(1, 4)) for k in (0, -3, 2, 5, -1)])
+# as many other fractional parts as the memo holds besides the walk's,
+# touched between the steps of a walk
+OTHER_DS = [Fraction(k, 11) + 2 for k in range(1, evaluate._SHIFTED_KEYS)]
 
 
 @pytest.mark.parametrize("digits", [30, 60])
-def test_level0_row_from_the_slot_equals_a_cold_build(digits, monkeypatch):
+def test_rungs_walked_in_the_memo_equal_a_cold_sweep(digits, monkeypatch):
+    # Each step of a walk finds its d held at another shift and walks the
+    # held points there; its shifted sums at every level and rung must equal
+    # a cold sweep's bit for bit.
     cfg = EvalConfig(precision=Precision(digits=digits))
-    n_top = evaluate._N
+    ns = evaluate._LADDER
+    bases = [(-(3 << 150), 5 << 140), (7 << 149, -(1 << 151))]
     built = []
     real_entries = evaluate._level0_entries
 
@@ -426,34 +450,38 @@ def test_level0_row_from_the_slot_equals_a_cold_build(digits, monkeypatch):
         return real_entries(zm, cfg, shift, dr, di, cut, ms)
 
     monkeypatch.setattr(evaluate, "_level0_entries", counting)
-    monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
-    slot = evaluate._ROW0_SLOT
+    monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
     with mpmath.workdps(cfg.precision.working_dps):
-        for walk in SLOT_WALKS:
-            # n_max shorter and longer than the slot's row; at the walk's
-            # middle an unrelated argument evicts the slot
-            steps = [(z, n) for z, n in zip(walk, [n_top, 2**10, n_top + 40] * 3)]
-            steps.insert(4, (Fraction(1, 3), n_top))
-            hits = 0
-            for z, n_max in steps:
+        for walk in MEMO_WALKS:
+            for step, z in enumerate(walk):
+                zm = mp_arg(z)
                 built.clear()
-                warm = evaluate._shifted_log_row0(mp_arg(z), cfg, n_max)
-                assert len(slot) <= 1
-                hits += sum(built) < n_max // 2
-                kept = dict(slot)
-                slot.clear()
-                cold = evaluate._shifted_log_row0(mp_arg(z), cfg, n_max)
-                assert warm == cold, (digits, z, n_max)
-                slot.clear()
-                slot.update(kept)
-            # the comparisons above saw slices: half the steps took most of
-            # their row from the slot
-            assert hits >= len(steps) // 2, walk
-            # an integer z reads the integer table and leaves the slot as it is
-            for z in (Fraction(3), Fraction(40)):
-                evaluate._shifted_log_row0(mp_arg(z), cfg, n_top)
-                assert slot.keys() == kept.keys()
-                assert all(slot[key] is kept[key] for key in kept)
+                warm = shifted_sums_r123(zm, cfg, ns, bases)
+                if step:
+                    # the ten held points walked |k| <= 16 steps each
+                    assert sum(built) <= 10 * 16, (z, built)
+                assert len(evaluate._SHIFTED_RUNGS) <= evaluate._SHIFTED_KEYS
+                held = evaluate._SHIFTED_RUNGS
+                monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
+                cold = shifted_sums_r123(zm, cfg, ns, bases)
+                monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", held)
+                assert warm == cold, (digits, z)
+                for other in OTHER_DS:
+                    evaluate._shifted_rungs(mp_arg(other), cfg, 3, evaluate._LADDER[:1])
+
+
+def test_rung_memo_keeps_the_latest_fractional_parts_only(monkeypatch):
+    monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
+    keys = evaluate._SHIFTED_KEYS
+    with mpmath.workdps(CFG30.precision.working_dps):
+        zs = [mp_arg(Fraction(k, 23) + 5) for k in range(1, 21)]
+        for zm in zs:
+            evaluate._shifted_rungs(zm, CFG30, 3, evaluate._LADDER[:2])
+        assert [key for key in evaluate._SHIFTED_RUNGS] == [
+            evaluate._shifted_grid(zm, CFG30)[0] for zm in zs[-keys:]]
+    # each key holds s+1 and the first two rungs: three levels in two parts
+    assert evaluate.cache_info()["_SHIFTED_RUNGS"] == {
+        "keys": keys, "tuples": keys * 3, "ints": keys * 3 * 6}
 
 
 def test_integer_table_grown_in_pieces_equals_one_build(monkeypatch):
@@ -500,7 +528,7 @@ def test_integer_caches_hold_one_row_per_precision_for_four_precisions(monkeypat
                                                  for row0 in evaluate._INT_TABLES.values())
     assert info["_INT_RUNGS"] == {"rows": 2 * len(evaluate._LADDER),
                                   "entries": 2 * len(evaluate._LADDER) * 5}
-    assert set(info) == {"_INT_TABLES", "_INT_RUNGS", "_EXTRAP_CACHE", "_ROW0_SLOT",
+    assert set(info) == {"_INT_TABLES", "_INT_RUNGS", "_EXTRAP_CACHE", "_SHIFTED_RUNGS",
                          "constants._ZETA_PRIME_CACHE"}
     # a fifth precision evicts the least recently used key from both
     cfgs = {d: EvalConfig(precision=Precision(digits=d)) for d in (10, 11, 12, 13, 14)}
@@ -512,32 +540,45 @@ def test_integer_caches_hold_one_row_per_precision_for_four_precisions(monkeypat
     assert list(evaluate._INT_TABLES) == want and list(evaluate._INT_RUNGS) == want
 
 
-def test_r4_sweep_holds_few_more_shifted_rows_than_r2(monkeypatch):
-    # Each shifted level is dropped once the next is built, so a cold r = 4
-    # product holds at most two levels and the slot's level 0, like r = 2:
-    # its traced peak exceeds r = 2's by less than 1.6 level-0 rows.  Four
-    # live levels would put it about two rows above.
+def test_extrapolation_memo_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
+    monkeypatch.setattr(evaluate, "_EXTRAP_KEYS", 3)
+    first, second, third = (product_extrapolated("gauss", 1, z, CFG) for z in (2, 3, 4))
+    # a hit returns the memoized object and makes it the most recently used
+    assert product_extrapolated("gauss", 1, 2, CFG) is first
+    product_extrapolated("gauss", 1, 5, CFG)
+    assert len(evaluate._EXTRAP_CACHE) == 3
+    assert product_extrapolated("gauss", 1, 2, CFG) is first
+    assert product_extrapolated("gauss", 1, 4, CFG) is third
+    # z = 3, the least recently used, was evicted and is swept again
+    again = product_extrapolated("gauss", 1, 3, CFG)
+    assert again is not second and again == second
+    assert len(evaluate._EXTRAP_CACHE) == 3
+
+
+def test_cold_r4_sweep_peaks_below_a_quarter_of_a_level0_row(monkeypatch):
+    # No shifted level is kept whole: a cold r = 4 product streams level 0
+    # in blocks through its running sums and keeps them at the rungs only,
+    # so its traced peak stays below a quarter of one level-0 row of N
+    # entries.  Holding any level row would put it above one row.
     with mpmath.workdps(CFG30.precision.working_dps):
         zm = mp_arg((Fraction(7, 6), Fraction(1, 4)))
         # warms the integer row, the rungs and mpmath's caches
         product_extrapolated("gauss", 4, zm, CFG30)
-        monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
         tracemalloc.start()
         try:
-            row = evaluate._shifted_log_row0(zm, CFG30, evaluate._N)
+            row = level0_row(zm, CFG30, evaluate._N)
             row_size = tracemalloc.get_traced_memory()[0]
             del row
-            peaks = {}
-            for r in (2, 4):
-                monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
-                monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                product_extrapolated("gauss", r, zm, CFG30)
-                peaks[r] = tracemalloc.get_traced_memory()[1] - base
+            monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
+            monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            product_extrapolated("gauss", 4, zm, CFG30)
+            peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-    assert (peaks[4] - peaks[2]) / row_size < 1.6, (peaks, row_size)
+    assert peak < row_size / 4, (peak, row_size)
 
 
 def test_three_routes_agree_within_stated_errors():
@@ -734,17 +775,17 @@ def test_front_door_keeps_the_gauss_value_across_the_small_domains(r, monkeypatc
             with mpmath.workdps(cfg.precision.working_dps):
                 zm = mp_arg(z)
                 built.clear()
-                monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
+                monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
                 got = log_multigamma(r, zm, cfg)
-                # the full row takes the probe's entries from the slot
+                # the full sweep streams level 0 on from the probe's last rung
                 assert sum(built) == evaluate._N, (digits, z)
                 # memoized: neither the probe nor the ladder runs again
                 ladders.clear()
                 assert log_multigamma(r, zm, cfg) is got and ladders == [], (digits, z)
-                # the full ladder again, from a cold row
+                # the full ladder again, from a cold sweep
                 key = evaluate._extrap_key("gauss", r, zm - 1, cfg, evaluate._ORDER)
                 evaluate._EXTRAP_CACHE.pop(key)
-                monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
+                monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
                 want = product_extrapolated("gauss", r, zm - 1, cfg)
             assert got.method == "gauss", (digits, z)
             assert got.value == want.value and got.err_est == want.err_est, (digits, z)
@@ -753,7 +794,7 @@ def test_front_door_keeps_the_gauss_value_across_the_small_domains(r, monkeypatc
 def test_probe_sends_eval_large_shaped_r2_calls_to_the_zeta_route(monkeypatch):
     # r = 2 at 30 <= |z| <= 40: the full ladder's err_est (2.1e-9 at z = 30)
     # misses tolerance/10.  The probe at level 2 sees it from the first
-    # octaves, so the zeta route answers and no full row or ladder is built.
+    # octaves, so the zeta route answers and no full sweep or ladder runs.
     n_top = evaluate._N
     built = []
     real_entries = evaluate._level0_entries
@@ -770,11 +811,11 @@ def test_probe_sends_eval_large_shaped_r2_calls_to_the_zeta_route(monkeypatch):
     monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
     for z in (Fraction(30), Fraction(36), Fraction(40), (Fraction(33), Fraction(5))):
         built.clear()
-        monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
+        monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
         with mpmath.workdps(CFG30.precision.working_dps):
             got = log_multigamma(2, mp_arg(z), CFG30)
         assert got.method == "zeta" and got.cross_check is None, z
-        assert sum(built) <= n_top // 8 + evaluate._SLOT_MARGIN, z
+        assert sum(built) <= n_top // 8, z
 
 
 def test_probe_lets_the_last_gauss_argument_of_r2_through(monkeypatch):
@@ -784,24 +825,25 @@ def test_probe_lets_the_last_gauss_argument_of_r2_through(monkeypatch):
     monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
     got = log_multigamma(2, 27, CFG30)
     monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
-    monkeypatch.setattr(evaluate, "_ROW0_SLOT", {})
+    monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
     want = product_extrapolated("gauss", 2, 26, CFG30)
     assert got.method == "gauss" and got.cross_check is None
     assert got.value == want.value and got.err_est == want.err_est
 
 
 def test_probe_level_one_base_is_on_the_gauss_branch(monkeypatch):
-    # The level-2 probe starts its level-1 row from mpmath.loggamma; the full
+    # The level-2 probe starts its level 1 from mpmath.loggamma; the full
     # ladder starts it from the Gauss product.  Left of the imaginary axis
     # the two must continue log along the same path.
     bases = []
-    real_next_level = evaluate._next_level
+    real_sums = evaluate._sums_at
 
-    def recording(below, base, cfg, n_max):
-        bases.append(base)
-        return real_next_level(below, base, cfg, n_max)
+    def recording(r, ns, start, points, bases_in):
+        bases.extend(bases_in)
+        return real_sums(r, ns, start, points, bases_in)
 
-    monkeypatch.setattr(evaluate, "_next_level", recording)
+    monkeypatch.setattr(evaluate, "_sums_at", recording)
+    bits = evaluate._fixed_bits(CFG30)
     for z in (Fraction(-35, 3), (Fraction(-11), Fraction(1, 4)),
               (Fraction(-11), Fraction(-1, 4)), (Fraction(-5), Fraction(20))):
         bases.clear()
@@ -809,7 +851,9 @@ def test_probe_level_one_base_is_on_the_gauss_branch(monkeypatch):
             zm = mp_arg(z) - 1
             evaluate._ladder_predicted_err(2, zm, CFG30)
             want = product_extrapolated("gauss", 1, zm, CFG30, order=evaluate._BASE_ORDER)
-            assert len(bases) == 1 and abs(bases[0] - want.value) < 1e-15, z
+            assert len(bases) == 1, z
+            got = evaluate._from_fixed(*bases[0], bits, True)
+            assert abs(got - want.value) < 1e-15, z
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
