@@ -68,11 +68,12 @@ def _check_finite(value, what: str):
     return value
 
 
-def _euler_maclaurin(s, a, cutoff: int, order_cap: int, target, want_deriv: bool):
-    """One Euler-Maclaurin evaluation at fixed cutoff.
+def _euler_maclaurin(s, a, cutoff: int, order_cap: int, target):
+    """One Euler-Maclaurin evaluation of zeta(s, a) and d/ds zeta(s, a) at fixed cutoff.
 
     Returns (value, deriv, converged) where converged means the correction
-    terms dropped below target before the asymptotic tail started growing.
+    terms of both dropped below target before the asymptotic tail started
+    growing.
     """
     base = cutoff + a
     log_base = mpmath.log(base)
@@ -82,15 +83,13 @@ def _euler_maclaurin(s, a, cutoff: int, order_cap: int, target, want_deriv: bool
     for n in range(cutoff):
         t = (n + a) ** (-s)
         total += t
-        if want_deriv:
-            dtotal -= mpmath.log(n + a) * t
+        dtotal -= mpmath.log(n + a) * t
 
     tail = base ** (1 - s) / (s - 1)
     half = base ** (-s) / 2
     total += tail + half
-    if want_deriv:
-        dtotal += base ** (1 - s) * (-log_base / (s - 1) - (s - 1) ** -2)
-        dtotal -= log_base * half
+    dtotal += base ** (1 - s) * (-log_base / (s - 1) - (s - 1) ** -2)
+    dtotal -= log_base * half
 
     nums = _bernoulli_upto(2 * order_cap)
     scale = base ** (-s + 1)
@@ -107,14 +106,12 @@ def _euler_maclaurin(s, a, cutoff: int, order_cap: int, target, want_deriv: bool
             p = p * (s + i)
         scale = scale / (base * base)  # base**(-s - 2k + 1)
         term = coeff * p * scale
+        dterm = coeff * (dp - p * log_base) * scale
         total += term
-        size = abs(term)
-        if want_deriv:
-            # at non-positive integer s the value terms vanish (poch hits 0)
-            # while the derivative terms do not; convergence must watch both
-            dterm = coeff * (dp - p * log_base) * scale
-            dtotal += dterm
-            size = max(size, abs(dterm))
+        dtotal += dterm
+        # at non-positive integer s the value terms vanish (poch hits 0)
+        # while the derivative terms do not; convergence must watch both
+        size = max(abs(term), abs(dterm))
         if size < target:
             converged = True
             break
@@ -128,7 +125,8 @@ def _euler_maclaurin(s, a, cutoff: int, order_cap: int, target, want_deriv: bool
     return total, dtotal, converged
 
 
-def _hurwitz_core(s, a, prec: Precision, want_deriv: bool):
+def _hurwitz_core(s, a, prec: Precision):
+    """(zeta(s, a), d/ds zeta(s, a)) from one Euler-Maclaurin pass."""
     with mpmath.workdps(prec.working_dps):
         s = _to_mpf(s)
         a = mpmath.mpmathify(a)
@@ -141,9 +139,11 @@ def _hurwitz_core(s, a, prec: Precision, want_deriv: bool):
         # First omitted term decays like ((|s|+2k)/(2*pi*(M+a)))^(2k):
         # M+a modestly above dps*ln(10)/(2*pi) makes the series reach the target;
         # |M+a| >= M + Re a, so Re a alone sets the cutoff for complex a too.
-        m = max(1, math.ceil(0.40 * prec.working_dps + 0.5 * abs(s) + 2 - mpmath.re(a)))
+        # Compared in mpmath: Re a may lie past the float range.
+        m = 0.40 * prec.working_dps + 0.5 * abs(s) + 2 - mpmath.re(a)
+        m = math.ceil(m) if m > 1 else 1
         for _ in range(12):
-            value, deriv, converged = _euler_maclaurin(s, a, m, order_cap, target, want_deriv)
+            value, deriv, converged = _euler_maclaurin(s, a, m, order_cap, target)
             if converged:
                 break
             m *= 2
@@ -151,8 +151,7 @@ def _hurwitz_core(s, a, prec: Precision, want_deriv: bool):
             raise ArithmeticError("Euler-Maclaurin failed to converge")
 
         _check_finite(value, "hurwitz_zeta")
-        if want_deriv:
-            _check_finite(deriv, "hurwitz_zeta_sderiv")
+        _check_finite(deriv, "hurwitz_zeta_sderiv")
         return +value, +deriv
 
 
@@ -162,7 +161,7 @@ def hurwitz_zeta(s, a, prec: Precision = Precision()):
     a is real or complex with Re a > 0 (principal powers).  Absolute error
     target 10^-digits; cutoff and correction order are chosen adaptively.
     """
-    value, _ = _hurwitz_core(s, a, prec, want_deriv=False)
+    value, _ = _hurwitz_core(s, a, prec)
     return value
 
 
@@ -172,7 +171,7 @@ def hurwitz_zeta_sderiv(s, a, prec: Precision = Precision()):
     Never finite differencing — this stays accurate at s = 0, -1, -2, ...
     where the zeta'(-j) constants live.
     """
-    _, deriv = _hurwitz_core(s, a, prec, want_deriv=True)
+    _, deriv = _hurwitz_core(s, a, prec)
     return deriv
 
 

@@ -51,21 +51,21 @@ log x (_integer_log_table and _level0_entries give the details).
 
 The real and imaginary parts of the levels above and of the partial sums
 are exact integer sums of level-0 entries, so no level above 0 is kept
-whole.  The integer lattice keeps level 0 alone, one row for each of the
-four most recently used precisions; a sweep reads log G_k(N+1) at the
-ladder rungs N only, from a small memo that streamed running sums over
-level 0 fill, and the Euler route streams the levels it telescopes.  The
-shifted lattice keeps no row at all: level 0 is streamed once, in blocks,
-through K = max(r, 3) nested running sums, which are kept at m = s+1 and
-m = s+N+1 for the rungs N only, s = floor(Re z).  Level k starts from its
-extrapolated base log G_k(z+1), so its partial sums are the bases times
-binomials in N plus differences of those running sums: the same exact
-integers a row of level k would add up to (_sums_at).  An entry
-depends on m and d alone, so the rung points are memoized per exact d
-(_SHIFTED_RUNGS, ten keys): a later z + k with |k| <= 16, as the recurrence
-and the multiplication formula take, walks each point k steps and builds
-only those entries.  A single partial (gauss_partial, euler_partial)
-streams its own level 0 instead, so it stays an independent check of the
+whole.  One reader serves both lattices (_shifted_rungs), the integer one
+as the lattice at z = 0: level 0 is streamed once, in blocks, through
+K = max(r, 3) nested running sums, which are kept at m = s+1 and m = s+N+1
+for the rungs N only, s = floor(Re z).  Only the integer level 0 is kept
+whole, one row for each of the four most recently used precisions, and the
+Euler route streams the integer levels it telescopes from it.  Level k of
+the shifted lattice starts from its extrapolated base log G_k(z+1), so its
+partial sums are the bases times binomials in N plus differences of those
+running sums: the same exact integers a row of level k would add up to
+(_sums_at).  An entry depends on m and d alone, so the rung points are
+memoized per exact d (_SHIFTED_RUNGS, ten keys; the integer lattice apart,
+in _INT_RUNGS): a later z + k with |k| <= 16, as the recurrence and the
+multiplication formula take, walks each point k steps and builds only
+those entries.  A single partial (gauss_partial, euler_partial) sums both
+lattices into a private memo, so it stays an independent check of the
 ladder.  Values return to mpf/mpc only at ladder checkpoints.  cache_info()
 reports what the module-level caches hold.
 """
@@ -345,12 +345,9 @@ _FIRST_SERIES_OCTAVE = 4
 # temporary rows stay short.
 _SERIES_BLOCK = 2**10
 
-# _INT_TABLES[dps][n] = log n scaled by 2^bits, n >= 1 (index 0 unused);
-# grown on demand.  _INT_RUNGS[dps][n] = (log G_k(n) for k = 0..K), the
-# levels above 0 kept at the ladder rungs only.  Both keep the same _INT_KEYS
-# most recently used working precisions dps, which fix bits.
+# _INT_TABLES[dps][n] = log n scaled by 2^bits (index 0 unused), grown on
+# demand, for the _INT_KEYS most recently used working precisions dps.
 _INT_TABLES: dict[int, list] = {}
-_INT_RUNGS: dict[int, dict[int, tuple]] = {}
 _INT_KEYS = 4
 
 
@@ -358,17 +355,6 @@ def _evict(cache: dict, keys: int) -> None:
     """Drop cache's least recently inserted keys until at most keys are left."""
     while len(cache) > keys:
         del cache[next(iter(cache))]
-
-
-def _integer_caches(cfg: EvalConfig) -> tuple[list, dict]:
-    """cfg's level-0 row and rung memo, made the most recently used of _INT_KEYS keys."""
-    key = cfg.precision.working_dps
-    row0 = _INT_TABLES.pop(key, [None])
-    memo = _INT_RUNGS.pop(key, {})
-    _INT_TABLES[key], _INT_RUNGS[key] = row0, memo
-    for cache in (_INT_TABLES, _INT_RUNGS):
-        _evict(cache, _INT_KEYS)
-    return row0, memo
 
 
 def _smallest_prime_factors(lo: int, hi: int) -> list[int]:
@@ -393,12 +379,14 @@ def _integer_log_table(cfg: EvalConfig, n_max: int) -> list:
     than Omega(n) (1 + 2^-10 log n) 2^-bits, Omega(n) <= log2(n) the number
     of prime factors with multiplicity, and it depends on n alone, not on
     how the table was grown.  The levels above are never kept whole: they
-    are exact running sums of this row (_integer_levels), read at the
-    ladder rungs (_integer_rungs).
+    are exact running sums of this row, read at the ladder rungs as the
+    z = 0 lattice of _shifted_rungs, and streamed by _integer_levels.
     """
-    bits = _fixed_bits(cfg)
-    row0, _ = _integer_caches(cfg)
+    key = cfg.precision.working_dps
+    row0 = _INT_TABLES[key] = _INT_TABLES.pop(key, [None])
+    _evict(_INT_TABLES, _INT_KEYS)
     if len(row0) <= n_max:
+        bits = _fixed_bits(cfg)
         lo = len(row0)
         spf = _smallest_prime_factors(lo, n_max)
         with mpmath.workprec(bits + _SERIES_GUARD):
@@ -413,36 +401,13 @@ def _integer_levels(row0: list, k: int):
     """log G_k(n), n = 1, 2, ..., streamed from level 0 without keeping a row.
 
     G_k(1) = 1 and G_k(n+1) = G_{k-1}(n) G_k(n), so level k is k nested
-    exact running sums of level 0.
+    exact running sums of level 0.  The Euler route streams its telescoping
+    ratios through it.
     """
     level = islice(row0, 1, None)
     for _ in range(k):
         level = accumulate(level, initial=0)
     return level
-
-
-def _integer_rungs(cfg: EvalConfig, levels: int, ms: Sequence[int]) -> list[tuple]:
-    """(log G_k(m) for k < levels, and possibly more) at each m in ms, fixed-point ints.
-
-    Memoized in _INT_RUNGS; a miss streams each level k through _integer_levels
-    up to the largest m that lacks it, keeping only its values at those m.
-    They are exact integer sums of level 0, so they are the values a full
-    table of the levels would hold.
-    """
-    _, memo = _integer_caches(cfg)
-    todo = sorted(m for m in set(ms) if len(memo.get(m, ())) < levels)
-    if todo:
-        row0 = _integer_log_table(cfg, todo[-1])
-        columns = []
-        for k in range(levels):
-            level, at = _integer_levels(row0, k), 1
-            column = []
-            for m in todo:
-                column.append(next(islice(level, m - at, None)))
-                at = m + 1
-            columns.append(column)
-        memo.update(zip(todo, zip(*columns)))
-    return [memo[m] for m in ms]
 
 
 def _odd_series(t: list, sign: int, prec: int, shift: int, top: int) -> list:
@@ -514,8 +479,11 @@ def _log1p_block(ms: range, dr: int, di: int, prec: int, bits: int) -> tuple[lis
 # the shifted level 0 with fractional part d at m = s+1 and at m = s+R+1 for
 # a prefix of the ladder rungs R, centred on the latest s.  At most
 # _SHIFTED_KEYS keys, the least recently used evicted first; a later shift
-# within _WALK of s walks every point there.
+# within _WALK of s walks every point there.  _INT_RUNGS holds the integer
+# lattice, z = 0, in the same form, one key per precision, always at shift
+# 0: kept apart, so that an integer z, whose key is the same, cannot walk it.
 _SHIFTED_RUNGS: dict[tuple, tuple[int, dict[int, tuple]]] = {}
+_INT_RUNGS: dict[tuple, tuple[int, dict[int, tuple]]] = {}
 _SHIFTED_KEYS = 10
 _WALK = 16
 
@@ -581,7 +549,6 @@ def _shifted_grid(zm, cfg: EvalConfig) -> tuple[tuple, int, int, int, int]:
     the first power of two >= 2^_FIRST_SERIES_OCTAVE and >= 2|d|; an integer
     z reads the integer table from m = 1.
     """
-    prec = _fixed_bits(cfg) + _SERIES_GUARD
     shift = int(mpmath.floor(mpmath.re(zm)))
     re_z, im_z = zm._mpc_ if isinstance(zm, mpmath.mpc) else (zm._mpf_, fzero)
     # exact; z - shift at the working precision can round when -1 < Re z < 0
@@ -589,6 +556,7 @@ def _shifted_grid(zm, cfg: EvalConfig) -> tuple[tuple, int, int, int, int]:
     key = (cfg.precision.working_dps, d_key)
     if d_key == (fzero, fzero):  # z+n = m: the integer table's own entries
         return key, shift, 0, 0, 1
+    prec = _fixed_bits(cfg) + _SERIES_GUARD
     dr, di = _to_fixed(zm, prec)
     dr -= shift << prec
     d_log2 = math.log2(math.isqrt(dr * dr + di * di) + 2) - prec  # >= log2 |d|
@@ -646,22 +614,24 @@ def _walked_back(levels: Sequence[int], row: list) -> tuple:
     return tuple(levels)
 
 
-def _shifted_rungs(zm, cfg: EvalConfig, depth: int, ns: Sequence[int]) -> tuple[tuple, list[tuple]]:
+def _shifted_rungs(zm, cfg: EvalConfig, depth: int, ns: Sequence[int],
+                   memo: dict) -> tuple[tuple, list[tuple]]:
     """The running sums of z's shifted level 0 at m = s+1 and at each m = s+n+1, n in ns.
 
-    s = floor(Re z), and ns is a prefix of the ladder _LADDER.  A point is
-    a pair (re, im) of tuples (W_1..W_K), K >= max(depth, 3), W_0 = log(z+n)
-    at m = n + s (_level0_entries) and W_k the exact running sums above it:
-    W_k(m+1) = W_k(m) + W_{k-1}(m).  Memoized in _SHIFTED_RUNGS; a miss
-    streams level 0 on from the last rung held (_streamed).  A key held at
-    another shift s' with |s - s'| <= _WALK is first walked there point by
-    point from the few entries between; one held too far away or too
+    s = floor(Re z), and ns ascends: a prefix of the ladder _LADDER, or a
+    single partial's N.  A point is a pair (re, im) of tuples (W_1..W_K),
+    K >= max(depth, 3), W_0 = log(z+n) at m = n + s (_level0_entries) and
+    W_k the exact running sums above it: W_k(m+1) = W_k(m) + W_{k-1}(m).
+    Memoized in memo (_SHIFTED_RUNGS, _INT_RUNGS, or a caller's own {}); a
+    miss streams level 0 on from the last rung held (_streamed).  A key held
+    at another shift s' with |s - s'| <= _WALK is first walked there point
+    by point from the few entries between; one held too far away or too
     shallow is swept again from m = s+1, where every W_k is 0.
     """
     key, shift, dr, di, cut = _shifted_grid(zm, cfg)
     depth = max(depth, 3)
     build = partial(_level0_entries, zm, cfg, shift, dr, di, cut)
-    held_shift, points = _SHIFTED_RUNGS.pop(key, (shift, {}))
+    held_shift, points = memo.pop(key, (shift, {}))
     step = shift - held_shift
     if not points or len(points[held_shift + 1][0]) < depth or abs(step) > _WALK:
         points = {shift + 1: ((0,) * depth, (0,) * depth)}
@@ -671,8 +641,8 @@ def _shifted_rungs(zm, cfg: EvalConfig, depth: int, ns: Sequence[int]) -> tuple[
     elif step < 0:
         points = {m + step: tuple(map(_walked_back, point, build(range(m + step, m))))
                   for m, point in points.items()}
-    _SHIFTED_RUNGS[key] = (shift, points)
-    _evict(_SHIFTED_RUNGS, _SHIFTED_KEYS)
+    memo[key] = (shift, points)
+    _evict(memo, _SHIFTED_KEYS)
     wanted = [shift + n + 1 for n in ns]
     last = max(points)
     ahead = [m for m in wanted if m > last]
@@ -719,8 +689,8 @@ def _sums_at(r: int, ns: Sequence[int], start: tuple, points: Sequence[tuple],
 # ---------------------------------------------------------------------------
 
 
-def _partial_checkpoints(method: str, r: int, zm, cfg: EvalConfig,
-                         ns: Sequence[int], sums: Sequence[tuple[int, int]]) -> list[LogValue]:
+def _partial_checkpoints(method: str, r: int, zm, cfg: EvalConfig, ns: Sequence[int],
+                         sums: Sequence[tuple[int, int]], memo: dict) -> list[LogValue]:
     """Partial-product log values at each checkpoint N in ns, one shared sweep.
 
     gauss: sum_{n<=N} [log G_{r-1}(n) - log G_{r-1}(z+n)]
@@ -730,24 +700,29 @@ def _partial_checkpoints(method: str, r: int, zm, cfg: EvalConfig,
            each rounded onto the fixed-point grid.
 
     sums are the shifted sums sum_{n<=N} log G_{r-1}(z+n) at each N in ns
-    (_sums_at).  The integer sum up to N is log G_r(N+1), read with the
-    corrections' log G_k(N+1) from the rung memo (_integer_rungs); euler
-    streams each ratio G_k(n+1)/G_k(n), G_{k-1}(n) or (n+1)/n at k = 0, from
-    level 0.  The sums run exactly over fixed-point ints; values become
-    mpf/mpc only at checkpoints, where gauss also adds its corrections at
-    the working precision.  A real z < -1 has z+1 < 0, and then log G_{r-1}(z+1)
-    carries a multiple of i pi, so the values are complex.
+    (_sums_at).  The integer sum up to N is log G_r(N+1).  It and the
+    corrections' log G_k(N+1), k >= 1, are the running sums W_k(N+1) of the
+    z = 0 lattice of _shifted_rungs, read from memo (_INT_RUNGS, or a single
+    partial's own): they start from 0 at m = 1.  log(N+1) is the table's
+    entry.  euler streams each ratio G_k(n+1)/G_k(n), G_{k-1}(n) or (n+1)/n
+    at k = 0, from level 0 (_integer_levels).  The sums run exactly over
+    fixed-point ints; values become mpf/mpc only at checkpoints, where gauss
+    also adds its corrections at the working precision.  A real z < -1 has
+    z+1 < 0, and then log G_{r-1}(z+1) carries a multiple of i pi, so the
+    values are complex.
     """
     n_top = ns[-1]
     bits = _fixed_bits(cfg)
     with mpmath.workdps(cfg.precision.working_dps):
         exponents = [binom_poly(r - k).evaluate(zm) for k in range(r)]
         cplx = isinstance(zm, mpmath.mpc) or zm < -1
-        rungs = _integer_rungs(cfg, r + 1, [n + 1 for n in ns])
+        row0 = _integer_log_table(cfg, n_top + 1)
+        _, points = _shifted_rungs(mpmath.mp.zero, cfg, r, ns, memo)
+        # log G_k(N+1) for k = 0..r at each rung N
+        rungs = [(row0[n + 1], *re[:r]) for n, (re, _) in zip(ns, points)]
         # per part (re, im): what the integer lattice adds to the sum at each rung
         added = [[rung[r] for rung in rungs], [0] * len(ns)]
         if method == "euler":
-            row0 = _integer_log_table(cfg, n_top + 1)
             for k, exponent in enumerate(exponents):
                 for part, e in enumerate(_to_fixed(exponent, bits)):
                     if e:
@@ -776,39 +751,32 @@ def _segment_sums(values, ns: Sequence[int]) -> list[int]:
     return out
 
 
-def _validated_r_n(r: int, n: int) -> None:
+def _single_partial(method: str, r: int, z: ComplexLike, n: int, cfg: EvalConfig) -> LogValue:
+    """One partial at any N, its two lattices summed into a private {}, not a rung memo.
+
+    So it stays an independent check of the ladder's checkpoints, which it
+    must equal bit for bit at a rung.
+    """
     if r < 1:
         raise ValueError("r must be >= 1")
     if n < 1:
         raise ValueError("truncation N must be >= 1")
-
-
-def _single_partial(method: str, r: int, z: ComplexLike, n: int, cfg: EvalConfig) -> LogValue:
-    """One partial at any N: it streams its own level 0 and leaves the rung memo alone.
-
-    So a single partial stays an independent check of the ladder's
-    checkpoints, which it must equal bit for bit at a rung.
-    """
-    _validated_r_n(r, n)
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
         _check_not_singular(r, zm + 1)
         bases = _level_bases(r, zm, cfg)
-        _, shift, dr, di, cut = _shifted_grid(zm, cfg)
-        start = ((0,) * r, (0,) * r)
-        point = _streamed(partial(_level0_entries, zm, cfg, shift, dr, di, cut),
-                          start, shift + 1, [shift + n + 1])
-        sums = _sums_at(r, [n], start, point, bases)
-        return _partial_checkpoints(method, r, zm, cfg, [n], sums)[0]
+        start, points = _shifted_rungs(zm, cfg, r, [n], {})
+        sums = _sums_at(r, [n], start, points, bases)
+        return _partial_checkpoints(method, r, zm, cfg, [n], sums, {})[0]
 
 
 def gauss_partial(r: int, z: ComplexLike, n: int, cfg: EvalConfig = EvalConfig()) -> LogValue:
     """log of the N-th Gauss bracket for log G_r(z+1).
 
     prod_{m<=N} G_{r-1}(m)/G_{r-1}(z+m) * prod_{k<r} G_k(N+1)^binom(z, r-k),
-    computed additively in O(N r): the integer levels are running sums of
-    log n read at N+1, and the shifted level 0 is streamed through r
-    running sums, not read from the rung memo.
+    computed additively in O(N r): both lattices stream level 0 through
+    max(r, 3) running sums read at N+1, into a private memo, not the rung
+    memos (_single_partial).
     """
     return _single_partial("gauss", r, z, n, cfg)
 
@@ -864,22 +832,23 @@ def _extrap_key(method: str, r: int, zm, cfg: EvalConfig, order: int) -> tuple:
 def cache_info() -> dict[str, dict[str, int]]:
     """What each module-level cache holds now.
 
-    For _INT_TABLES, _INT_RUNGS, _EXTRAP_CACHE and constants._ZETA_PRIME_CACHE:
-    a row is one level-0 row of _INT_TABLES (one per precision key), one
-    rung of _INT_RUNGS (log G_k(m) for k = 0..K at one m), one memoized
-    LogValue of _EXTRAP_CACHE, or one zeta'(-j); entries count the
-    fixed-point ints or the values in them.  For _SHIFTED_RUNGS: its keys,
-    the points (tuples of running sums) they hold, and the ints in those.
+    For _INT_TABLES, _EXTRAP_CACHE and constants._ZETA_PRIME_CACHE: a row is
+    one level-0 row of _INT_TABLES (one per precision key), one memoized
+    LogValue, or one zeta'(-j); entries count the fixed-point ints or the
+    values in them.  For the rung memos _INT_RUNGS and _SHIFTED_RUNGS: their
+    keys, the points (tuples of running sums) they hold, and the ints in those.
     """
-    rungs = [levels for memo in _INT_RUNGS.values() for levels in memo.values()]
-    points = [point for _, held in _SHIFTED_RUNGS.values() for point in held.values()]
+    def rung_memo(memo: dict) -> dict[str, int]:
+        points = [point for _, held in memo.values() for point in held.values()]
+        return {"keys": len(memo), "tuples": len(points),
+                "ints": sum(len(re) + len(im) for re, im in points)}
+
     return {
         "_INT_TABLES": {"rows": len(_INT_TABLES),
                         "entries": sum(len(row) - 1 for row in _INT_TABLES.values())},
-        "_INT_RUNGS": {"rows": len(rungs), "entries": sum(map(len, rungs))},
+        "_INT_RUNGS": rung_memo(_INT_RUNGS),
         "_EXTRAP_CACHE": {"rows": len(_EXTRAP_CACHE), "entries": len(_EXTRAP_CACHE)},
-        "_SHIFTED_RUNGS": {"keys": len(_SHIFTED_RUNGS), "tuples": len(points),
-                           "ints": sum(len(re) + len(im) for re, im in points)},
+        "_SHIFTED_RUNGS": rung_memo(_SHIFTED_RUNGS),
         "constants._ZETA_PRIME_CACHE": {"rows": len(constants._ZETA_PRIME_CACHE),
                                         "entries": len(constants._ZETA_PRIME_CACHE)},
     }
@@ -912,9 +881,10 @@ def product_extrapolated(method: str, r: int, z: ComplexLike, cfg: EvalConfig = 
             return hit
         # the rungs at depth r first: the bases' lower-level ladders then read
         # them instead of sweeping a shallower lattice
-        start, points = _shifted_rungs(zm, cfg, r, _LADDER)
+        start, points = _shifted_rungs(zm, cfg, r, _LADDER, _SHIFTED_RUNGS)
         sums = _sums_at(r, _LADDER, start, points, _level_bases(r, zm, cfg))
-        result = extrapolate(_partial_checkpoints(method, r, zm, cfg, _LADDER, sums), order)
+        checkpoints = _partial_checkpoints(method, r, zm, cfg, _LADDER, sums, _INT_RUNGS)
+        result = extrapolate(checkpoints, order)
     _EXTRAP_CACHE[key] = result
     _evict(_EXTRAP_CACHE, _EXTRAP_KEYS)
     return result
@@ -941,10 +911,11 @@ def _ladder_predicted_err(r: int, zm, cfg: EvalConfig):
     q = _ORDER
     probe = _LADDER[:q + 2]
     level = min(r, 2)
-    start, points = _shifted_rungs(zm, cfg, r, probe)
+    start, points = _shifted_rungs(zm, cfg, r, probe, _SHIFTED_RUNGS)
     bases = [_to_fixed(mpmath.loggamma(zm + 1), _fixed_bits(cfg))] if level == 2 else []
     sums = _sums_at(level, probe, start, points, bases)
-    est = extrapolate(_partial_checkpoints("gauss", level, zm, cfg, probe, sums), q).err_est
+    checkpoints = _partial_checkpoints("gauss", level, zm, cfg, probe, sums, _INT_RUNGS)
+    est = extrapolate(checkpoints, q).err_est
     return est * (mpmath.mpf(probe[-1]) / _N) ** (q + 1)
 
 

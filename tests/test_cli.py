@@ -184,6 +184,18 @@ def test_eval_far_out_matches_the_integer_lattice():
         assert obj["log"]["im"] == "0.0"
 
 
+def test_eval_past_the_float_range_is_not_a_verification_failure():
+    # Re z = 10^400: the Hurwitz cutoff once went through a float and
+    # overflowed, which eval reported as a verification failure (exit 3).
+    code, out, err = run(["eval", "--r", "1", "--z", "1e400+1i", "--format", "json"])
+    assert code == 0, err
+    obj = json.loads(out)
+    with mpmath.workdps(40):
+        z = mpmath.mpc(mpmath.mpf(10) ** 400, 1)
+        assert obj["log"]["method"] == "zeta"
+        assert abs(mpmath.mpf(obj["log"]["re"]) / mpmath.re(mpmath.loggamma(z)) - 1) < 1e-15
+
+
 def test_eval_sqrt_pi():
     code, out, _ = run(["eval", "--r", "1", "--z", "0.5", "--format", "json"] + FAST)
     obj = json.loads(out)

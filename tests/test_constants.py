@@ -171,6 +171,17 @@ def test_complex_a_matches_mpmath(digits):
                 assert abs(hurwitz_zeta_sderiv(-j, a, prec) - want) <= bound * abs(want), (a, j)
 
 
+def test_sderiv_at_zero_is_loggamma_past_the_float_range():
+    # Re a beyond the largest float: the cutoff is computed in mpmath, and
+    # zeta'(0, a) = log Gamma(a) - log(2 pi)/2 holds there as anywhere.
+    with mpmath.workdps(60):
+        for a in (mpmath.mpf(10) ** 400, mpmath.mpc(mpmath.mpf(10) ** 400, 1),
+                  mpmath.mpf(2) ** 1100):
+            want = mpmath.loggamma(a) - mpmath.log(2 * mpmath.pi) / 2
+            got = hurwitz_zeta_sderiv(0, a, P30)
+            assert abs(got - want) <= mpmath.mpf(10) ** -30 * abs(want), a
+
+
 # ---------------------------------------------------------------------------
 # Precision behaviour and errors
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import islice
 
 import mpmath
 import pytest
@@ -289,7 +289,8 @@ def test_far_argument_takes_o_n_logs_and_a_short_integer_table(monkeypatch):
         return real_log(*args, **kwargs)
 
     def counting_entries(zm, cfg, shift, dr, di, cut, ms):
-        built.append(len(ms))
+        if zm != 0:  # not the integer lattice
+            built.append(len(ms))
         return real_entries(zm, cfg, shift, dr, di, cut, ms)
 
     monkeypatch.setattr(mpmath, "log", counting)
@@ -418,7 +419,7 @@ def test_level0_row_does_not_depend_on_its_length():
 
 def shifted_sums_r123(zm, cfg, ns, bases):
     """The rung memo's shifted sums at r = 1, 2, 3 with the given level bases."""
-    start, points = evaluate._shifted_rungs(zm, cfg, 3, ns)
+    start, points = evaluate._shifted_rungs(zm, cfg, 3, ns, evaluate._SHIFTED_RUNGS)
     return [evaluate._sums_at(r, ns, start, points, bases[:r - 1]) for r in (1, 2, 3)]
 
 
@@ -467,7 +468,8 @@ def test_rungs_walked_in_the_memo_equal_a_cold_sweep(digits, monkeypatch):
                 monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", held)
                 assert warm == cold, (digits, z)
                 for other in OTHER_DS:
-                    evaluate._shifted_rungs(mp_arg(other), cfg, 3, evaluate._LADDER[:1])
+                    evaluate._shifted_rungs(mp_arg(other), cfg, 3, evaluate._LADDER[:1],
+                                            evaluate._SHIFTED_RUNGS)
 
 
 def test_rung_memo_keeps_the_latest_fractional_parts_only(monkeypatch):
@@ -476,7 +478,7 @@ def test_rung_memo_keeps_the_latest_fractional_parts_only(monkeypatch):
     with mpmath.workdps(CFG30.precision.working_dps):
         zs = [mp_arg(Fraction(k, 23) + 5) for k in range(1, 21)]
         for zm in zs:
-            evaluate._shifted_rungs(zm, CFG30, 3, evaluate._LADDER[:2])
+            evaluate._shifted_rungs(zm, CFG30, 3, evaluate._LADDER[:2], evaluate._SHIFTED_RUNGS)
         assert [key for key in evaluate._SHIFTED_RUNGS] == [
             evaluate._shifted_grid(zm, CFG30)[0] for zm in zs[-keys:]]
     # each key holds s+1 and the first two rungs: three levels in two parts
@@ -485,9 +487,8 @@ def test_rung_memo_keeps_the_latest_fractional_parts_only(monkeypatch):
 
 
 def test_integer_table_grown_in_pieces_equals_one_build(monkeypatch):
-    # The integer lattice keeps level 0 alone; the levels above are read at
-    # the ladder rungs from a memo, filled by streamed running sums.  Both
-    # must be what one full build gives, however they were grown.
+    # The integer lattice keeps level 0 alone, and it must be what one full
+    # build gives, however it was grown.
     top = 2**14 + 13
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
     row0 = list(evaluate._integer_log_table(CFG30, top))
@@ -498,23 +499,37 @@ def test_integer_table_grown_in_pieces_equals_one_build(monkeypatch):
     with mpmath.workdps(CFG30.precision.working_dps + 20):
         for n in LEVEL0_NS + [top]:
             assert_within_16_ulps(row0[n], 0, mpmath.log(n), CFG30)
-    # levels 0..5 in full, transiently: G_k(1) = 1, G_k(n+1) = G_{k-1}(n) G_k(n)
-    levels = [row0]
-    for _ in range(5):
-        levels.append([None, *accumulate(levels[-1][1:top], initial=0)])
-    # the probe's rungs first, then the whole ladder and the top, level by level
-    rungs = [n + 1 for n in evaluate._LADDER]
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_integer_rungs_equal_the_levels_streamed_from_level_0(digits, monkeypatch):
+    # The levels above level 0 are read at the ladder rungs as the z = 0
+    # lattice of _shifted_rungs, memoized in _INT_RUNGS: its running sums at
+    # m = N+1 must be log G_k(N+1), the exact sums _integer_levels streams,
+    # whichever depth and rungs the memo was filled with first.
+    cfg = EvalConfig(precision=Precision(digits=digits))
+    ns = evaluate._LADDER
+    row0 = evaluate._integer_log_table(cfg, ns[-1] + 1)
+    levels = [list(islice(evaluate._integer_levels(row0, k), ns[-1] + 1)) for k in range(5)]
     monkeypatch.setattr(evaluate, "_INT_RUNGS", {})
-    for r in range(1, 6):
-        for ms in (rungs[:6], rungs + [top]):
-            got = evaluate._integer_rungs(CFG30, r + 1, ms)
-            assert [g[:r + 1] for g in got] == [
-                tuple(levels[k][m] for k in range(r + 1)) for m in ms], r
+    with mpmath.workdps(cfg.precision.working_dps):
+        for r in (1, 2, 3, 4):
+            # the probe's rungs first, then the whole ladder
+            for rungs in (ns[:6], ns):
+                start, points = evaluate._shifted_rungs(mpmath.mpf(0), cfg, r, rungs,
+                                                        evaluate._INT_RUNGS)
+                assert start == ((0,) * len(start[0]),) * 2
+                for k in range(1, r + 1):
+                    want = [levels[k][n] for n in rungs]
+                    assert [re[k - 1] for re, _ in points] == want, (r, k)
+                    assert evaluate._sums_at(k, rungs, start, points, ()) == [
+                        (w, 0) for w in want], (r, k)
 
 
 def test_integer_caches_hold_one_row_per_precision_for_four_precisions(monkeypatch):
-    # After r = 4 sweeps, each precision key holds level 0 as its one row
-    # and the levels above only at the 9 ladder rungs.
+    # After r = 4 sweeps, each precision holds level 0 as its one row, and
+    # the integer rung memo one key at shift 0: the points at m = 1 and at
+    # the 9 rungs N+1, four running sums in two parts each.
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
     monkeypatch.setattr(evaluate, "_INT_RUNGS", {})
     monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
@@ -526,18 +541,34 @@ def test_integer_caches_hold_one_row_per_precision_for_four_precisions(monkeypat
         assert row0[0] is None and all(type(x) is int for x in row0[1:])
     assert info["_INT_TABLES"]["entries"] == sum(len(row0) - 1
                                                  for row0 in evaluate._INT_TABLES.values())
-    assert info["_INT_RUNGS"] == {"rows": 2 * len(evaluate._LADDER),
-                                  "entries": 2 * len(evaluate._LADDER) * 5}
+    points = 1 + len(evaluate._LADDER)
+    assert info["_INT_RUNGS"] == {"keys": 2, "tuples": 2 * points, "ints": 2 * points * 8}
+    assert all(shift == 0 for shift, _ in evaluate._INT_RUNGS.values())
     assert set(info) == {"_INT_TABLES", "_INT_RUNGS", "_EXTRAP_CACHE", "_SHIFTED_RUNGS",
                          "constants._ZETA_PRIME_CACHE"}
-    # a fifth precision evicts the least recently used key from both
+    # a fifth precision evicts the least recently used row; the rung memo
+    # keeps up to _SHIFTED_KEYS precisions, most recently used last
     cfgs = {d: EvalConfig(precision=Precision(digits=d)) for d in (10, 11, 12, 13, 14)}
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
     monkeypatch.setattr(evaluate, "_INT_RUNGS", {})
     for digits in (10, 11, 12, 13, 10, 14):
-        evaluate._integer_rungs(cfgs[digits], 3, [9, 65])
-    want = [cfgs[d].precision.working_dps for d in (12, 13, 10, 14)]
-    assert list(evaluate._INT_TABLES) == want and list(evaluate._INT_RUNGS) == want
+        # as _partial_checkpoints reads them, up to N = 64
+        evaluate._integer_log_table(cfgs[digits], 65)
+        evaluate._shifted_rungs(mpmath.mpf(0), cfgs[digits], 3, [8, 64], evaluate._INT_RUNGS)
+    dps = {d: cfgs[d].precision.working_dps for d in cfgs}
+    assert list(evaluate._INT_TABLES) == [dps[d] for d in (12, 13, 10, 14)]
+    assert [key[0] for key in evaluate._INT_RUNGS] == [dps[d] for d in (11, 12, 13, 10, 14)]
+
+
+def test_single_partials_leave_the_rung_memos_as_they_were():
+    # A single partial sums both lattices into a private memo, so 200
+    # distinct N add no point to either rung memo.
+    before = evaluate.cache_info()
+    for n in range(1000, 1200):
+        (gauss_partial if n % 2 else euler_partial)(1, Fraction(7, 2), n, CFG30)
+    after = evaluate.cache_info()
+    for memo in ("_INT_RUNGS", "_SHIFTED_RUNGS"):
+        assert after[memo] == before[memo], memo
 
 
 def test_extrapolation_memo_evicts_the_least_recently_used(monkeypatch):
@@ -760,7 +791,8 @@ def test_front_door_keeps_the_gauss_value_across_the_small_domains(r, monkeypatc
     real_entries, real_extrapolate = evaluate._level0_entries, evaluate.extrapolate
 
     def counting_entries(zm, cfg, shift, dr, di, cut, ms):
-        built.append(len(ms))
+        if zm != 0:  # not the integer lattice
+            built.append(len(ms))
         return real_entries(zm, cfg, shift, dr, di, cut, ms)
 
     def counting_ladders(seq, order):
@@ -800,7 +832,8 @@ def test_probe_sends_eval_large_shaped_r2_calls_to_the_zeta_route(monkeypatch):
     real_entries = evaluate._level0_entries
 
     def counting_entries(zm, cfg, shift, dr, di, cut, ms):
-        built.append(len(ms))
+        if zm != 0:  # not the integer lattice
+            built.append(len(ms))
         return real_entries(zm, cfg, shift, dr, di, cut, ms)
 
     def no_ladder(*args, **kwargs):
