@@ -1,9 +1,12 @@
 """Command-line front end: evaluation, tables, verification, calibration.
 
 Subcommands: eval, table, verify, calibrate, constants.  All numeric output
-carries the method tag and the error estimate — never a bare number.  Machine
-formats (json, csv) are byte-deterministic: fixed key order, fixed digit
-counts derived from --precision.
+carries the method tag and the error estimate — never a bare number.  This
+module is the package's only output layer: the library returns plain records
+(LogValue, IdentityReport, ConventionSet), and every JSON, csv and text form
+of them, the conventions file included, is built here and printed by emit.
+Machine formats (json, csv) are byte-deterministic: fixed key order, fixed
+digit counts derived from --precision.
 
 Exit codes: 0 ok, 1 usage error (a bad flag or value, or a conventions file
 given to verify that does not hold the derived signs), 2 singular input,
@@ -25,6 +28,7 @@ from .constants import Precision, zeta_prime_neg
 from .evaluate import (
     CalibrationError,
     EvalConfig,
+    LogValue,
     SingularInputError,
     calibrate_conventions,
     log_multigamma,
@@ -34,7 +38,7 @@ from .evaluate import (
 # Not called here; bench/tracing.py wraps these names on this module and
 # fails on a missing one.
 from .evaluate import euler_partial, extrapolate, gauss_partial  # noqa: F401
-from .exact_poly import DERIVED, check_identities
+from .exact_poly import DERIVED, ConventionSet, IdentityReport, check_identities
 
 DEFAULT_CONVENTIONS_PATH = "./multigamma-conventions.json"
 
@@ -118,10 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="multigamma", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tolerance=True):
         p.add_argument("--precision", type=int, default=30,
                        help="decimal digits (default 30)")
-        p.add_argument("--tolerance", type=float, default=1e-8)
+        if tolerance:
+            p.add_argument("--tolerance", type=float, default=1e-8)
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     p_eval = sub.add_parser("eval", help="evaluate log G_r(z) and G_r(z)")
@@ -152,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_const = sub.add_parser("constants", help="print zeta'(-j) constants")
     p_const.add_argument("--j", default="0,1,2", help="comma list of j >= 0")
-    common(p_const)
+    common(p_const, tolerance=False)
 
     return parser
 
@@ -166,14 +171,11 @@ def make_config(args) -> EvalConfig:
     if args.precision < 10:
         raise UsageError("--precision must be at least 10")
     try:
+        # constants takes no --tolerance and reads only the precision
         return EvalConfig(precision=Precision(digits=args.precision),
-                          tolerance=args.tolerance)
+                          tolerance=getattr(args, "tolerance", EvalConfig.tolerance))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def nstr(x, digits: int) -> str:
-    return mpmath.nstr(x, digits)
 
 
 def to_mp(zq: tuple[Fraction, Fraction], dps: int):
@@ -183,22 +185,30 @@ def to_mp(zq: tuple[Fraction, Fraction], dps: int):
         return re if im == 0 else mpmath.mpc(re, im)
 
 
-def emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(", ", ": ")))
+def emit(fmt: str, obj, header: list[str], rows: list[list[str]]) -> None:
+    """Print obj as one JSON line (json), or header and rows as csv or as an aligned table.
+
+    A csv cell's commas become semicolons, so every row keeps its columns.
+    """
+    if fmt == "json":
+        print(json.dumps(obj, sort_keys=True, separators=(", ", ": ")))
+    elif fmt == "csv":
+        for row in [header, *rows]:
+            print(",".join(cell.replace(",", ";") for cell in row))
+    else:
+        widths = [max(len(cell) for cell in column) for column in zip(header, *rows)]
+        for row in [header, *rows]:
+            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
-def emit_csv(header: list[str], rows: list[list[str]]) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join(row))
-
-
-def emit_text_table(header: list[str], rows: list[list[str]]) -> None:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(header)]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    for row in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+def log_value_obj(lv: LogValue, digits: int) -> dict:
+    """A LogValue as printed: its parts to digits significant digits, err_est to 3."""
+    return {
+        "re": mpmath.nstr(mpmath.re(lv.value), digits),
+        "im": mpmath.nstr(mpmath.im(lv.value), digits),
+        "method": lv.method,
+        "err_est": None if lv.err_est is None else mpmath.nstr(lv.err_est, 3),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -216,27 +226,19 @@ def cmd_eval(args) -> int:
         zm = to_mp(zq, cfg.precision.working_dps)
         log_value = log_multigamma(args.r, zm, cfg)
         g_value = mpmath.exp(log_value.value)
-        row = {
-            "r": args.r,
-            "z": args.z,
-            "log": log_value.to_json_obj(digits),
-            "value": {"re": nstr(mpmath.re(g_value), digits),
-                      "im": nstr(mpmath.im(g_value), digits)},
-        }
-    if args.format == "json":
-        emit_json(row)
-    elif args.format == "csv":
-        emit_csv(
-            ["r", "z", "log_re", "log_im", "value_re", "value_im", "method", "err_est"],
-            [[str(args.r), args.z, row["log"]["re"], row["log"]["im"],
-              row["value"]["re"], row["value"]["im"],
-              row["log"]["method"], row["log"]["err_est"] or ""]],
-        )
+        log = log_value_obj(log_value, digits)
+        value = {"re": mpmath.nstr(mpmath.re(g_value), digits),
+                 "im": mpmath.nstr(mpmath.im(g_value), digits)}
+    if args.format == "text":
+        print(f"log G_{args.r}({args.z}) = {log['re']} + {log['im']}i")
+        print(f"G_{args.r}({args.z})     = {value['re']} + {value['im']}i")
+        print(f"method  = {log['method']}")
+        print(f"err_est = {log['err_est']}")
     else:
-        print(f"log G_{args.r}({args.z}) = {row['log']['re']} + {row['log']['im']}i")
-        print(f"G_{args.r}({args.z})     = {row['value']['re']} + {row['value']['im']}i")
-        print(f"method  = {row['log']['method']}")
-        print(f"err_est = {row['log']['err_est']}")
+        emit(args.format, {"r": args.r, "z": args.z, "log": log, "value": value},
+             ["r", "z", "log_re", "log_im", "value_re", "value_im", "method", "err_est"],
+             [[str(args.r), args.z, log["re"], log["im"], value["re"], value["im"],
+               log["method"], log["err_est"] or ""]])
     return 0
 
 
@@ -272,27 +274,16 @@ def cmd_table(args) -> int:
     with mpmath.workdps(cfg.precision.working_dps):
         for zq in grid_points(z_from, z_to, step):
             zm = to_mp((zq, Fraction(0)), cfg.precision.working_dps)
-            z_str = nstr(zm, digits)
+            z_str = mpmath.nstr(zm, digits)
             try:
-                lv = log_multigamma(args.r, zm, cfg)
+                log = log_value_obj(log_multigamma(args.r, zm, cfg), digits)
             except SingularInputError:
                 rows.append([z_str, "", "", "singular", ""])
                 continue
-            rows.append([
-                z_str,
-                nstr(mpmath.re(lv.value), digits),
-                nstr(mpmath.im(lv.value), digits),
-                lv.method,
-                nstr(lv.err_est, 3) if lv.err_est is not None else "",
-            ])
+            rows.append([z_str, log["re"], log["im"], log["method"], log["err_est"] or ""])
     header = ["z", "log_re", "log_im", "method", "err_est"]
-    if args.format == "json":
-        emit_json({"r": args.r,
-                   "rows": [dict(zip(header, row)) for row in rows]})
-    elif args.format == "csv":
-        emit_csv(header, rows)
-    else:
-        emit_text_table(header, rows)
+    emit(args.format, {"r": args.r, "rows": [dict(zip(header, row)) for row in rows]},
+         header, rows)
     return 0
 
 
@@ -309,9 +300,19 @@ def _report(identity: str, params: dict, residual, tolerance: float) -> dict:
     return {
         "identity": identity,
         "params": params,
-        "residual": nstr(residual, 6),
+        "residual": mpmath.nstr(residual, 6),
         "pass": bool(ok),
     }
+
+
+def _identity_report(rep: IdentityReport) -> dict:
+    """An exact identity's report: decided exactly, so its residual is "exact"."""
+    params = {"r": rep.r}
+    if rep.p is not None:
+        params["p"] = rep.p
+    if rep.witness is not None:
+        params["witness"] = rep.witness
+    return {"identity": rep.name, "params": params, "residual": "exact", "pass": rep.passed}
 
 
 def numeric_reports(args, cfg: EvalConfig, p_list: list[int]) -> list[dict]:
@@ -361,9 +362,20 @@ def numeric_reports(args, cfg: EvalConfig, p_list: list[int]) -> list[dict]:
     return reports
 
 
+def conventions_obj(conv: ConventionSet) -> dict:
+    """The conventions as calibrate prints them and writes them to its file."""
+    return {
+        "s_phi": conv.s_phi,
+        "sigma_phi": str(conv.sigma_phi),
+        "s_R": conv.s_R,
+        "status": "resolved",
+        "evidence": list(conv.evidence),
+    }
+
+
 def check_conventions_file(path: str) -> None:
     """verify reads a conventions file only to check it holds the derived signs."""
-    want = DERIVED.to_json_obj()
+    want = conventions_obj(DERIVED)
     try:
         with open(path, encoding="utf-8") as fh:
             got = json.load(fh)
@@ -386,24 +398,16 @@ def cmd_verify(args) -> int:
         check_conventions_file(args.conventions)
     reports: list[dict] = []
     if suite in ("symbolic", "all"):
-        for rep in check_identities(args.r_max, tuple(p_list)):
-            reports.append(rep.to_json_obj())
+        reports.extend(map(_identity_report, check_identities(args.r_max, tuple(p_list))))
     if suite in ("numeric", "all"):
         cfg = make_config(args)
         reports.extend(numeric_reports(args, cfg, p_list))
 
     all_pass = all(rep["pass"] for rep in reports)
-    if args.format == "json":
-        emit_json({"suite": suite, "reports": reports, "pass": all_pass})
-    else:
-        header = ["identity", "params", "residual", "pass"]
-        rows = [[rep["identity"], json.dumps(rep["params"], sort_keys=True),
-                 str(rep["residual"]), "pass" if rep["pass"] else "FAIL"]
-                for rep in reports]
-        if args.format == "csv":
-            emit_csv(header, [[c.replace(",", ";") for c in row] for row in rows])
-        else:
-            emit_text_table(header, rows)
+    emit(args.format, {"suite": suite, "reports": reports, "pass": all_pass},
+         ["identity", "params", "residual", "pass"],
+         [[rep["identity"], json.dumps(rep["params"], sort_keys=True), rep["residual"],
+           "pass" if rep["pass"] else "FAIL"] for rep in reports])
     if not all_pass:
         first = next(rep for rep in reports if not rep["pass"])
         print(f"first counterexample: {json.dumps(first, sort_keys=True)}",
@@ -426,18 +430,24 @@ def cmd_calibrate(args) -> int:
                          f"no directory {directory!r}")
     if os.path.isdir(path):
         raise UsageError(f"cannot write conventions to {path!r}: it is a directory")
-    resolved = calibrate_conventions(cfg)
-    resolved.dump(path)
-    if args.format == "json":
-        emit_json({"path": path, "conventions": resolved.to_json_obj()})
-    else:
-        print(f"resolved: s_phi={resolved.s_phi} sigma_phi={resolved.sigma_phi} "
-              f"s_R={resolved.s_R}")
+    conventions = conventions_obj(calibrate_conventions(cfg))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(conventions, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write conventions to {path!r}: {exc.strerror or exc}") from None
+    evidence = conventions["evidence"]
+    if args.format == "text":
+        print(f"resolved: s_phi={conventions['s_phi']} sigma_phi={conventions['sigma_phi']} "
+              f"s_R={conventions['s_R']}")
         print(f"written : {path}")
-        for item in resolved.evidence:
-            p_str = "-" if item["p"] is None else str(item["p"])
-            print(f"  {item['anchor']:14s} r={item['r']} p={p_str} "
+        for item in evidence:
+            print(f"  {item['anchor']:14s} r={item['r']} p={item['p']} "
                   f"z={item['z']:4s} residual={item['residual']:.3e}")
+    else:
+        header = ["anchor", "r", "p", "z", "residual"]
+        emit(args.format, {"path": path, "conventions": conventions},
+             header, [[str(item[key]) for key in header] for item in evidence])
     return 0
 
 
@@ -456,13 +466,9 @@ def cmd_constants(args) -> int:
     with mpmath.workdps(cfg.precision.working_dps):
         for j in js:
             value = zeta_prime_neg(j, cfg.precision)
-            rows.append([f"zeta'({-j})", nstr(value, digits)])
-    if args.format == "json":
-        emit_json({"constants": [{"name": name, "value": val} for name, val in rows]})
-    elif args.format == "csv":
-        emit_csv(["name", "value"], rows)
-    else:
-        emit_text_table(["name", "value"], rows)
+            rows.append([f"zeta'({-j})", mpmath.nstr(value, digits)])
+    emit(args.format, {"constants": [{"name": name, "value": val} for name, val in rows]},
+         ["name", "value"], rows)
     return 0
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
@@ -175,14 +176,9 @@ def hurwitz_zeta_sderiv(s, a, prec: Precision = Precision()):
     return deriv
 
 
-_ZETA_PRIME_CACHE: dict[tuple[int, int], object] = {}
-
-
+@lru_cache(maxsize=64)
 def zeta_prime_neg(j: int, prec: Precision = Precision()):
-    """zeta'(-j) for integer j >= 0; memoized per (j, precision)."""
+    """zeta'(-j) for integer j >= 0; the 64 most recently used (j, precision) memoized."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    key = (j, prec.digits)
-    if key not in _ZETA_PRIME_CACHE:
-        _ZETA_PRIME_CACHE[key] = hurwitz_zeta_sderiv(-j, 1, prec)
-    return _ZETA_PRIME_CACHE[key]
+    return hurwitz_zeta_sderiv(-j, 1, prec)

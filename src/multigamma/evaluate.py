@@ -64,10 +64,13 @@ running sums: the same exact integers a row of level k would add up to
 memoized per exact d (_SHIFTED_RUNGS, ten keys; the integer lattice apart,
 in _INT_RUNGS): a later z + k with |k| <= 16, as the recurrence and the
 multiplication formula take, walks each point k steps and builds only
-those entries.  A single partial (gauss_partial, euler_partial) sums both
-lattices into a private memo, so it stays an independent check of the
-ladder.  Values return to mpf/mpc only at ladder checkpoints.  cache_info()
-reports what the module-level caches hold.
+those entries.  A level-r ladder fills both memos at depth r before its
+probe and its lower-level bases read them, so one call sweeps each lattice
+once.  A single partial (gauss_partial, euler_partial) sums both lattices
+into a private memo, so it stays an independent check of the ladder.
+Values return to mpf/mpc only at ladder checkpoints.  cache_info() reports
+what the module-level caches hold.  Results are plain LogValue records;
+cli.py renders them.
 """
 
 from __future__ import annotations
@@ -156,7 +159,8 @@ class LogValue:
     reduced modulo 2 pi; the product and zeta routes both sum principal logs
     of z+n, so they land on the same branch.  err_est is an absolute error
     estimate (None when the producing operation has no model for it: a
-    single partial product, the raw asymptotic formula).
+    single partial product, the raw asymptotic formula).  A plain record:
+    the CLI renders it.
     """
 
     value: Any  # mpf or mpc
@@ -167,25 +171,6 @@ class LogValue:
     def __post_init__(self) -> None:
         if self.method not in {"gauss", "euler", "zeta", "asymptotic", "oracle", "exact"}:
             raise ValueError(f"unknown method tag {self.method!r}")
-
-    @property
-    def real(self):
-        return mpmath.re(self.value)
-
-    @property
-    def imag(self):
-        return mpmath.im(self.value)
-
-    def exp(self):
-        return mpmath.exp(self.value)
-
-    def to_json_obj(self, digits: int = 17) -> dict[str, Any]:
-        return {
-            "re": mpmath.nstr(mpmath.re(self.value), digits),
-            "im": mpmath.nstr(mpmath.im(self.value), digits),
-            "method": self.method,
-            "err_est": None if self.err_est is None else mpmath.nstr(self.err_est, 3),
-        }
 
 
 @dataclass(frozen=True)
@@ -832,25 +817,26 @@ def _extrap_key(method: str, r: int, zm, cfg: EvalConfig, order: int) -> tuple:
 def cache_info() -> dict[str, dict[str, int]]:
     """What each module-level cache holds now.
 
-    For _INT_TABLES, _EXTRAP_CACHE and constants._ZETA_PRIME_CACHE: a row is
-    one level-0 row of _INT_TABLES (one per precision key), one memoized
-    LogValue, or one zeta'(-j); entries count the fixed-point ints or the
-    values in them.  For the rung memos _INT_RUNGS and _SHIFTED_RUNGS: their
-    keys, the points (tuples of running sums) they hold, and the ints in those.
+    For _INT_TABLES, _EXTRAP_CACHE and the lru_cache of
+    constants.zeta_prime_neg: a row is one level-0 row of _INT_TABLES (one
+    per precision key), one memoized LogValue, or one zeta'(-j); entries
+    count the fixed-point ints or the values in them.  For the rung memos
+    _INT_RUNGS and _SHIFTED_RUNGS: their keys, the points (tuples of running
+    sums) they hold, and the ints in those.
     """
     def rung_memo(memo: dict) -> dict[str, int]:
         points = [point for _, held in memo.values() for point in held.values()]
         return {"keys": len(memo), "tuples": len(points),
                 "ints": sum(len(re) + len(im) for re, im in points)}
 
+    zeta_primes = constants.zeta_prime_neg.cache_info().currsize
     return {
         "_INT_TABLES": {"rows": len(_INT_TABLES),
                         "entries": sum(len(row) - 1 for row in _INT_TABLES.values())},
         "_INT_RUNGS": rung_memo(_INT_RUNGS),
         "_EXTRAP_CACHE": {"rows": len(_EXTRAP_CACHE), "entries": len(_EXTRAP_CACHE)},
         "_SHIFTED_RUNGS": rung_memo(_SHIFTED_RUNGS),
-        "constants._ZETA_PRIME_CACHE": {"rows": len(constants._ZETA_PRIME_CACHE),
-                                        "entries": len(constants._ZETA_PRIME_CACHE)},
+        "constants.zeta_prime_neg": {"rows": zeta_primes, "entries": zeta_primes},
     }
 
 
@@ -879,8 +865,9 @@ def product_extrapolated(method: str, r: int, z: ComplexLike, cfg: EvalConfig = 
         if hit is not None:
             _EXTRAP_CACHE[key] = hit
             return hit
-        # the rungs at depth r first: the bases' lower-level ladders then read
-        # them instead of sweeping a shallower lattice
+        # both lattices' rungs at depth r first: the bases' lower-level
+        # ladders then read them instead of sweeping a shallower lattice
+        _shifted_rungs(mpmath.mp.zero, cfg, r, _LADDER, _INT_RUNGS)
         start, points = _shifted_rungs(zm, cfg, r, _LADDER, _SHIFTED_RUNGS)
         sums = _sums_at(r, _LADDER, start, points, _level_bases(r, zm, cfg))
         checkpoints = _partial_checkpoints(method, r, zm, cfg, _LADDER, sums, _INT_RUNGS)
@@ -905,12 +892,13 @@ def _ladder_predicted_err(r: int, zm, cfg: EvalConfig):
     r >= 3 the full ladder's estimate sits on the level-base floor (ROADMAP
     item 2), not on Richardson's rate, so the prediction stays optimistic
     there.  The probe's rungs are the full ladder's first ones: it fills
-    _SHIFTED_RUNGS at the depth the level-r sweep needs, which then streams
+    both rung memos at the depth the level-r sweep needs, which then streams
     level 0 on from the probe's last rung.
     """
     q = _ORDER
     probe = _LADDER[:q + 2]
     level = min(r, 2)
+    _shifted_rungs(mpmath.mp.zero, cfg, r, probe, _INT_RUNGS)
     start, points = _shifted_rungs(zm, cfg, r, probe, _SHIFTED_RUNGS)
     bases = [_to_fixed(mpmath.loggamma(zm + 1), _fixed_bits(cfg))] if level == 2 else []
     sums = _sums_at(level, probe, start, points, bases)

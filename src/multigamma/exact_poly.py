@@ -15,12 +15,12 @@ any code path.  The polynomial families built here are
 together with an exact identity checker covering the relations that connect
 them (Vandermonde addition, the integral identity for psi_r, Q_r = (-1)^r
 psi_r, the reflection symmetry, the Stirling values at zero, the telescoping
-law, and the forward-difference law).
+law, and the forward-difference law).  Its records (ConventionSet,
+IdentityReport) are plain data: the CLI builds their JSON, csv and text.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -197,14 +197,7 @@ class RationalPoly:
         """p(z + offset)."""
         return self.compose_affine(1, offset)
 
-    # -- serialization and display -------------------------------------------
-
-    def to_json_obj(self) -> dict[str, Any]:
-        return {"coeffs": [[str(c.numerator), str(c.denominator)] for c in self.coeffs]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "RationalPoly":
-        return cls(Fraction(int(num), int(den)) for num, den in obj["coeffs"])
+    # -- display -------------------------------------------------------------
 
     def __repr__(self) -> str:
         return f"RationalPoly({list(self.coeffs)!r})"
@@ -443,20 +436,6 @@ class ConventionSet:
     s_R: int
     evidence: tuple[dict[str, Any], ...] = field(default=(), compare=False)
 
-    def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "s_phi": self.s_phi,
-            "sigma_phi": str(self.sigma_phi),
-            "s_R": self.s_R,
-            "status": "resolved",
-            "evidence": list(self.evidence),
-        }
-
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_obj(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 DERIVED = ConventionSet(s_phi=-1, sigma_phi=Fraction(-1), s_R=-1)
 
@@ -505,19 +484,6 @@ class IdentityReport:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-    def to_json_obj(self) -> dict[str, Any]:
-        params: dict[str, Any] = {"r": self.r}
-        if self.p is not None:
-            params["p"] = self.p
-        if self.witness is not None:
-            params["witness"] = self.witness
-        return {
-            "identity": self.name,
-            "params": params,
-            "residual": "exact",
-            "pass": self.passed,
-        }
 
 
 def _report(name: str, r: int, ok: bool, witness: str | None = None, p: int | None = None) -> IdentityReport:

@@ -14,6 +14,7 @@ import json
 import math
 from collections import Counter, defaultdict
 from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 from pathlib import Path
 
 import mpmath
@@ -32,6 +33,15 @@ def run(argv):
 
 
 FAST = ["--precision", "12"]
+
+# calibrate's numeric arbitration is tested in test_evaluate.py; tests of its
+# output share one run per configuration
+_calibrate_once = lru_cache(maxsize=None)(evaluate.calibrate_conventions)
+
+
+@pytest.fixture
+def calibrate_once(monkeypatch):
+    monkeypatch.setattr(cli, "calibrate_conventions", _calibrate_once)
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +230,15 @@ def test_eval_complex_argument():
         assert abs(float(obj["log"]["im"]) - float(mpmath.im(want))) < 1e-9
 
 
+def test_log_value_json_shape():
+    code, out, _ = run(["eval", "--r", "1", "--z", "1+1i", "--format", "json"] + FAST)
+    assert code == 0
+    obj = json.loads(out)["log"]
+    assert set(obj) == {"re", "im", "method", "err_est"}
+    assert isinstance(obj["re"], str) and isinstance(obj["im"], str)
+    float(obj["re"]), float(obj["im"])  # parseable
+
+
 def test_eval_text_mentions_method_and_error():
     code, out, _ = run(["eval", "--r", "1", "--z", "2"] + FAST)
     assert code == 0
@@ -285,6 +304,37 @@ def test_machine_output_is_byte_identical_across_runs():
     assert run(argv_eval) == run(argv_eval)
 
 
+_CSV_HEADERS = {
+    "eval": "r,z,log_re,log_im,value_re,value_im,method,err_est",
+    "table": "z,log_re,log_im,method,err_est",
+    "verify": "identity,params,residual,pass",
+    "calibrate": "anchor,r,p,z,residual",
+    "constants": "name,value",
+}
+
+
+def test_every_subcommand_prints_every_format(tmp_path, calibrate_once):
+    commands = {
+        "eval": ["eval", "--r", "2", "--z", "-5/2+i"],
+        "table": ["table", "--r", "1", "--from", "-1", "--to", "1", "--step", "1/2"],
+        "verify": ["verify", "--r-max", "1", "--p", "2"],
+        "calibrate": ["calibrate", "--conventions", str(tmp_path / "c.json")],
+        "constants": ["constants", "--j", "0,1"],
+    }
+    assert set(commands) == set(cli._DISPATCH)
+    for name, argv in commands.items():
+        outputs = {}
+        for fmt in ("json", "csv", "text"):
+            code, out, err = run(argv + ["--format", fmt] + FAST)
+            assert code == 0 and err == "", (name, fmt, err)
+            outputs[fmt] = out
+        assert isinstance(json.loads(outputs["json"]), dict), name
+        rows = list(csv.reader(io.StringIO(outputs["csv"])))
+        assert ",".join(rows[0]) == _CSV_HEADERS[name], name
+        assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}, name
+        assert outputs["text"] and outputs["text"] not in (outputs["json"], outputs["csv"]), name
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -301,6 +351,18 @@ def test_verify_symbolic_passes_and_reports():
     assert "q_equals_signed_psi" in names
     assert "q_reflection" in names
     assert all(rep["residual"] == "exact" for rep in obj["reports"])
+
+
+def test_identity_report_json_schema():
+    code, out, _ = run(["verify", "--suite", "symbolic", "--r-max", "1", "--p", "2",
+                        "--format", "json"])
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    for rep in reports:
+        assert set(rep) == {"identity", "params", "residual", "pass"}
+        assert rep["residual"] == "exact" and rep["pass"] is True
+    assert reports[0]["params"] == {"r": 1}
+    assert {"r": 1, "p": 2} in [rep["params"] for rep in reports]
 
 
 def test_verify_numeric_needs_no_conventions_file(tmp_path, monkeypatch):
@@ -491,6 +553,29 @@ def test_calibrate_into_a_directory_is_a_usage_error(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_calibrate_into_an_unwritable_path_is_a_usage_error(tmp_path, calibrate_once):
+    # a file name past the file system's limit passes the checks made before
+    # the calibration; the write then fails and is reported, not raised
+    path = tmp_path / ("a" * 300 + ".json")
+    code, out, err = run(["calibrate", "--conventions", str(path)] + FAST)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write conventions to {str(path)!r}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_calibrate_csv_has_one_row_per_evidence_item(tmp_path, calibrate_once):
+    path = tmp_path / "c.json"
+    code, out, _ = run(["calibrate", "--conventions", str(path), "--format", "csv"] + FAST)
+    assert code == 0
+    assert out.splitlines()[0] == "anchor,r,p,z,residual"
+    evidence = json.loads(path.read_text(encoding="utf-8"))["evidence"]
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["anchor"] for row in rows] == [item["anchor"] for item in evidence]
+    for row, item in zip(rows, evidence):
+        assert (int(row["r"]), int(row["p"]), row["z"], float(row["residual"])) == \
+            (item["r"], item["p"], item["z"], item["residual"])
+
+
 def test_calibrate_absurd_tolerance_exits_4(tmp_path):
     code, _, err = run(["calibrate", "--tolerance", "1e-300",
                         "--conventions", str(tmp_path / "c.json")] + FAST)
@@ -512,6 +597,12 @@ def test_constants_known_values():
     assert abs(rows["zeta'(0)"] + math.log(2 * math.pi) / 2) < 1e-15
     assert abs(rows["zeta'(-1)"] + 0.16542114370045092921) < 1e-15
     assert abs(rows["zeta'(-2)"] + 0.03044845705839327078) < 1e-15
+
+
+def test_constants_takes_no_tolerance():
+    code, out, err = run(["constants", "--tolerance", "1e-8"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: unrecognized arguments: --tolerance")
 
 
 def test_constants_json_deterministic():

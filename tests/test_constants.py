@@ -12,6 +12,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from multigamma import constants
 from multigamma.constants import Precision, hurwitz_zeta, hurwitz_zeta_sderiv, zeta_prime_neg
 
 P30 = Precision()
@@ -226,3 +227,32 @@ def test_zeta_prime_cache_is_stable():
     first = zeta_prime_neg(1, P30)
     second = zeta_prime_neg(1, P30)
     assert first == second
+
+
+def test_cutoff_doubling_divergence_stop_and_convergence_failure(monkeypatch):
+    # At s = -40, a = 30 the first cutoff (8 at 30 digits) leaves correction
+    # terms above the target, so _hurwitz_core doubles it once; at 10 digits
+    # and s = -35 no cutoff up to 2^11 converges within the order cap.
+    cutoffs = []
+    real = constants._euler_maclaurin
+
+    def recording(s, a, cutoff, order_cap, target):
+        cutoffs.append(cutoff)
+        return real(s, a, cutoff, order_cap, target)
+
+    monkeypatch.setattr(constants, "_euler_maclaurin", recording)
+    got = hurwitz_zeta_sderiv(-40, 30, P30)
+    assert cutoffs == [8, 16]
+    with mpmath.workdps(80):
+        assert abs(got / mpmath.zeta(-40, 30, 1) - 1) < mpmath.mpf(10) ** -30
+    cutoffs.clear()
+    with pytest.raises(ArithmeticError, match="failed to converge"):
+        hurwitz_zeta_sderiv(-35, 30, Precision(digits=10))
+    assert cutoffs == [2**k for k in range(12)]
+    # At cutoff 1 the derivative's correction terms at s = 0 shrink to about
+    # 1e-6 and then grow factorially: the sum stops after two growing terms
+    # instead of running on to the order cap, and reports no convergence.
+    with mpmath.workdps(40):
+        _, deriv, converged = real(mpmath.mpf(0), mpmath.mpf(1), 1, 200, mpmath.mpf(10) ** -40)
+        assert not converged
+        assert abs(deriv + mpmath.log(2 * mpmath.pi) / 2) < 1e-5

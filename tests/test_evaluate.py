@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multigamma import evaluate
-from multigamma.cli import check_conventions_file
+from multigamma.cli import main as cli_main
 from multigamma.constants import Precision, zeta_prime_neg
 from multigamma.exact_poly import DERIVED, grj_poly
 from multigamma.evaluate import (
@@ -545,7 +545,7 @@ def test_integer_caches_hold_one_row_per_precision_for_four_precisions(monkeypat
     assert info["_INT_RUNGS"] == {"keys": 2, "tuples": 2 * points, "ints": 2 * points * 8}
     assert all(shift == 0 for shift, _ in evaluate._INT_RUNGS.values())
     assert set(info) == {"_INT_TABLES", "_INT_RUNGS", "_EXTRAP_CACHE", "_SHIFTED_RUNGS",
-                         "constants._ZETA_PRIME_CACHE"}
+                         "constants.zeta_prime_neg"}
     # a fifth precision evicts the least recently used row; the rung memo
     # keeps up to _SHIFTED_KEYS precisions, most recently used last
     cfgs = {d: EvalConfig(precision=Precision(digits=d)) for d in (10, 11, 12, 13, 14)}
@@ -558,6 +558,26 @@ def test_integer_caches_hold_one_row_per_precision_for_four_precisions(monkeypat
     dps = {d: cfgs[d].precision.working_dps for d in cfgs}
     assert list(evaluate._INT_TABLES) == [dps[d] for d in (12, 13, 10, 14)]
     assert [key[0] for key in evaluate._INT_RUNGS] == [dps[d] for d in (11, 12, 13, 10, 14)]
+
+
+def test_cold_r4_call_sums_the_integer_lattice_once(monkeypatch):
+    # The probe and the bases read the integer lattice at level 3 at most;
+    # it is filled at the caller's depth 4 first, so the level-4 ladder
+    # streams on from their rungs and never sweeps it again from m = 1:
+    # N entries in all, not 2N.
+    for memo in ("_INT_RUNGS", "_SHIFTED_RUNGS", "_EXTRAP_CACHE"):
+        monkeypatch.setattr(evaluate, memo, {})
+    built = []
+    real_entries = evaluate._level0_entries
+
+    def counting(zm, cfg, shift, dr, di, cut, ms):
+        if zm == 0:  # the integer lattice
+            built.append(len(ms))
+        return real_entries(zm, cfg, shift, dr, di, cut, ms)
+
+    monkeypatch.setattr(evaluate, "_level0_entries", counting)
+    assert log_multigamma(4, Fraction(7, 3), CFG30).method == "gauss"
+    assert sum(built) == evaluate._N
 
 
 def test_single_partials_leave_the_rung_memos_as_they_were():
@@ -1066,19 +1086,24 @@ def test_calibration_fails_when_its_survivor_is_not_the_derived_set(monkeypatch)
     assert "1 convention candidates survive" in str(exc.value)
 
 
-def test_calibration_persists_loadable_file(tmp_path):
+def test_calibration_persists_loadable_file(tmp_path, capsys):
+    # calibrate --conventions writes the object it prints
     path = tmp_path / "conv.json"
-    conv = calibrate_conventions(CFG)
-    conv.dump(str(path))
+    argv = ["calibrate", "--precision", str(CFG.precision.digits),
+            "--conventions", str(path), "--format", "json"]
+    assert cli_main(argv) == 0
     obj = json.loads(path.read_text(encoding="utf-8"))
+    assert json.loads(capsys.readouterr().out)["conventions"] == obj
+    conv = resolved()
     assert (obj["s_phi"], Fraction(obj["sigma_phi"]), obj["s_R"]) == \
         (conv.s_phi, conv.sigma_phi, conv.s_R)
     assert obj["evidence"] == list(conv.evidence)
     # the file verify reads back is accepted as the derived set
-    check_conventions_file(str(path))
-    # byte-stable on re-persist
+    assert cli_main(["verify", "--suite", "symbolic", "--r-max", "1",
+                     "--conventions", str(path)]) == 0
+    # byte-stable on a rerun
     first = path.read_bytes()
-    calibrate_conventions(CFG).dump(str(path))
+    assert cli_main(argv) == 0
     assert path.read_bytes() == first
 
 
@@ -1087,16 +1112,3 @@ def test_calibration_with_unreachable_tolerance_reports_the_table():
     with pytest.raises(CalibrationError) as exc:
         calibrate_conventions(cfg)
     assert "s_phi" in str(exc.value)
-
-
-# ---------------------------------------------------------------------------
-# Report shapes
-# ---------------------------------------------------------------------------
-
-
-def test_log_value_json_shape():
-    got = log_multigamma(1, mpmath.mpc(1, 1), CFG)
-    obj = got.to_json_obj()
-    assert set(obj) == {"re", "im", "method", "err_est"}
-    assert isinstance(obj["re"], str) and isinstance(obj["im"], str)
-    float(obj["re"]), float(obj["im"])  # parseable

@@ -6,7 +6,6 @@ implementation: Bernoulli numbers come from power-series division, Stirling
 numbers from the cycle-count recurrence.
 """
 
-import json
 import math
 from fractions import Fraction
 
@@ -161,18 +160,6 @@ def test_evaluate_floating_paths():
 def test_coefficients_reject_floats():
     with pytest.raises(TypeError):
         RationalPoly([0.5])
-
-
-@given(st.lists(fractions_small, max_size=6))
-def test_json_round_trip(cs):
-    p = RationalPoly(cs)
-    blob = json.dumps(p.to_json_obj())
-    assert RationalPoly.from_json_obj(json.loads(blob)) == p
-
-
-def test_json_shape_uses_decimal_strings():
-    obj = RationalPoly([Fraction(-7, 3)]).to_json_obj()
-    assert obj == {"coeffs": [["-7", "3"]]}
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +428,6 @@ def test_addition_laws_catch_a_perturbed_binom_poly(perturb):
     # side gains terms that vanish at y = 0, so one point would not see them.
     perturb("binom_poly", (2,), RationalPoly.x())
     assert _failing(check_identities(5), "binom_vandermonde") == [3, 4, 5]
-
-
-def test_identity_report_json_schema():
-    rep = check_identities(1, p_list=(2,))[0]
-    obj = rep.to_json_obj()
-    assert set(obj) == {"identity", "params", "residual", "pass"}
-    assert obj["residual"] == "exact"
-    assert obj["pass"] is True
 
 
 def test_check_identities_rejects_bad_rmax():
