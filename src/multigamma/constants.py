@@ -1,45 +1,52 @@
-"""Arbitrary-precision Hurwitz zeta, its s-derivative, and zeta'(-j).
+"""zeta'(-j, a) = d/ds zeta(s, a) at s = 0, -1, -2, ..., and zeta'(-j) = zeta'(-j, 1).
 
-The evaluators and oracles in this package consume three things from here:
-zeta(s, a) off the pole, the partial derivative d/ds zeta(s, a) (needed at
-non-positive integer s, where finite differencing would be both slow and
-inaccurate), and the derived constants zeta'(-j).
+The package needs the Hurwitz zeta function only through these: the Barnes
+zeta expansion takes zeta'(-j, w), j < r, and the normalisations zeta'(-j).
+One Euler-Maclaurin pass gives zeta'(-j, a) for every j < J.  With the
+cutoff M, x = M + a, L = log x and P_k(s) = s (s+1) ... (s+2k-2),
 
-The algorithm is Euler-Maclaurin continuation,
+    zeta'(-j, a) = -sum_{n<M} (n+a)^j log(n+a)
+                   + x^(j+1) (L/(j+1) - 1/(j+1)^2) - x^j L / 2
+                   + sum_{k=1..K} B_2k/(2k)! (P_k'(-j) - P_k(-j) L) x^(j-2k+1),
 
-    zeta(s, a) = sum_{n<M} (n+a)^-s  +  (M+a)^(1-s)/(s-1)  +  (M+a)^-s / 2
-                 + sum_{k=1..K} B_{2k}/(2k)! * poch(s, 2k-1) * (M+a)^(-s-2k+1),
+the s-derivative of the continued Euler-Maclaurin formula, with principal
+logs for complex a (Re a > 0).  log(n+a) and (n+a)^j are shared by every j;
+P_k(-j) and P_k'(-j) are exact integers.
 
-with the cutoff M and correction order K chosen from the size of the first
-omitted term: M starts near 0.4 (digits + GUARD_DIGITS) and doubles until
-the corrections fall below the target.  The s-derivative differentiates
-every term of the same formula; the Pochhammer derivative is accumulated by
-the product rule, which stays finite at negative integer s where a
-logarithmic-derivative shortcut would divide by zero.
+Remainder.  After K terms it is at most |B_2K|/(2K)! <= 4 (2 pi)^-2K times
+the integral over t >= M of |f^(2K)(t)| = j! (m-1)! |t+a|^-m, with
+f(t) = (t+a)^j log(t+a) and m = 2K - j.  As |t+a| >= max(t + Re a,
+(t + Re a + |Im a|)/sqrt 2), for m >= 2 that is at most
 
-The parameter a may be complex with Re a > 0: the summand (x+a)^-s is then
-analytic on x >= 0 and the same formula holds with principal powers and
-logs (for rigorous tail bounds in this setting see Johansson, "Rigorous
-high-precision computation of the Hurwitz zeta function and its
-derivatives", arXiv:1309.2877).
+    6 j! (m-2)! (2 pi)^-2K Y^(1-m),  Y = max(M + Re a, (M + Re a + |Im a|)/sqrt 2)
+
+(for complex a see Johansson, "Rigorous high-precision computation of the
+Hurwitz zeta function and its derivatives", arXiv:1309.2877).  Each tail
+stops at the first K whose bound is below 10^-(digits + GUARD_DIGITS/2)
+max(1, |value|).  M puts the bound's minimum over K below that for every
+j < J; should the bound turn upward first, the pass raises ArithmeticError
+rather than return the value.  The terms reach about |x|^(j+1) |L|, j
+log10(M + |a|) digits or more above |zeta'(-j, a)|, and the pass carries
+those digits too (_sderivs).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 
 from .exact_poly import _bernoulli_upto
 
-__all__ = ["Precision", "hurwitz_zeta", "hurwitz_zeta_sderiv", "zeta_prime_neg"]
+__all__ = ["Precision", "hurwitz_zeta_sderiv", "hurwitz_zeta_sderivs", "zeta_prime_neg"]
 
 
 # Decimal digits every evaluation carries past the requested ones.
 GUARD_DIGITS = 10
+
+_LN_2PI = math.log(2 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -57,123 +64,107 @@ class Precision:
         return self.digits + GUARD_DIGITS
 
 
-def _to_mpf(x):
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
-    return mpmath.mpf(x)
+def _cutoff(js: range, a, target_ln: float) -> tuple[int, float]:
+    """(M, log Y): the least M >= 0 whose remainder bound dips e^(2 pi) below e^-target_ln.
 
-
-def _check_finite(value, what: str):
-    if mpmath.isnan(value) or mpmath.isinf(value):
-        raise ArithmeticError(f"{what} produced a non-finite value")
-    return value
-
-
-def _euler_maclaurin(s, a, cutoff: int, order_cap: int, target):
-    """One Euler-Maclaurin evaluation of zeta(s, a) and d/ds zeta(s, a) at fixed cutoff.
-
-    Returns (value, deriv, converged) where converged means the correction
-    terms of both dropped below target before the asymptotic tail started
-    growing.
+    Over K the bound's least value is about 6 j! (2 pi)^-(j+1) e^(-2 pi Y), convex in j.
     """
-    base = cutoff + a
-    log_base = mpmath.log(base)
-
-    total = mpmath.mpf(0)
-    dtotal = mpmath.mpf(0)
-    for n in range(cutoff):
-        t = (n + a) ** (-s)
-        total += t
-        dtotal -= mpmath.log(n + a) * t
-
-    tail = base ** (1 - s) / (s - 1)
-    half = base ** (-s) / 2
-    total += tail + half
-    dtotal += base ** (1 - s) * (-log_base / (s - 1) - (s - 1) ** -2)
-    dtotal -= log_base * half
-
-    nums = _bernoulli_upto(2 * order_cap)
-    scale = base ** (-s + 1)
-    converged = False
-    prev_size = mpmath.inf
-    grew = 0
-    p, dp = mpmath.mpf(1), mpmath.mpf(0)  # poch(s, 2k-1) and its s-derivative
-    for k in range(1, order_cap + 1):
-        b2k = mpmath.mpf(nums[2 * k].numerator) / nums[2 * k].denominator
-        coeff = b2k / math.factorial(2 * k)
-        # two more factors (s + i) by the product rule; exact at integer s
-        for i in range(max(0, 2 * k - 3), 2 * k - 1):
-            dp = dp * (s + i) + p
-            p = p * (s + i)
-        scale = scale / (base * base)  # base**(-s - 2k + 1)
-        term = coeff * p * scale
-        dterm = coeff * (dp - p * log_base) * scale
-        total += term
-        dtotal += dterm
-        # at non-positive integer s the value terms vanish (poch hits 0)
-        # while the derivative terms do not; convergence must watch both
-        size = max(abs(term), abs(dterm))
-        if size < target:
-            converged = True
-            break
-        if size > prev_size:
-            grew += 1
-            if grew >= 2:
-                break  # asymptotic tail diverging; caller enlarges the cutoff
-        else:
-            grew = 0
-        prev_size = size
-    return total, dtotal, converged
+    worst = max(math.lgamma(j + 1) - (j + 1) * _LN_2PI for j in (js[0], js[-1]))
+    y = (target_ln + math.log(6) + worst) / (2 * math.pi) + 1
+    re, im = mpmath.re(a), abs(mpmath.im(a))
+    cutoff = max(0, int(mpmath.ceil(min(y - re, math.sqrt(2) * y - re - im))))
+    return cutoff, float(mpmath.log(max(cutoff + re, (cutoff + re + im) / math.sqrt(2))))
 
 
-def _hurwitz_core(s, a, prec: Precision):
-    """(zeta(s, a), d/ds zeta(s, a)) from one Euler-Maclaurin pass."""
+def _em_pass(js: range, a, cutoff: int, ln_y: float, target_ln: float) -> list:
+    """zeta'(-j, a), j in js, at the current precision: the formula of the module docstring."""
+    a = mpmath.mpmathify(a)
+    x = cutoff + a
+    log_x = mpmath.log(x)
+    inv_x2 = 1 / (x * x)
+    bases = [n + a for n in range(cutoff)]
+    terms = [mpmath.log(b) for b in bases]  # (n+a)^j log(n+a) at j = 0
+    coeffs = []  # B_2k/(2k)!, k = 1, 2, ...
+    values = []
+    x_j = mpmath.mpf(1)
+    for j in range(js.stop):
+        if j:
+            terms = [t * b for t, b in zip(terms, bases)]
+            x_j *= x
+        if j < js.start:
+            continue
+        scale = x_j * x
+        value = (scale * (log_x / (j + 1) - mpmath.mpf(1) / (j + 1) ** 2)
+                 - x_j * log_x / 2 - mpmath.fsum(terms))
+        p, dp = -j, 1  # P_1(s) = s and its derivative at s = -j
+        prev, k = math.inf, 1
+        while True:
+            if k > len(coeffs):
+                c = _bernoulli_upto(2 * k)[2 * k] / math.factorial(2 * k)
+                coeffs.append(mpmath.mpf(c.numerator) / c.denominator)
+            if k > 1:
+                for i in (2 * k - 3, 2 * k - 2):
+                    p, dp = p * (i - j), dp * (i - j) + p
+            scale *= inv_x2
+            value += coeffs[k - 1] * (dp - p * log_x) * scale
+            m = 2 * k - j
+            if m >= 2:
+                bound = (math.log(6) - 2 * k * _LN_2PI + math.lgamma(j + 1)
+                         + math.lgamma(m - 1) - (m - 1) * ln_y)
+                if bound <= max(0, (mpmath.mag(value) - 2) * math.log(2)) - target_ln:
+                    break
+                if bound > prev:
+                    raise ArithmeticError(f"Euler-Maclaurin remainder for zeta'({-j}, a) cannot "
+                                          f"reach its target at cutoff {cutoff}")
+                prev = bound
+            k += 1
+        values.append(value)
+    return values
+
+
+def _sderivs(js: range, a, prec: Precision) -> list:
+    """[zeta'(-j, a) for j in js], each within 10^-digits max(1, |value|), from one pass.
+
+    The pass first carries 2 digits more than its largest term has above
+    |a|^(j+1) |log a| / (j+1), the size of zeta'(-j, a) at large |a|, and
+    runs again with every digit of that term where a value comes out smaller.
+    """
+    target_ln = (prec.digits + GUARD_DIGITS // 2) * math.log(10)
     with mpmath.workdps(prec.working_dps):
-        s = _to_mpf(s)
-        a = mpmath.mpmathify(a)
-        if mpmath.re(a) <= 0:
+        am = mpmath.mpmathify(a)
+        if mpmath.re(am) <= 0:
             raise ValueError("hurwitz zeta requires Re a > 0")
-        if s == 1:
-            raise ValueError("hurwitz zeta has a pole at s = 1")
-        target = mpmath.mpf(10) ** -(prec.digits + GUARD_DIGITS // 2)
-        order_cap = max(20, prec.working_dps)
-        # First omitted term decays like ((|s|+2k)/(2*pi*(M+a)))^(2k):
-        # M+a modestly above dps*ln(10)/(2*pi) makes the series reach the target;
-        # |M+a| >= M + Re a, so Re a alone sets the cutoff for complex a too.
-        # Compared in mpmath: Re a may lie past the float range.
-        m = 0.40 * prec.working_dps + 0.5 * abs(s) + 2 - mpmath.re(a)
-        m = math.ceil(m) if m > 1 else 1
-        for _ in range(12):
-            value, deriv, converged = _euler_maclaurin(s, a, m, order_cap, target)
-            if converged:
-                break
-            m *= 2
-        else:
-            raise ArithmeticError("Euler-Maclaurin failed to converge")
-
-        _check_finite(value, "hurwitz_zeta")
-        _check_finite(deriv, "hurwitz_zeta_sderiv")
-        return +value, +deriv
+        cutoff, ln_y = _cutoff(js, am, target_ln)
+        x = cutoff + am
+        largest_log = max(abs(mpmath.log(abs(x))), abs(mpmath.log(abs(am)))) + 4
+        sizes = [(j + 1) * mpmath.log10(abs(x) + 1) + mpmath.log10(largest_log) for j in js]
+        guess = max(size - max(0, (j + 1) * mpmath.log10(abs(am))
+                               + mpmath.log10(abs(mpmath.log(am)) / (j + 1)))
+                    for j, size in zip(js, sizes))
+    every = int(mpmath.ceil(max(sizes)))
+    for extra in sorted({min(int(mpmath.ceil(guess)) + 2, every), every}):
+        with mpmath.workdps(prec.working_dps + extra):
+            values = _em_pass(js, a, cutoff, ln_y, target_ln)
+        if all(size - max(0, (mpmath.mag(v) - 2) * math.log10(2)) <= extra
+               for size, v in zip(sizes, values)):
+            break
+    with mpmath.workdps(prec.working_dps):
+        return [+value for value in values]
 
 
-def hurwitz_zeta(s, a, prec: Precision = Precision()):
-    """zeta(s, a) = sum_{n>=0} (n+a)^-s, continued to all real s != 1.
-
-    a is real or complex with Re a > 0 (principal powers).  Absolute error
-    target 10^-digits; cutoff and correction order are chosen adaptively.
-    """
-    value, _ = _hurwitz_core(s, a, prec)
-    return value
+def hurwitz_zeta_sderivs(j_max: int, a, prec: Precision = Precision()) -> list:
+    """[zeta'(-j, a) for j in range(j_max)] from one Euler-Maclaurin pass (_sderivs)."""
+    if j_max < 1:
+        raise ValueError("j_max must be >= 1")
+    return _sderivs(range(j_max), a, prec)
 
 
 def hurwitz_zeta_sderiv(s, a, prec: Precision = Precision()):
-    """d/ds zeta(s, a) by term-wise differentiation of Euler-Maclaurin.
-
-    Never finite differencing — this stays accurate at s = 0, -1, -2, ...
-    where the zeta'(-j) constants live.
-    """
-    _, deriv = _hurwitz_core(s, a, prec)
-    return deriv
+    """zeta'(s, a) at s = 0, -1, -2, ... from a pass for that j alone; other s: ValueError."""
+    if not mpmath.isint(s) or mpmath.re(s) > 0:
+        raise ValueError(f"hurwitz_zeta_sderiv takes s = 0, -1, -2, ... only, not {s!r}")
+    j = -int(mpmath.re(s))
+    return _sderivs(range(j, j + 1), a, prec)[0]
 
 
 @lru_cache(maxsize=64)

@@ -87,7 +87,7 @@ import mpmath
 from mpmath.libmp import from_int, fzero, mpf_sub, to_fixed
 
 from . import constants
-from .constants import Precision, hurwitz_zeta_sderiv, zeta_prime_neg
+from .constants import Precision, hurwitz_zeta_sderiv, hurwitz_zeta_sderivs, zeta_prime_neg
 from .exact_poly import (
     DERIVED,
     ConventionSet,
@@ -817,12 +817,12 @@ def _extrap_key(method: str, r: int, zm, cfg: EvalConfig, order: int) -> tuple:
 def cache_info() -> dict[str, dict[str, int]]:
     """What each module-level cache holds now.
 
-    For _INT_TABLES, _EXTRAP_CACHE and the lru_cache of
-    constants.zeta_prime_neg: a row is one level-0 row of _INT_TABLES (one
-    per precision key), one memoized LogValue, or one zeta'(-j); entries
-    count the fixed-point ints or the values in them.  For the rung memos
-    _INT_RUNGS and _SHIFTED_RUNGS: their keys, the points (tuples of running
-    sums) they hold, and the ints in those.
+    For _INT_TABLES, _EXTRAP_CACHE and the lru_caches of zeta_prime_neg and
+    _barnes_polys: a row is one level-0 row of _INT_TABLES (one per precision
+    key), one memoized LogValue, one zeta'(-j) or one k's polynomials; entries
+    count the fixed-point ints or the values in them (the rows themselves for
+    the lru_caches).  For the rung memos _INT_RUNGS and _SHIFTED_RUNGS: their
+    keys, the points (tuples of running sums) they hold, and the ints in those.
     """
     def rung_memo(memo: dict) -> dict[str, int]:
         points = [point for _, held in memo.values() for point in held.values()]
@@ -830,6 +830,7 @@ def cache_info() -> dict[str, dict[str, int]]:
                 "ints": sum(len(re) + len(im) for re, im in points)}
 
     zeta_primes = constants.zeta_prime_neg.cache_info().currsize
+    barnes = _barnes_polys.cache_info().currsize
     return {
         "_INT_TABLES": {"rows": len(_INT_TABLES),
                         "entries": sum(len(row) - 1 for row in _INT_TABLES.values())},
@@ -837,6 +838,7 @@ def cache_info() -> dict[str, dict[str, int]]:
         "_EXTRAP_CACHE": {"rows": len(_EXTRAP_CACHE), "entries": len(_EXTRAP_CACHE)},
         "_SHIFTED_RUNGS": rung_memo(_SHIFTED_RUNGS),
         "constants.zeta_prime_neg": {"rows": zeta_primes, "entries": zeta_primes},
+        "_barnes_polys": {"rows": barnes, "entries": barnes},
     }
 
 
@@ -931,20 +933,23 @@ def log_multigamma_asymptotic(r: int, z: ComplexLike, cfg: EvalConfig = EvalConf
         return LogValue(value=+value, method="asymptotic")
 
 
-def _barnes_coeffs(k: int, w) -> list:
-    """a_j(w), j < k, with binom(t - w + k - 1, k - 1) = sum_j a_j(w) t^j.
-
-    Then sum_{n>=0} binom(n+k-1, k-1) (w+n)^-s = sum_j a_j(w) zeta_H(s-j, w).
-    a_j(w) = Q^(j)(-w)/j! for Q(t) = binom(t+k-1, k-1): exact polynomials,
-    evaluated exactly at an int or Fraction w and at the working precision
-    otherwise.
-    """
-    q = binom_poly(k - 1).shift(k - 1)
-    coeffs = []
+@lru_cache(maxsize=32)
+def _barnes_polys(k: int) -> tuple[RationalPoly, ...]:
+    """Q^(j)/j!, j < k, for Q(t) = binom(t+k-1, k-1): exact, built once per k."""
+    q, polys = binom_poly(k - 1).shift(k - 1), []
     for j in range(k):
-        coeffs.append(q.evaluate(-w))
+        polys.append(q)
         q = q.derivative().scale(Fraction(1, j + 1))
-    return coeffs
+    return tuple(polys)
+
+
+def _barnes_coeffs(k: int, w) -> list:
+    """a_j(w) = Q^(j)(-w)/j!, j < k: binom(t - w + k - 1, k - 1) = sum_j a_j(w) t^j.
+
+    Then sum_{n>=0} binom(n+k-1, k-1) (w+n)^-s = sum_j a_j(w) zeta_H(s-j, w);
+    exact at an int or Fraction w, at the working precision otherwise.
+    """
+    return [q.evaluate(-w) for q in _barnes_polys(k)]
 
 
 def _zeta_levels(r: int, wm, prec: Precision) -> list[tuple]:
@@ -956,13 +961,14 @@ def _zeta_levels(r: int, wm, prec: Precision) -> list[tuple]:
     polynomial p_k with p_k(w+1) - p_k(w) = p_{k-1}(w), and G_i(1) = 1 at
     every level fixes it:
         log G_k(w) = F_k(w) - sum_{i<=k} F_i(1) binom(w-1, k-i),
-    with F_i(1) from zeta'(-j) = zeta_H'(-j, 1).  No convention enters.
-    Each product c v summed counts 10^-digits |c| (1 + |v|) towards err:
-    Hurwitz promises 10^-digits absolute, and the guard digits absorb the
-    rounding.
+    with F_i(1) from zeta'(-j) = zeta_H'(-j, 1).  One pass at w gives
+    zeta_H'(-j, w) for every j < r (hurwitz_zeta_sderivs).  No convention
+    enters.  Each product c v summed counts 10^-digits |c| (1 + |v|) towards
+    err: Hurwitz promises 10^-digits max(1, |v|), and the guard digits absorb
+    the rounding.
     """
     eps = mpmath.mpf(10) ** -prec.digits
-    zetas = [hurwitz_zeta_sderiv(-j, wm, prec) for j in range(r)]
+    zetas = hurwitz_zeta_sderivs(r, wm, prec)
     consts = [zeta_prime_neg(j, prec) for j in range(r)]
     f_at_1 = []
     levels = []
@@ -1087,8 +1093,10 @@ def barnes_zeta_oracle(r: int, z, prec: Precision = Precision()) -> LogValue:
     sum_k binom(k+r-1, r-1) (z+k)^-s; writing the binomial as an exact
     polynomial in (k+z) gives zeta_r(s, z) = sum_j a_j(z) zeta_H(s-j, z),
     so log Gamma_r(z) = d/ds zeta_r(s,z)|_0 = sum_j a_j(z) zeta_H'(-j, z).
-    Shares no code with the product routes; the front door's zeta route
-    forms the same sum, so a check against this oracle must take its other
+    Each zeta_H'(-j, z) comes from hurwitz_zeta_sderiv, a pass of its own
+    per j, each within 10^-digits max(1, |value|).  Shares no code with the
+    product routes; the front door's zeta route forms the same sum from one
+    pass for every j, so a check against this oracle must take its other
     side from the product route.
     """
     if r < 1:

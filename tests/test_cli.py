@@ -605,6 +605,15 @@ def test_constants_takes_no_tolerance():
     assert err.startswith("error: unrecognized arguments: --tolerance")
 
 
+def test_constants_at_large_j():
+    # the direct sum of zeta'(-20) cancels about 30 digits; the pass carries them
+    code, out, _ = run(["constants", "--j", "20", "--precision", "10", "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {"constants": [{"name": "zeta'(-20)", "value": "132.2809975"}]}
+    code, out, _ = run(["constants", "--j", "35", "--precision", "10"])
+    assert code == 0 and "zeta'(-35)" in out
+
+
 def test_constants_json_deterministic():
     argv = ["constants", "--j", "0,1,2,3", "--format", "json", "--precision", "25"]
     assert run(argv) == run(argv)

@@ -13,7 +13,8 @@ import mpmath
 import pytest
 
 from multigamma import constants
-from multigamma.constants import Precision, hurwitz_zeta, hurwitz_zeta_sderiv, zeta_prime_neg
+from multigamma.constants import (Precision, hurwitz_zeta_sderiv, hurwitz_zeta_sderivs,
+                                  zeta_prime_neg)
 
 P30 = Precision()
 
@@ -63,55 +64,6 @@ def zeta3_oracle(dps):
 
 
 # ---------------------------------------------------------------------------
-# Closed forms
-# ---------------------------------------------------------------------------
-
-
-def test_zeta_2_1_is_pi_squared_over_six():
-    with mpmath.workdps(40):
-        assert abs(hurwitz_zeta(2, 1, P30) - mpmath.pi**2 / 6) < mpmath.mpf(10) ** -30
-
-
-def test_zeta_at_zero_is_half_minus_a():
-    with mpmath.workdps(40):
-        assert abs(hurwitz_zeta(0, 0.5, P30)) < mpmath.mpf(10) ** -30
-        for a in (0.3, 1.0, 2.7):
-            got = hurwitz_zeta(0, a, P30)
-            assert abs(got - (mpmath.mpf("0.5") - mpmath.mpf(a))) < mpmath.mpf(10) ** -29
-
-
-def test_zeta_at_minus_one_is_bernoulli_quadratic():
-    with mpmath.workdps(40):
-        assert abs(hurwitz_zeta(-1, 1, P30) + mpmath.mpf(1) / 12) < mpmath.mpf(10) ** -30
-        for a in (Fraction(1, 2), Fraction(7, 4), Fraction(3)):
-            am = mpf_frac(a)
-            expected = -(am**2 - am + mpmath.mpf(1) / 6) / 2
-            assert abs(hurwitz_zeta(a=am, s=-1, prec=P30) - expected) < mpmath.mpf(10) ** -29
-
-
-def test_zeta_at_minus_two_is_bernoulli_cubic():
-    # zeta(-n, a) = -B_{n+1}(a)/(n+1)
-    with mpmath.workdps(40):
-        for a in (Fraction(1), Fraction(5, 3)):
-            am = mpf_frac(a)
-            expected = -(am**3 - 3 * am**2 / 2 + am / 2) / 3
-            assert abs(hurwitz_zeta(-2, am, P30) - expected) < mpmath.mpf(10) ** -29
-
-
-def test_riemann_consistency_direct_series_bracket():
-    # the pure partial sum brackets zeta(s) via integral tail bounds
-    with mpmath.workdps(40):
-        n_cut = 2000
-        for s in (2, 3, 4):
-            val = hurwitz_zeta(s, 1, P30)
-            partial = sum(mpmath.mpf(n) ** -s for n in range(1, n_cut + 1))
-            lo = partial + mpmath.mpf(n_cut + 1) ** (1 - s) / (s - 1)
-            hi = partial + mpmath.mpf(n_cut) ** (1 - s) / (s - 1)
-            assert lo <= val <= hi
-            assert abs(val - mpmath.zeta(s)) < mpmath.mpf(10) ** -30
-
-
-# ---------------------------------------------------------------------------
 # s-derivatives
 # ---------------------------------------------------------------------------
 
@@ -146,17 +98,6 @@ def test_zeta_prime_minus_two_vs_apery():
         assert abs(zeta_prime_neg(2, P30) - expected) < mpmath.mpf(10) ** -28
 
 
-def test_sderiv_matches_central_difference():
-    # finite differencing is only a test here, never the implementation
-    prec = Precision(digits=24)
-    with mpmath.workdps(40):
-        h = mpmath.mpf(10) ** -12
-        for s, a in ((-0.7, 1.3), (0.25, 0.6), (-2.5, 2.0)):
-            fd = (hurwitz_zeta(s + h, a, prec) - hurwitz_zeta(s - h, a, prec)) / (2 * h)
-            got = hurwitz_zeta_sderiv(s, a, prec)
-            assert abs(got - fd) < mpmath.mpf(10) ** -11
-
-
 @pytest.mark.parametrize("digits", [30, 60])
 def test_complex_a_matches_mpmath(digits):
     # Re a > 0 with a large, a small and a moderate imaginary part
@@ -166,8 +107,6 @@ def test_complex_a_matches_mpmath(digits):
                   mpmath.mpc(mpf_frac(Fraction(343, 11)), mpf_frac(Fraction(24, 5)))):
             for j in range(4):
                 bound = mpmath.mpf(10) ** -digits
-                want = mpmath.zeta(-j, a)
-                assert abs(hurwitz_zeta(-j, a, prec) - want) <= bound * max(1, abs(want)), (a, j)
                 want = mpmath.zeta(-j, a, 1)
                 assert abs(hurwitz_zeta_sderiv(-j, a, prec) - want) <= bound * abs(want), (a, j)
 
@@ -201,22 +140,21 @@ def test_precision_monotonicity():
 
 
 def test_fraction_inputs_accepted():
+    # zeta'(-1, 1/2) = -zeta'(-1)/2 - log(2)/24, from zeta(s, 1/2) = (2^s - 1) zeta(s)
     with mpmath.workdps(40):
-        got = hurwitz_zeta(Fraction(-1), Fraction(1), P30)
-        assert abs(got + mpmath.mpf(1) / 12) < mpmath.mpf(10) ** -30
+        got = hurwitz_zeta_sderiv(Fraction(-1), Fraction(1, 2), P30)
+        want = -zeta_prime_neg(1, P30) / 2 - mpmath.log(2) / 24
+        assert abs(got - want) < mpmath.mpf(10) ** -30
 
 
 def test_domain_errors():
+    for a in (0, -3, mpmath.mpc(-1, 2)):
+        with pytest.raises(ValueError):
+            hurwitz_zeta_sderiv(0, a, P30)
+        with pytest.raises(ValueError):
+            hurwitz_zeta_sderivs(2, a, P30)
     with pytest.raises(ValueError):
-        hurwitz_zeta(1, 1, P30)
-    with pytest.raises(ValueError):
-        hurwitz_zeta(2, 0, P30)
-    with pytest.raises(ValueError):
-        hurwitz_zeta(2, -3, P30)
-    with pytest.raises(ValueError):
-        hurwitz_zeta(2, mpmath.mpc(-1, 2), P30)
-    with pytest.raises(ValueError):
-        hurwitz_zeta_sderiv(0, mpmath.mpc(-1, 2), P30)
+        hurwitz_zeta_sderivs(0, 1, P30)
     with pytest.raises(ValueError):
         zeta_prime_neg(-1, P30)
     with pytest.raises(ValueError):
@@ -229,30 +167,85 @@ def test_zeta_prime_cache_is_stable():
     assert first == second
 
 
-def test_cutoff_doubling_divergence_stop_and_convergence_failure(monkeypatch):
-    # At s = -40, a = 30 the first cutoff (8 at 30 digits) leaves correction
-    # terms above the target, so _hurwitz_core doubles it once; at 10 digits
-    # and s = -35 no cutoff up to 2^11 converges within the order cap.
-    cutoffs = []
-    real = constants._euler_maclaurin
+def test_non_integer_s_raises_value_error():
+    for s in (2, 1, 0.5, -0.7, -2.5, Fraction(-3, 2), mpmath.mpf("-1.25"), mpmath.mpc(-1, 1)):
+        with pytest.raises(ValueError):
+            hurwitz_zeta_sderiv(s, 1, P30)
+    # integer-valued s of any numeric type is accepted
+    for s in (-2, Fraction(-2), mpmath.mpf(-2), -2.0):
+        assert hurwitz_zeta_sderiv(s, 1, P30) == zeta_prime_neg(2, P30)
 
-    def recording(s, a, cutoff, order_cap, target):
-        cutoffs.append(cutoff)
-        return real(s, a, cutoff, order_cap, target)
 
-    monkeypatch.setattr(constants, "_euler_maclaurin", recording)
-    got = hurwitz_zeta_sderiv(-40, 30, P30)
-    assert cutoffs == [8, 16]
-    with mpmath.workdps(80):
-        assert abs(got / mpmath.zeta(-40, 30, 1) - 1) < mpmath.mpf(10) ** -30
-    cutoffs.clear()
-    with pytest.raises(ArithmeticError, match="failed to converge"):
-        hurwitz_zeta_sderiv(-35, 30, Precision(digits=10))
-    assert cutoffs == [2**k for k in range(12)]
-    # At cutoff 1 the derivative's correction terms at s = 0 shrink to about
-    # 1e-6 and then grow factorially: the sum stops after two growing terms
-    # instead of running on to the order cap, and reports no convergence.
+def test_remainder_bound_stops_the_tail_or_raises(monkeypatch):
+    # At the planned cutoff the tail stops once the remainder bound is below
+    # the target.  At cutoff 0 and a = 1 the bound's minimum over K is about
+    # e^(-2 pi), far above 10^-35: the pass raises instead of returning.
+    real = constants._cutoff
+    monkeypatch.setattr(constants, "_cutoff", lambda js, a, target: (0, 0.0))
+    with pytest.raises(ArithmeticError, match="cannot reach"):
+        hurwitz_zeta_sderivs(3, 1, P30)
+    with pytest.raises(ArithmeticError, match="cannot reach"):
+        hurwitz_zeta_sderiv(-20, 1, Precision(digits=10))
+    monkeypatch.setattr(constants, "_cutoff", real)
+    with mpmath.workdps(60):
+        got = hurwitz_zeta_sderivs(3, 1, P30)
+        assert all(abs(g - mpmath.zeta(-j, 1, 1)) < mpmath.mpf(10) ** -30 for j, g in enumerate(got))
+
+
+# ---------------------------------------------------------------------------
+# One pass for every j
+# ---------------------------------------------------------------------------
+
+
+SDERIV_A = (1, Fraction(1, 3), Fraction(29, 4), mpmath.mpc(1, 150), mpmath.mpc(0.5, -12))
+
+
+def _as_mp(a):
+    return mpf_frac(a) if isinstance(a, Fraction) else mpmath.mpmathify(a)
+
+
+@pytest.mark.parametrize("digits", [10, 30])
+def test_sderivs_match_mpmath_up_to_j_40(digits):
+    # the direct sum cancels about j log10(M + |a|) digits; the pass carries them
+    prec = Precision(digits=digits)
+    for a in SDERIV_A + (mpmath.mpf(10) ** 400,):
+        got = hurwitz_zeta_sderivs(41, a, prec)
+        assert len(got) == 41
+        with mpmath.workdps(digits + 20):
+            for j, value in enumerate(got):
+                want = mpmath.zeta(-j, _as_mp(a), 1)
+                assert abs(value - want) <= mpmath.mpf(10) ** -digits * max(1, abs(want)), (a, j)
+
+
+@pytest.mark.parametrize("digits", [10, 30])
+def test_one_pass_agrees_with_per_j_calls(digits):
+    prec = Precision(digits=digits)
+    for a in SDERIV_A:
+        together = hurwitz_zeta_sderivs(8, a, prec)
+        with mpmath.workdps(digits + 20):
+            for j, value in enumerate(together):
+                alone = hurwitz_zeta_sderiv(-j, a, prec)
+                assert abs(value - alone) <= mpmath.mpf(10) ** -digits * max(1, abs(alone)), (a, j)
+
+
+def test_pass_runs_again_where_a_value_is_below_its_leading_term(monkeypatch):
+    # zeta'(-30, 3) = 5.9e8 lies four digits below 3^31 log 3 / 31 = 2.2e13,
+    # the size the first pass assumes; the second pass carries every digit
+    # of the largest term.  At a = 6 and j < 21 the first pass suffices.
+    passes = []
+    real = constants._em_pass
+
+    def recording(*args):
+        passes.append(mpmath.mp.dps)
+        return real(*args)
+
+    monkeypatch.setattr(constants, "_em_pass", recording)
+    got = hurwitz_zeta_sderivs(31, 3, Precision(digits=10))
+    assert len(passes) == 2 and passes[0] < passes[1]
     with mpmath.workdps(40):
-        _, deriv, converged = real(mpmath.mpf(0), mpmath.mpf(1), 1, 200, mpmath.mpf(10) ** -40)
-        assert not converged
-        assert abs(deriv + mpmath.log(2 * mpmath.pi) / 2) < 1e-5
+        for j, value in enumerate(got):
+            want = mpmath.zeta(-j, 3, 1)
+            assert abs(value - want) <= mpmath.mpf(10) ** -10 * max(1, abs(want)), j
+    passes.clear()
+    hurwitz_zeta_sderivs(21, 6, Precision(digits=10))
+    assert len(passes) == 1

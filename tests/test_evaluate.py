@@ -545,7 +545,7 @@ def test_integer_caches_hold_one_row_per_precision_for_four_precisions(monkeypat
     assert info["_INT_RUNGS"] == {"keys": 2, "tuples": 2 * points, "ints": 2 * points * 8}
     assert all(shift == 0 for shift, _ in evaluate._INT_RUNGS.values())
     assert set(info) == {"_INT_TABLES", "_INT_RUNGS", "_EXTRAP_CACHE", "_SHIFTED_RUNGS",
-                         "constants.zeta_prime_neg"}
+                         "constants.zeta_prime_neg", "_barnes_polys"}
     # a fifth precision evicts the least recently used row; the rung memo
     # keeps up to _SHIFTED_KEYS precisions, most recently used last
     cfgs = {d: EvalConfig(precision=Precision(digits=d)) for d in (10, 11, 12, 13, 14)}
@@ -730,6 +730,24 @@ def test_zeta_route_descent_estimate_covers_actual_error():
         with mpmath.workdps(60):
             want = mpmath.log(mpmath.barnesg(zm))
             assert branch_free_distance(got.value, want) <= got.err_est < 1e-20, z
+
+
+def test_zeta_route_makes_one_hurwitz_pass_at_w(monkeypatch):
+    # r = 4 needs zeta_H'(-j, w) for j = 0..3: one pass gives all four, and
+    # no per-j call runs.  w = z + 3 is the first point with Re w > 0.
+    passes = []
+    real = evaluate.hurwitz_zeta_sderivs
+    monkeypatch.setattr(evaluate, "hurwitz_zeta_sderivs",
+                        lambda j_max, a, prec: passes.append((j_max, a)) or real(j_max, a, prec))
+    monkeypatch.setattr(evaluate, "hurwitz_zeta_sderiv", None)  # calling it would fail
+    with mpmath.workdps(CFG30.precision.working_dps):
+        zm = mp_arg((Fraction(-5, 2), Fraction(1, 4)))
+        got = evaluate._log_multigamma_zeta(4, zm, CFG30)
+    assert passes == [(4, zm + 3)]
+    cfg60 = EvalConfig(precision=Precision(digits=60))
+    with mpmath.workdps(cfg60.precision.working_dps):
+        want = evaluate._log_multigamma_zeta(4, mp_arg((Fraction(-5, 2), Fraction(1, 4))), cfg60)
+        assert abs(got.value - want.value) <= got.err_est < 1e-25
 
 
 def test_front_door_prefers_product_route_at_small_arguments():
