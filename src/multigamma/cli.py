@@ -328,7 +328,7 @@ def numeric_reports(args, cfg: EvalConfig, p_list: list[int]) -> list[dict]:
                 rhs = log_multigamma(r - 1, zm, cfg).value + log_multigamma(r, zm, cfg).value
                 reports.append(_report(
                     "recurrence", {"r": r, "z": str(zq)}, abs(lhs - rhs), cfg.tolerance))
-        # cross-route: Euler and Gauss extrapolants of the same limit
+        # cross-route: Euler and Gauss products of the same limit
         for r in range(1, min(r_top, 2) + 1):
             for zq in (Fraction(1, 2), Fraction(3, 2)):
                 zm = to_mp((zq, Fraction(0)), dps)

@@ -2,75 +2,42 @@
 
 Three routes are implemented and cross-checked:
 
-* the Gauss infinite product for log G_r(z+1), truncated at N and Richardson-
-  extrapolated over a doubling ladder (the truncation error has a pure 1/N
-  power expansion, so the ladder is valid at every r);
-* the Euler factor-by-factor rearrangement of the same product (identical
-  limit, different accumulation order — kept separate as a cross-check);
+* the Gauss infinite product for log G_r(z+1), truncated at N = 2^11 (_N)
+  and completed by its exact remainder.  With f_k = log G_k, Delta f_k =
+  f_{k-1} and f_0 = log, Newton's forward-difference series of f_r at
+  x = N + 1 gives (Noerlund, Vorlesungen ueber Differenzenrechnung, 1924)
+
+      log G_r(z+1) = gauss_partial(r, z, N) + T_r(z, x),
+      T_r(z, x)    = sum_{j>=1} binom(z, r+j) Delta^j log x,
+
+  from logs of integers and binomials in z alone; |Delta^j log x| <=
+  Gamma(j) Gamma(x) / Gamma(x+j) bounds the terms left out (_tail_bounds);
+* the Euler factor-by-factor rearrangement: its N-th partial equals the
+  Gauss bracket, accumulated in another order, and the same T_r completes it;
 * the Hurwitz-zeta route for log G_r(z): the Barnes zeta derivative
   sum_j a_j(w) zeta_H'(-j, w) = log Gamma_r(w) plus a polynomial fixed by
   G_r(1) = 1, at w = z + M with Re w > 0, walked back down with the
-  defining recurrence G_r(w+1) = G_{r-1}(w) G_r(w).  It has no remainder
-  term, so it stays accurate where the products lose accuracy (large |z|).
+  defining recurrence G_r(w+1) = G_{r-1}(w) G_r(w).
 
-The front door runs Gauss and falls back on the zeta route where Gauss
-misses the tolerance.  Before the full Gauss sweep it probes the ladder's
-first octaves at level min(r, 2), on the start of the same sweep (level 1
-of the probe starts from mpmath.loggamma): where they predict that the ladder
-cannot reach tolerance/10 (large |z|), the zeta route answers alone and the
-sweep never runs.  On top of these sit the Hurwitz-zeta oracle for
-log Gamma_r(z) (the zeta route's sum at rational z > 0, sharing no code with
-the products), the raw higher Stirling formula, the multiple sine, the
-multiplication-formula residual, and the calibration that checks the
-derived sign/shift conventions (``exact_poly.ConventionSet``) against the
-other seven candidates.
+The front door (log_multigamma) runs both routes, or the zeta route alone
+where T_r's bound cannot reach tolerance/10 (|z| near N or beyond).  On top
+sit the Hurwitz-zeta oracle for log Gamma_r(z), the raw higher Stirling
+formula, the multiple sine, the multiplication-formula residual, and the
+calibration of the derived conventions (``exact_poly.ConventionSet``).
 
-All log values are accumulated additively from principal logs of individual
-factors; the imaginary part is therefore path-dependent (it is not reduced
-modulo 2 pi), and exactness claims attach to exp(value) and to real parts on
-the positive real axis.
+Log values are sums of principal logs of factors: the imaginary part is
+path-dependent (not reduced modulo 2 pi), and exactness claims attach to
+exp(value) and to real parts on the positive real axis.  Every routine sets
+mpmath's working precision, which is global: evaluate from one thread at a
+time.
 
-The product sweep runs in fixed point.  Each log G_k value of the integer and
-the shifted lattices is a Python int scaled by 2^(p+g): p is the working
-precision in bits and g = N.bit_length() guard bits for the ladder top
-N = 2^14 (_N).  Level 0, log n and log(z+n), takes few logs.  The
-integer row takes one per prime and adds the logs of prime factors; the
-shifted level 0 writes z+n = m + d with m an integer and takes log m from the
-integer row plus log(1 + d/m) from short real odd series in fixed point:
-2 atanh(d/(2m+d)) for real d; for complex d, atanh of one real argument for
-log|m+d| - log m and atan of another for arg(m+d).  Each series is a Horner
-sum whose k-th accumulator keeps only the bits that its later factor
-t^(2k+1) leaves above the sum's last place; its term count is set per octave
-of m, from the argument at the octave's first m, and it runs over blocks of
-at most 2^10 m, so that its temporary rows stay short.  Only the entries
-with m below a cutoff of 2^4 or more (|Im z| raises it), every z+n with
-Re <= 0 among them, and those with m past 2N keep a direct log, so the
-integer row never grows past 2N.  Logs and series run a few bits past the
-grid, so every level-0 entry x is within (2 + log2 max(2, |x|)) 2^-(p+g) of
-log x (_integer_log_table and _level0_entries give the details).
-
-The real and imaginary parts of the levels above and of the partial sums
-are exact integer sums of level-0 entries, so no level above 0 is kept
-whole.  One reader serves both lattices (_shifted_rungs), the integer one
-as the lattice at z = 0: level 0 is streamed once, in blocks, through
-K = max(r, 3) nested running sums, which are kept at m = s+1 and m = s+N+1
-for the rungs N only, s = floor(Re z).  Only the integer level 0 is kept
-whole, one row for each of the four most recently used precisions, and the
-Euler route streams the integer levels it telescopes from it.  Level k of
-the shifted lattice starts from its extrapolated base log G_k(z+1), so its
-partial sums are the bases times binomials in N plus differences of those
-running sums: the same exact integers a row of level k would add up to
-(_sums_at).  An entry depends on m and d alone, so the rung points are
-memoized per exact d (_SHIFTED_RUNGS, ten keys; the integer lattice apart,
-in _INT_RUNGS): a later z + k with |k| <= 16, as the recurrence and the
-multiplication formula take, walks each point k steps and builds only
-those entries.  A level-r ladder fills both memos at depth r before its
-probe and its lower-level bases read them, so one call sweeps each lattice
-once.  A single partial (gauss_partial, euler_partial) sums both lattices
-into a private memo, so it stays an independent check of the ladder.
-Values return to mpf/mpc only at ladder checkpoints.  cache_info() reports
-what the module-level caches hold.  Results are plain LogValue records;
-cli.py renders them.
+The product sweep runs in fixed point (_fixed_bits): level 0, log n and
+log(z+n), takes few logs (_integer_log_table, _level0_entries), and the
+levels above are exact integer sums of it, streamed once per lattice and
+kept only at m = s+1 and s+N+1, s = floor(Re z) (_shifted_rungs, memoized
+per fractional part).  A single partial (gauss_partial, euler_partial) sums
+both lattices into a private memo, an independent check of the products.
+cache_info() reports the module-level caches; cli.py renders the results.
 """
 
 from __future__ import annotations
@@ -79,7 +46,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from operator import add, floordiv, mul, rshift, sub
 from typing import Any, Sequence, Union
 
@@ -124,16 +91,12 @@ __all__ = [
 ]
 
 SINGULAR_EPS = 1e-8
-# The doubling ladder of the product routes: their partial products at these
-# N, Richardson-extrapolated in 1/N.
-_LADDER = tuple(2**k for k in range(6, 15))
-_N = _LADDER[-1]
-# Richardson depth of the front door's product value.
-_ORDER = 4
-# Bases feed every shifted-level entry, so their error is amplified ~N times
-# per level above them; the deepest tableau the ladder's nine rungs support
-# is the right depth for them (memoized — the extra columns are free).
-_BASE_ORDER = 8
+# The products' truncation, and the point x = N + 1 at which their Newton
+# remainder is expanded.
+_N = 2**11
+_X = _N + 1
+# The most terms a Newton remainder takes.
+_J_MAX = 256
 
 ComplexLike = Union[int, float, complex, Fraction, Any]
 
@@ -156,11 +119,9 @@ class LogValue:
     """A logarithm accumulated additively, tagged with its method of origin.
 
     The imaginary part is the continued log along the accumulation path, not
-    reduced modulo 2 pi; the product and zeta routes both sum principal logs
+    reduced modulo 2 pi: the product and zeta routes both sum principal logs
     of z+n, so they land on the same branch.  err_est is an absolute error
-    estimate (None when the producing operation has no model for it: a
-    single partial product, the raw asymptotic formula).  A plain record:
-    the CLI renders it.
+    bound, None for a single partial product and the raw asymptotic formula.
     """
 
     value: Any  # mpf or mpc
@@ -196,19 +157,14 @@ class ResidualReport:
 class EvalConfig:
     """Evaluation settings shared by every numeric operation.
 
-    precision: the decimal digits asked for; the product ladder (_LADDER)
-    and its Richardson order (_ORDER) are fixed.
+    precision: the decimal digits asked for (the products' N = 2^11 is fixed).
     tolerance: the absolute error the front door must reach, positive and
-    finite; the zeta route answers wherever the product route's err_est is
-    predicted (from the ladder's first octaves) or found to miss
-    tolerance/10.
-    cross_validate: run both routes in full at every front-door call, with
-    no prediction, and check that they agree.
+    finite: the Gauss value answers where its err_est is below tolerance/10.
+    Evaluation sets mpmath's precision, which is global: one thread at a time.
     """
 
     precision: Precision = Precision()
     tolerance: float = 1e-8
-    cross_validate: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
@@ -255,12 +211,16 @@ def higher_stirling_terms(r: int) -> HigherStirlingTerms:
 
 
 def _to_mp(z: ComplexLike):
-    """Convert to mpf/mpc at the current working precision."""
+    """Convert to mpf/mpc at the current working precision; a non-finite z raises ValueError."""
     if isinstance(z, Fraction):
-        return mpmath.mpf(z.numerator) / z.denominator
-    if isinstance(z, complex):
-        return mpmath.mpc(z.real, z.imag)
-    return mpmath.mpmathify(z)
+        zm = mpmath.mpf(z.numerator) / z.denominator
+    elif isinstance(z, complex):
+        zm = mpmath.mpc(z.real, z.imag)
+    else:
+        zm = mpmath.mpmathify(z)
+    if not mpmath.isfinite(zm):
+        raise ValueError("z must be finite")
+    return zm
 
 
 def _z_key(zm) -> tuple:
@@ -294,14 +254,10 @@ def _check_not_singular(r: int, zm) -> None:
 
 
 def _fixed_bits(cfg: EvalConfig) -> int:
-    """Fractional bits of the fixed-point lattice: working bits plus guard bits.
+    """Fractional bits of the fixed-point lattice: the working bits p plus N.bit_length().
 
-    Each level-0 entry lies on the grid 2^-bits; the levels above and the
-    partial sums are exact integer sums of those entries.  N.bit_length()
-    guard bits, N = _N the ladder top, make 2^-bits at most 2^-p / N, p the
-    working precision in bits, so the few units of 2^-bits by which each
-    level-0 entry misses its log add a few 2^-p over a row of N.  The bits
-    therefore depend on the precision alone.
+    Each level-0 entry lies on the grid 2^-bits <= 2^-p / N, N = _N, so the
+    few units by which each misses its log add a few 2^-p over a row of N.
     """
     return mpmath.libmp.dps_to_prec(cfg.precision.working_dps) + _N.bit_length()
 
@@ -328,7 +284,7 @@ _SERIES_GUARD = 10
 _FIRST_SERIES_OCTAVE = 4
 # The most entries one _log1p_block sums at once, so that the series'
 # temporary rows stay short.
-_SERIES_BLOCK = 2**10
+_SERIES_BLOCK = _N // 16
 
 # _INT_TABLES[dps][n] = log n scaled by 2^bits (index 0 unused), grown on
 # demand, for the _INT_KEYS most recently used working precisions dps.
@@ -363,9 +319,8 @@ def _integer_log_table(cfg: EvalConfig, n_max: int) -> list:
     factor p is log p + log(n/p).  Entry n is therefore below log n by less
     than Omega(n) (1 + 2^-10 log n) 2^-bits, Omega(n) <= log2(n) the number
     of prime factors with multiplicity, and it depends on n alone, not on
-    how the table was grown.  The levels above are never kept whole: they
-    are exact running sums of this row, read at the ladder rungs as the
-    z = 0 lattice of _shifted_rungs, and streamed by _integer_levels.
+    how the table was grown.  The levels above are exact running sums of
+    this row: the z = 0 lattice of _shifted_rungs, or _integer_levels.
     """
     key = cfg.precision.working_dps
     row0 = _INT_TABLES[key] = _INT_TABLES.pop(key, [None])
@@ -462,7 +417,7 @@ def _log1p_block(ms: range, dr: int, di: int, prec: int, bits: int) -> tuple[lis
 
 # _SHIFTED_RUNGS[(dps, exact d)] = (shift s, {m: point}): the running sums of
 # the shifted level 0 with fractional part d at m = s+1 and at m = s+R+1 for
-# a prefix of the ladder rungs R, centred on the latest s.  At most
+# rungs R <= _N (the products read R = _N), centred on the latest s.  At most
 # _SHIFTED_KEYS keys, the least recently used evicted first; a later shift
 # within _WALK of s walks every point there.  _INT_RUNGS holds the integer
 # lattice, z = 0, in the same form, one key per precision, always at shift
@@ -474,15 +429,13 @@ _WALK = 16
 
 
 def _level0_entries(zm, cfg: EvalConfig, shift: int, dr: int, di: int,
-                    cut: int, ms: range) -> tuple[list, list]:
+                    series: range, ms: range) -> tuple[list, list]:
     """(re, im) fixed-point rows of log(m + d) for m in ms, z = shift + d.
 
-    The entries with cut <= m <= 2N, N = _N, are log m from the integer
+    The entries with m in series (_shifted_grid; it stops at 2N for the
+    partial's N, so the integer table stays O(N) long) are log m from the
     table plus, for d != 0, log(1 + d/m) from _log1p_block, in blocks of at
-    most _SERIES_BLOCK m within one octave; d = (dr + i di) 2^-prec.  The
-    others are direct logs of z + (m - shift), prec bits, floored onto the
-    grid.  The series stops at m = 2N so that the integer table stays O(N)
-    long however large Re z is.
+    most _SERIES_BLOCK m within one octave; d = (dr + i di) 2^-prec.
 
     With m = n + shift and 0 <= Re d < 1 (_shifted_grid), the entry is
     log(z+n).  From m >= 2^j >= 2|d|, j >= _FIRST_SERIES_OCTAVE, each series
@@ -495,13 +448,13 @@ def _level0_entries(zm, cfg: EvalConfig, shift: int, dr: int, di: int,
     it is the table's own entry.  Every other entry, including each z+n with
     Re <= 0 and each m past the top, is mpmath.log(z+n) taken _SERIES_GUARD
     bits past the grid and floored onto it: within (1 + 2^-10 |log(z+n)|)
-    2^-bits.  Every entry depends on m, d and the precision alone, not on
-    ms or on z's shift.
+    2^-bits.  Every entry depends on m, d, series and the precision alone,
+    not on ms or on z's shift.
     """
     bits = _fixed_bits(cfg)
     prec = bits + _SERIES_GUARD
-    lo = min(max(cut, ms.start), ms.stop)
-    hi = max(lo, min(ms.stop, 2 * _N + 1))
+    lo = min(max(series.start, ms.start), ms.stop)
+    hi = max(lo, min(ms.stop, series.stop))
     with mpmath.workprec(prec):
         direct = [_to_fixed(mpmath.log(zm + (m - shift)), bits)
                   for m in chain(range(ms.start, lo), range(hi, ms.stop))]
@@ -525,27 +478,28 @@ def _level0_entries(zm, cfg: EvalConfig, shift: int, dr: int, di: int,
     return re0, im0
 
 
-def _shifted_grid(zm, cfg: EvalConfig) -> tuple[tuple, int, int, int, int]:
-    """(memo key, shift, dr, di, cut): z's shifted level 0 as _level0_entries builds it.
+def _shifted_grid(zm, cfg: EvalConfig, n: int = _N) -> tuple[tuple, int, int, int, range]:
+    """(memo key, shift, dr, di, series): z's shifted level 0 as _level0_entries builds it.
 
     z+n = m + d with m = n + shift, shift = floor(Re z), 0 <= Re d < 1; the
     key is (working dps, exact d), and d floored onto 2^-prec, prec = bits +
-    _SERIES_GUARD, is (dr + i di) 2^-prec.  The series starts at m = cut,
-    the first power of two >= 2^_FIRST_SERIES_OCTAVE and >= 2|d|; an integer
-    z reads the integer table from m = 1.
+    _SERIES_GUARD, is (dr + i di) 2^-prec.  The series runs over m from the
+    first power of two >= 2^_FIRST_SERIES_OCTAVE and >= 2|d| to 2 max(n, _N)
+    for a partial at n; an integer z reads the integer table from m = 1.
     """
+    top = 2 * max(n, _N) + 1
     shift = int(mpmath.floor(mpmath.re(zm)))
     re_z, im_z = zm._mpc_ if isinstance(zm, mpmath.mpc) else (zm._mpf_, fzero)
     # exact; z - shift at the working precision can round when -1 < Re z < 0
     d_key = (mpf_sub(re_z, from_int(shift)), im_z)
     key = (cfg.precision.working_dps, d_key)
     if d_key == (fzero, fzero):  # z+n = m: the integer table's own entries
-        return key, shift, 0, 0, 1
+        return key, shift, 0, 0, range(1, top)
     prec = _fixed_bits(cfg) + _SERIES_GUARD
     dr, di = _to_fixed(zm, prec)
     dr -= shift << prec
     d_log2 = math.log2(math.isqrt(dr * dr + di * di) + 2) - prec  # >= log2 |d|
-    return key, shift, dr, di, 1 << max(_FIRST_SERIES_OCTAVE, math.ceil(d_log2) + 1)
+    return key, shift, dr, di, range(1 << max(_FIRST_SERIES_OCTAVE, math.ceil(d_log2) + 1), top)
 
 
 def _running_sums(start: Sequence[int], row: list, offsets: Sequence[int]) -> list[tuple]:
@@ -603,19 +557,20 @@ def _shifted_rungs(zm, cfg: EvalConfig, depth: int, ns: Sequence[int],
                    memo: dict) -> tuple[tuple, list[tuple]]:
     """The running sums of z's shifted level 0 at m = s+1 and at each m = s+n+1, n in ns.
 
-    s = floor(Re z), and ns ascends: a prefix of the ladder _LADDER, or a
-    single partial's N.  A point is a pair (re, im) of tuples (W_1..W_K),
-    K >= max(depth, 3), W_0 = log(z+n) at m = n + s (_level0_entries) and
-    W_k the exact running sums above it: W_k(m+1) = W_k(m) + W_{k-1}(m).
+    s = floor(Re z); ns ascends to _N for the products or to a single
+    partial's N, and level 0 takes the series up to 2 max(ns[-1], _N).  A
+    point is a pair (re, im) of tuples (W_1..W_K), K >= max(depth, 3), W_0 =
+    log(z+n) at m = n + s (_level0_entries) and W_k the exact running sums
+    above it: W_k(m+1) = W_k(m) + W_{k-1}(m).
     Memoized in memo (_SHIFTED_RUNGS, _INT_RUNGS, or a caller's own {}); a
     miss streams level 0 on from the last rung held (_streamed).  A key held
     at another shift s' with |s - s'| <= _WALK is first walked there point
     by point from the few entries between; one held too far away or too
     shallow is swept again from m = s+1, where every W_k is 0.
     """
-    key, shift, dr, di, cut = _shifted_grid(zm, cfg)
+    key, shift, dr, di, series = _shifted_grid(zm, cfg, ns[-1])
     depth = max(depth, 3)
-    build = partial(_level0_entries, zm, cfg, shift, dr, di, cut)
+    build = partial(_level0_entries, zm, cfg, shift, dr, di, series)
     held_shift, points = memo.pop(key, (shift, {}))
     step = shift - held_shift
     if not points or len(points[held_shift + 1][0]) < depth or abs(step) > _WALK:
@@ -634,18 +589,6 @@ def _shifted_rungs(zm, cfg: EvalConfig, depth: int, ns: Sequence[int],
     if ahead:
         points.update(zip(ahead, _streamed(build, points[last], last, ahead)))
     return points[shift + 1], [points[m] for m in wanted]
-
-
-def _level_bases(r: int, zm, cfg: EvalConfig) -> list[tuple[int, int]]:
-    """B_k = log G_k(z+1), k = 1..r-1, as (re, im) ints on the grid.
-
-    Each is the level-k Gauss ladder extrapolated at _BASE_ORDER: the bases
-    enter the level-r sums with O(N)-fold amplification, so they take a
-    higher order than the caller's, and they are memoized.
-    """
-    bits = _fixed_bits(cfg)
-    return [_to_fixed(product_extrapolated("gauss", k, zm, cfg, order=_BASE_ORDER).value, bits)
-            for k in range(1, r)]
 
 
 def _sums_at(r: int, ns: Sequence[int], start: tuple, points: Sequence[tuple],
@@ -674,74 +617,177 @@ def _sums_at(r: int, ns: Sequence[int], start: tuple, points: Sequence[tuple],
 # ---------------------------------------------------------------------------
 
 
-def _partial_checkpoints(method: str, r: int, zm, cfg: EvalConfig, ns: Sequence[int],
-                         sums: Sequence[tuple[int, int]], memo: dict) -> list[LogValue]:
-    """Partial-product log values at each checkpoint N in ns, one shared sweep.
+def _wide_bits(r: int, zm, cfg: EvalConfig) -> int:
+    """Bits that keep the roundings of a level-r partial and its remainder below the grid:
+    their largest terms stay below (|z| + x + r)^(r+1) for |z| < x = N + 1."""
+    return _fixed_bits(cfg) + (r + 1) * math.ceil(math.log2(min(abs(zm), _X) + _X + r)) + 16
 
-    gauss: sum_{n<=N} [log G_{r-1}(n) - log G_{r-1}(z+n)]
-           + sum_k binom(z, r-k) log G_k(N+1).
-    euler: the same quantity accumulated factor-by-factor, the correction
-           distributed as telescoping ratios (G_k(n+1)/G_k(n))^binom(z, r-k),
-           each rounded onto the fixed-point grid.
 
-    sums are the shifted sums sum_{n<=N} log G_{r-1}(z+n) at each N in ns
-    (_sums_at).  The integer sum up to N is log G_r(N+1).  It and the
-    corrections' log G_k(N+1), k >= 1, are the running sums W_k(N+1) of the
-    z = 0 lattice of _shifted_rungs, read from memo (_INT_RUNGS, or a single
-    partial's own): they start from 0 at m = 1.  log(N+1) is the table's
-    entry.  euler streams each ratio G_k(n+1)/G_k(n), G_{k-1}(n) or (n+1)/n
-    at k = 0, from level 0 (_integer_levels).  The sums run exactly over
-    fixed-point ints; values become mpf/mpc only at checkpoints, where gauss
-    also adds its corrections at the working precision.  A real z < -1 has
-    z+1 < 0, and then log G_{r-1}(z+1) carries a multiple of i pi, so the
-    values are complex.
+def _extend_binomials(binoms: list, zm, top: int) -> None:
+    """Extend binoms = [binom(z, 0), ...], (re, im) ints scaled by 2^prec (the current
+    precision), to m = top by binom(z, m+1) = binom(z, m) (z-m)/(m+1).  z is exact on
+    that grid and each step floors twice, so binom(z, m) is within 4m binom(|z| + m, m) units.
     """
-    n_top = ns[-1]
+    prec = mpmath.mp.prec
+    zr, zi = _to_fixed(zm, prec)
+    for m in range(len(binoms) - 1, top):
+        cr, ci = binoms[m]
+        ar = zr - (m << prec)
+        binoms.append((((cr * ar - ci * zi) >> prec) // (m + 1),
+                       ((cr * zi + ci * ar) >> prec) // (m + 1)))
+
+
+def _partial(method: str, r: int, zm, cfg: EvalConfig, n: int, start: tuple, point: tuple,
+             below: Sequence[LogValue], binoms: list, memo: dict) -> tuple:
+    """(value, err): the log of the N-th partial product at the current precision, and its rounding.
+
+    gauss: sum_{n<=N} [log G_{r-1}(n) - log G_{r-1}(z+n)] + sum_k binom(z, r-k) log G_k(N+1);
+    euler: the same, the correction distributed as telescoping ratios
+    (G_k(n+1)/G_k(n))^binom(z, r-k), G_{k-1}(n) or (n+1)/n, each floored onto
+    the grid.  The second sum comes from the shifted running sums at start
+    and point on the bases below (_sums_at), binoms is extended to m = r, and
+    log G_k(N+1) are the running sums of the z = 0 lattice (_shifted_rungs,
+    from memo).  A real z < -1 gives a complex value.
+
+    err: each level-0 entry misses by less than e0 = bit_length(2 max(N, _N))
+    + 3 units of 2^-bits, a level-k sum at N+1 adds binom(N+k-1, k) of them,
+    each floored base costs binom(N, r-k) units, and euler's floored
+    exponents cost the ratios' sum, log G_k(N+1), plus a floor per term.
+    The mpf arithmetic and the binomials' errors cost (r + 2) 2^(3-prec) per
+    unit of the terms' sizes and of binom(|z| + m, m) log G_k(N+1).
+    """
     bits = _fixed_bits(cfg)
+    (shifted,) = _sums_at(r, [n], start, [point], [_to_fixed(b.value, bits) for b in below])
+    _extend_binomials(binoms, zm, r)
+    cplx = isinstance(zm, mpmath.mpc) or zm < -1
+    coeffs = [_from_fixed(*binoms[r - k], mpmath.mp.prec, isinstance(zm, mpmath.mpc))
+              for k in range(r)]  # binom(z, r-k)
+    row0 = _integer_log_table(cfg, n + 1)
+    _, (integer_point,) = _shifted_rungs(mpmath.mp.zero, cfg, r, [n], memo)
+    rung = (row0[n + 1], *integer_point[0][:r])  # log G_k(N+1), k = 0..r
+    e0 = (2 * max(n, _N)).bit_length() + 3
+    units = 2 * e0 * math.comb(n + r - 1, r) + sum(math.comb(n, r - k) for k in range(1, r))
+    units += e0 * mpmath.fsum(abs(c) * math.comb(n + k - 1, k) for k, c in enumerate(coeffs))
+    added = [rung[r], 0]
+    if method == "euler":
+        for k in range(r):
+            for part, e in enumerate(_to_fixed(coeffs[k], bits)):
+                if e:
+                    ratios = (map(sub, islice(row0, 2, None), islice(row0, 1, None)) if k == 0
+                              else _integer_levels(row0, k - 1))
+                    terms = map(rshift, map(mul, repeat(e), ratios), repeat(bits))
+                    added[part] += sum(islice(terms, n))
+            units += 2 * (n + (rung[k] >> bits) + 1)
+    value = _from_fixed(added[0] - shifted[0], added[1] - shifted[1], bits, cplx)
+    corrections = [c * mpmath.mpf((rung[k], -bits)) for k, c in enumerate(coeffs)]
+    ceil_z = math.ceil(abs(zm))
+    size = abs(value) + mpmath.fsum(map(abs, corrections)) + mpmath.fsum(
+        math.comb(ceil_z + r - k, r - k) * mpmath.mpf((rung[k], -bits)) for k in range(r))
+    size *= (r + 2) * 4 * mpmath.eps
+    if method == "gauss":
+        value += mpmath.fsum(corrections)
+    return value, units * mpmath.mpf(2) ** -bits + size
+
+
+# [scale, e, [D_1, D_2, ...]]: D_j 2^-e is within 2^(1-scale) of Delta^j log x, x = _X.
+_LOG_DIFFS: list = [0, 0, []]
+
+
+def _log_differences(terms: int, scale: int) -> tuple[int, list[int]]:
+    """(e, diffs): Delta^j log x within 2^(1-scale) as diffs[j-1] 2^-e, x = _X, for j <= terms.
+
+    Delta^j log x = sum_i (-1)^(j-i) binom(j, i) log(x+i) cancels about
+    j log2(2x) bits, so each log(x+i), i <= J, is floored onto 2^-(scale+J)
+    (within 1.01 units), and their exact differences miss by less than
+    1.01 2^j units.  A larger request rebuilds the table with twice the
+    terms (at most _J_MAX), if it needs more, and 64 bits to spare.
+    """
+    held_scale, e, diffs = _LOG_DIFFS
+    if len(diffs) < terms or held_scale < scale:
+        terms = max(terms, min(2 * len(diffs), _J_MAX)) if len(diffs) < terms else len(diffs)
+        scale = max(scale, held_scale) + 64
+        e = scale + terms
+        with mpmath.workprec(e + 10):
+            row = [to_fixed(mpmath.log(_X + i)._mpf_, e) for i in range(terms + 1)]
+        diffs = []
+        for _ in range(terms):
+            row = list(map(sub, row[1:], row[:-1]))
+            diffs.append(row[0])
+        _LOG_DIFFS[:] = scale, e, diffs
+    return e, diffs
+
+
+def _tail_bounds(k: int, zabs: float):
+    """log2 of bounds (u_J, sum_{j>J} u_j) on the terms |binom(z, k+j) Delta^j log x|, J = 1, 2, ...
+
+    For |z| < x - 1, x = _X, from |z| alone: binom(|z| + k + j, k + j) >=
+    |binom(z, k+j)|.  From Delta^j log x = (-1)^(j-1) int_0^1 u^(x-1) (1-u)^j
+    / (-log u) du and 1 - u <= -log u, |Delta^j log x| <= B(j, x) = Gamma(j)
+    Gamma(x) / Gamma(x+j).  With u_j = binom(|z| + k + j, k + j) B(j, x):
+    u_{j+1} <= rho_j u_j, rho_j = (|z| + k + j)/(k + j + 1) j/(x + j) <=
+    ((k+j)/(k+j+1))^s, s = min(x + 1 - |z|, k + 1) >= 2, so sum_{j>J} u_j <=
+    rho_J u_J (1 + (k+J+1)/(s-1)).  One more bit covers the floats' roundings;
+    no float overflows.
+    """
+    log_b = -math.log2(_X)  # log2 B(1, x)
+    log_c = sum(math.log2((zabs + m + 1) / (m + 1)) for m in range(k + 1))
+    for j in range(1, _J_MAX + 1):
+        rho = (zabs + k + j) / (k + j + 1) * j / (_X + j)
+        log_u = log_c + log_b
+        yield log_u, log_u + math.log2(rho * (1 + (k + j + 1) / min(_X - zabs, k))) + 1
+        log_b += math.log2(j / (_X + j))
+        log_c += math.log2((zabs + k + j + 1) / (k + j + 1))
+
+
+def _newton_reaches(r: int, zabs, tolerance: float) -> bool:
+    """Whether T_r's bound can fall below tolerance/10 within _J_MAX terms, from |z|, r and N."""
+    limit = math.log2(tolerance) - math.log2(10)
+    return zabs < _X - 1 and any(tail < limit for _, tail in _tail_bounds(r, float(zabs)))
+
+
+def _newton_tail(k: int, zm, binoms: list, bits: int) -> tuple:
+    """(T_k(z, x), err) at x = _X = N + 1 and the current precision; (0, inf) for |z| >= x - 1.
+
+    The terms stop at the first J whose remainder bound (_tail_bounds) is
+    below 2^-bits, or at _J_MAX, and are summed exactly in ints.  err adds
+    the bound, the table's error (scaled below 2^-bits), the binomials'
+    (binoms, shared by the levels of one product) and the final rounding.
+    """
+    if not abs(zm) < _X - 1:
+        return mpmath.mpf(0), mpmath.inf
+    for j, (log_u, log_tail) in enumerate(_tail_bounds(k, float(abs(zm))), 1):
+        if j == 1:
+            log_size = max(log_u, log_tail) + 1  # the terms' sum
+        if log_tail < -bits:
+            break
+    _extend_binomials(binoms, zm, k + j)
+    terms = binoms[k + 1:k + j + 1]
+    top = math.log2(math.comb(math.ceil(abs(zm)) + k + j, k + j))  # >= log2 |binom(z, k+j')|
+    e, diffs = _log_differences(j, bits + math.ceil(top) + j.bit_length() + 1)
+    prec = mpmath.mp.prec
+    value = _from_fixed(sum(map(mul, (c[0] for c in terms), diffs)),
+                        sum(map(mul, (c[1] for c in terms), diffs)), prec + e,
+                        isinstance(zm, mpmath.mpc))
+    rounding = (abs(value) + 4 * (k + j) * mpmath.ldexp(1, math.ceil(log_size))) * mpmath.eps
+    return value, mpmath.ldexp(1, math.ceil(log_tail)) + mpmath.ldexp(1, -bits) + rounding
+
+
+def _completed(method: str, k: int, zm, cfg: EvalConfig, start: tuple, point: tuple,
+               below: Sequence[LogValue], binoms: list) -> LogValue:
+    """log G_k(z+1) as the partial at N = _N plus T_k(z, N+1), rounded to the working
+    precision.  Level i < k starts from below[i-1], whose error enters times binom(N, k-i)."""
+    value, err = _partial(method, k, zm, cfg, _N, start, point, below, binoms, _INT_RUNGS)
+    tail, tail_err = _newton_tail(k, zm, binoms, _fixed_bits(cfg))
+    value += tail
+    err += tail_err + mpmath.fsum(b.err_est * math.comb(_N, k - i) for i, b in enumerate(below, 1))
     with mpmath.workdps(cfg.precision.working_dps):
-        exponents = [binom_poly(r - k).evaluate(zm) for k in range(r)]
-        cplx = isinstance(zm, mpmath.mpc) or zm < -1
-        row0 = _integer_log_table(cfg, n_top + 1)
-        _, points = _shifted_rungs(mpmath.mp.zero, cfg, r, ns, memo)
-        # log G_k(N+1) for k = 0..r at each rung N
-        rungs = [(row0[n + 1], *re[:r]) for n, (re, _) in zip(ns, points)]
-        # per part (re, im): what the integer lattice adds to the sum at each rung
-        added = [[rung[r] for rung in rungs], [0] * len(ns)]
-        if method == "euler":
-            for k, exponent in enumerate(exponents):
-                for part, e in enumerate(_to_fixed(exponent, bits)):
-                    if e:
-                        ratios = (map(sub, islice(row0, 2, None), islice(row0, 1, None)) if k == 0
-                                  else _integer_levels(row0, k - 1))
-                        terms = map(rshift, map(mul, repeat(e), ratios), repeat(bits))
-                        added[part] = list(map(add, added[part],
-                                               accumulate(_segment_sums(terms, ns))))
-
-        out = []
-        for rung, (sum_re, sum_im), add_re, add_im in zip(rungs, sums, *added):
-            value = _from_fixed(add_re - sum_re, add_im - sum_im, bits, cplx)
-            if method == "gauss":
-                for k in range(r):
-                    value += exponents[k] * mpmath.mpf((rung[k], -bits))
-            out.append(LogValue(value=+value, method=method))
-        return out
-
-
-def _segment_sums(values, ns: Sequence[int]) -> list[int]:
-    """Sums of an iterator's values for n = 1..ns[-1] over each (previous rung, rung]."""
-    out, lo = [], 0
-    for n in ns:
-        out.append(sum(islice(values, n - lo)))
-        lo = n
-    return out
+        err += abs(value) * mpmath.eps
+        return LogValue(value=+value, method=method, err_est=+err)
 
 
 def _single_partial(method: str, r: int, z: ComplexLike, n: int, cfg: EvalConfig) -> LogValue:
-    """One partial at any N, its two lattices summed into a private {}, not a rung memo.
-
-    So it stays an independent check of the ladder's checkpoints, which it
-    must equal bit for bit at a rung.
-    """
+    """One partial at any N, its lattices summed into a private {}: an independent check
+    of the products, equal to theirs bit for bit at N = _N, on the same Gauss bases."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if n < 1:
@@ -749,30 +795,25 @@ def _single_partial(method: str, r: int, z: ComplexLike, n: int, cfg: EvalConfig
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
         _check_not_singular(r, zm + 1)
-        bases = _level_bases(r, zm, cfg)
-        start, points = _shifted_rungs(zm, cfg, r, [n], {})
-        sums = _sums_at(r, [n], start, points, bases)
-        return _partial_checkpoints(method, r, zm, cfg, [n], sums, {})[0]
+        below = _levels("gauss", r - 1, zm, cfg)
+        start, (point,) = _shifted_rungs(zm, cfg, r, [n], {})
+        with mpmath.workprec(_wide_bits(r, zm, cfg)):
+            value, _ = _partial(method, r, zm, cfg, n, start, point, below,
+                                [(1 << mpmath.mp.prec, 0)], {})
+        return LogValue(value=+value, method=method)
 
 
 def gauss_partial(r: int, z: ComplexLike, n: int, cfg: EvalConfig = EvalConfig()) -> LogValue:
-    """log of the N-th Gauss bracket for log G_r(z+1).
+    """log of the N-th Gauss bracket for log G_r(z+1), in O(N r) (_single_partial):
 
-    prod_{m<=N} G_{r-1}(m)/G_{r-1}(z+m) * prod_{k<r} G_k(N+1)^binom(z, r-k),
-    computed additively in O(N r): both lattices stream level 0 through
-    max(r, 3) running sums read at N+1, into a private memo, not the rung
-    memos (_single_partial).
+    prod_{m<=N} G_{r-1}(m)/G_{r-1}(z+m) * prod_{k<r} G_k(N+1)^binom(z, r-k).
     """
     return _single_partial("gauss", r, z, n, cfg)
 
 
 def euler_partial(r: int, z: ComplexLike, n: int, cfg: EvalConfig = EvalConfig()) -> LogValue:
-    """log of the N-th Euler partial product for log G_r(z+1).
-
-    Same limit as the Gauss bracket — the correction factors are distributed
-    per-n as telescoping ratios, giving a different accumulation order and an
-    independent rounding path.
-    """
+    """log of the N-th Euler partial product for log G_r(z+1): the Gauss bracket with its
+    correction factors distributed per n as telescoping ratios, another rounding path."""
     return _single_partial("euler", r, z, n, cfg)
 
 
@@ -781,7 +822,8 @@ def extrapolate(seq: Sequence[LogValue], order: int) -> LogValue:
 
     Assumes an asymptotic error expansion in integer powers of 1/N (valid for
     both product routes).  The error estimate is the difference between the
-    last two extrapolants on the deepest diagonal.
+    last two extrapolants on the deepest diagonal.  The library's products
+    do not use it: they add their exact remainder instead.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -797,31 +839,27 @@ def extrapolate(seq: Sequence[LogValue], order: int) -> LogValue:
         w = mpmath.mpf(2) ** m
         col = [(w * col[i + 1] - col[i]) / (w - 1) for i in range(len(col) - 1)]
         diag.append(col[-1])
-    if len(col) >= 2:
-        err = abs(col[-1] - col[-2])
-    else:
-        err = abs(diag[-1] - diag[-2]) if len(diag) >= 2 else mpmath.mpf(0)
+    pair = col if len(col) >= 2 else diag if order else [col[-1]] * 2
+    err = abs(pair[-1] - pair[-2])
     return LogValue(value=col[-1], method=seq[0].method, err_est=err)
 
 
-# Extrapolated product values, per (method, r, working dps, order, exact z):
-# at most _EXTRAP_KEYS, the least recently used evicted first.
+# Completed product values, per (method, r, working dps, exact z): at most
+# _EXTRAP_KEYS, the least recently used evicted first.
 _EXTRAP_CACHE: dict[tuple, LogValue] = {}
 _EXTRAP_KEYS = 4096
 
 
-def _extrap_key(method: str, r: int, zm, cfg: EvalConfig, order: int) -> tuple:
-    return (method, r, cfg.precision.working_dps, order, _z_key(zm))
+def _extrap_key(method: str, r: int, zm, cfg: EvalConfig) -> tuple:
+    return (method, r, cfg.precision.working_dps, _z_key(zm))
 
 
 def cache_info() -> dict[str, dict[str, int]]:
     """What each module-level cache holds now.
 
-    For _INT_TABLES, _EXTRAP_CACHE and the lru_caches of zeta_prime_neg and
-    _barnes_polys: a row is one level-0 row of _INT_TABLES (one per precision
-    key), one memoized LogValue, one zeta'(-j) or one k's polynomials; entries
-    count the fixed-point ints or the values in them (the rows themselves for
-    the lru_caches).  For the rung memos _INT_RUNGS and _SHIFTED_RUNGS: their
+    A row is a level-0 row of _INT_TABLES (one per precision), a memoized
+    LogValue, the table _LOG_DIFFS, a zeta'(-j) or one k's polynomials;
+    entries count the ints or values in them.  For the rung memos: their
     keys, the points (tuples of running sums) they hold, and the ints in those.
     """
     def rung_memo(memo: dict) -> dict[str, int]:
@@ -831,82 +869,61 @@ def cache_info() -> dict[str, dict[str, int]]:
 
     zeta_primes = constants.zeta_prime_neg.cache_info().currsize
     barnes = _barnes_polys.cache_info().currsize
+    diffs = len(_LOG_DIFFS[2])
     return {
         "_INT_TABLES": {"rows": len(_INT_TABLES),
                         "entries": sum(len(row) - 1 for row in _INT_TABLES.values())},
         "_INT_RUNGS": rung_memo(_INT_RUNGS),
         "_EXTRAP_CACHE": {"rows": len(_EXTRAP_CACHE), "entries": len(_EXTRAP_CACHE)},
         "_SHIFTED_RUNGS": rung_memo(_SHIFTED_RUNGS),
+        "_LOG_DIFFS": {"rows": int(diffs > 0), "entries": diffs},
         "constants.zeta_prime_neg": {"rows": zeta_primes, "entries": zeta_primes},
         "_barnes_polys": {"rows": barnes, "entries": barnes},
     }
 
 
-def product_extrapolated(method: str, r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig(),
-                         order: int | None = None) -> LogValue:
-    """Extrapolated product value of log G_r(z+1), memoized per (method, r, z, precision, order).
+def _levels(method: str, r: int, zm, cfg: EvalConfig) -> list[LogValue]:
+    """The completed log G_k(z+1), k = 1..r: Gauss below r, method at r, each memoized.
 
-    method is "gauss" or "euler".  One sweep takes the partial products at
-    every rung of the doubling ladder _LADDER, N = 2^6..2^14; order, at most
-    8, defaults to _ORDER = 4.  The shifted sums come from the rung memo
-    _SHIFTED_RUNGS (_shifted_rungs, _sums_at), so the ladders of every level
-    and both methods at z, and at z + k for |k| <= _WALK, share one sweep
-    of level 0.
+    The missing levels are built bottom-up, each on the ones below it, from
+    one sweep of each lattice at depth r and one list of binomials in z.
+    """
+    methods = [method if k == r else "gauss" for k in range(1, r + 1)]
+    keys = [_extrap_key(m, k, zm, cfg) for k, m in enumerate(methods, 1)]
+    levels = [_EXTRAP_CACHE.pop(key, None) for key in keys]
+    if None in levels:
+        _shifted_rungs(mpmath.mp.zero, cfg, r, [_N], _INT_RUNGS)
+        start, (point,) = _shifted_rungs(zm, cfg, r, [_N], _SHIFTED_RUNGS)
+        with mpmath.workprec(_wide_bits(r, zm, cfg)):
+            binoms = [(1 << mpmath.mp.prec, 0)]
+            for k in range(1, r + 1):
+                if levels[k - 1] is None:
+                    levels[k - 1] = _completed(methods[k - 1], k, zm, cfg, start, point,
+                                               levels[:k - 1], binoms)
+    _EXTRAP_CACHE.update(zip(keys, levels))
+    _evict(_EXTRAP_CACHE, _EXTRAP_KEYS)
+    return levels
+
+
+def product_extrapolated(method: str, r: int, z: ComplexLike,
+                         cfg: EvalConfig = EvalConfig()) -> LogValue:
+    """log G_r(z+1) as the partial product at N = _N = 2^11 plus its Newton remainder.
+
+    method, "gauss" or "euler", is the partial's accumulation order; both
+    take T_r(z, N+1) (_newton_tail) and the completed Gauss products below r
+    as level bases.  err_est is the remainder's bound plus the partial's
+    rounding plus each base's err_est times binom(N, r-k), infinite for
+    |z| >= N.  Memoized per (method, r, z, precision); every level and
+    method at z, and at z + k for |k| <= _WALK, share one sweep of level 0.
     """
     if method not in ("gauss", "euler"):
         raise ValueError(f"unknown product method {method!r}")
     if r < 1:
         raise ValueError("r must be >= 1")
-    if order is None:
-        order = _ORDER
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
         _check_not_singular(r, zm + 1)
-        key = _extrap_key(method, r, zm, cfg, order)
-        hit = _EXTRAP_CACHE.pop(key, None)
-        if hit is not None:
-            _EXTRAP_CACHE[key] = hit
-            return hit
-        # both lattices' rungs at depth r first: the bases' lower-level
-        # ladders then read them instead of sweeping a shallower lattice
-        _shifted_rungs(mpmath.mp.zero, cfg, r, _LADDER, _INT_RUNGS)
-        start, points = _shifted_rungs(zm, cfg, r, _LADDER, _SHIFTED_RUNGS)
-        sums = _sums_at(r, _LADDER, start, points, _level_bases(r, zm, cfg))
-        checkpoints = _partial_checkpoints(method, r, zm, cfg, _LADDER, sums, _INT_RUNGS)
-        result = extrapolate(checkpoints, order)
-    _EXTRAP_CACHE[key] = result
-    _evict(_EXTRAP_CACHE, _EXTRAP_KEYS)
-    return result
-
-
-def _ladder_predicted_err(r: int, zm, cfg: EvalConfig):
-    """The err_est the level-r Gauss ladder at z is predicted to reach, from its first octaves.
-
-    Sweeps level min(r, 2) over the ladder's first q+2 rungs, q = _ORDER,
-    and extrapolates at order q; the full ladder's estimate comes from its
-    last q+2 rungs, which lie octaves above, and Richardson's error after q
-    steps falls like N^-(q+1), so the probe's estimate scales by
-    (rung / N)^(q+1).  Level 1 alone is 6-13x optimistic
-    for level 2 at 30 <= z <= 45, so r >= 2 probes level 2 itself.  Its
-    level-1 base is log G_1(z+1) = mpmath.loggamma(z+1), which lands
-    on the products' branch: a Gauss base would need the full ladder, and
-    this one only informs the decision, entering no returned value.  At
-    r >= 3 the full ladder's estimate sits on the level-base floor (ROADMAP
-    item 2), not on Richardson's rate, so the prediction stays optimistic
-    there.  The probe's rungs are the full ladder's first ones: it fills
-    both rung memos at the depth the level-r sweep needs, which then streams
-    level 0 on from the probe's last rung.
-    """
-    q = _ORDER
-    probe = _LADDER[:q + 2]
-    level = min(r, 2)
-    _shifted_rungs(mpmath.mp.zero, cfg, r, probe, _INT_RUNGS)
-    start, points = _shifted_rungs(zm, cfg, r, probe, _SHIFTED_RUNGS)
-    bases = [_to_fixed(mpmath.loggamma(zm + 1), _fixed_bits(cfg))] if level == 2 else []
-    sums = _sums_at(level, probe, start, points, bases)
-    checkpoints = _partial_checkpoints("gauss", level, zm, cfg, probe, sums, _INT_RUNGS)
-    est = extrapolate(checkpoints, q).err_est
-    return est * (mpmath.mpf(probe[-1]) / _N) ** (q + 1)
+        return _levels(method, r, zm, cfg)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -1026,18 +1043,12 @@ def log_g0(z: ComplexLike, prec: Precision = Precision()) -> LogValue:
 def log_multigamma(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> LogValue:
     """log G_r(z) — the front door.
 
-    Runs the extrapolated Gauss product at z-1.  First a probe sweeps level
-    min(r, 2) over the ladder's first q+2 rungs (to N/8 at the defaults),
-    its level 1 started from mpmath.loggamma(z), and predicts the full
-    ladder's err_est (_ladder_predicted_err); when that prediction is not
-    below tolerance/10 (large |z|), the Hurwitz-zeta route answers alone,
-    with cross_check None.  The probe is skipped when the Gauss value is
-    memoized and under cfg.cross_validate.  Otherwise the full ladder runs;
-    when its error estimate cannot beat tolerance/10 either, the zeta route
-    also runs and the better estimate wins, and cfg.cross_validate runs it at
-    every call as a check only.  Whenever both run, cross_check is their
-    difference, and they must agree within max(10 max(err), 100 tolerance),
-    or ArithmeticError is raised.
+    Where the remainder of the Gauss product at z-1 cannot reach
+    tolerance/10 (_newton_reaches, from |z|, r and N alone), the zeta route
+    answers alone, cross_check None.  Otherwise both run, their difference
+    is cross_check and must not exceed the sum of their err_est
+    (ArithmeticError), and the Gauss value answers if its err_est is below
+    tolerance/10, the zeta value otherwise.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -1046,25 +1057,17 @@ def log_multigamma(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> Lo
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
         _check_not_singular(r, zm)
-        tol = mpmath.mpf(cfg.tolerance)
-        memoized = _extrap_key("gauss", r, zm - 1, cfg, _ORDER) in _EXTRAP_CACHE
-        if not (memoized or cfg.cross_validate):
-            if not _ladder_predicted_err(r, zm - 1, cfg) < tol / 10:
-                return _log_multigamma_zeta(r, zm, cfg)
+        if not _newton_reaches(r, abs(zm - 1), cfg.tolerance):
+            return _log_multigamma_zeta(r, zm, cfg)
         gauss = product_extrapolated("gauss", r, zm - 1, cfg)
-        fallback = not (gauss.err_est < tol / 10)
-        if not (fallback or cfg.cross_validate):
-            return gauss
         zeta = _log_multigamma_zeta(r, zm, cfg)
-        disagreement = abs(gauss.value - zeta.value)
-        allowed = max(10 * max(gauss.err_est, zeta.err_est), 100 * tol)
-        if disagreement > allowed:
+        gap = abs(gauss.value - zeta.value)
+        if gap > gauss.err_est + zeta.err_est:
             raise ArithmeticError(
-                f"product and zeta routes disagree by {mpmath.nstr(disagreement, 5)} "
-                f"(allowed {mpmath.nstr(allowed, 5)}) at r={r}, z={mpmath.nstr(zm, 10)}; "
-                "suspect the implementation")
-        best = zeta if fallback and zeta.err_est < gauss.err_est else gauss
-        return replace(best, cross_check=disagreement)
+                f"product and zeta routes disagree by {mpmath.nstr(gap, 5)} "
+                f"(err_est {mpmath.nstr(gauss.err_est, 5)} and {mpmath.nstr(zeta.err_est, 5)}) "
+                f"at r={r}, z={mpmath.nstr(zm, 10)}; suspect the implementation")
+        return replace(gauss if gauss.err_est < cfg.tolerance / 10 else zeta, cross_check=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -1074,11 +1077,7 @@ def log_multigamma(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> Lo
 
 def _exact_fraction(x) -> Fraction:
     """Exact Fraction from int/Fraction/float/mpf (all are dyadic rationals)."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (Fraction, int, float)):
         return Fraction(x)
     if isinstance(x, mpmath.mpf):
         num, den = mpmath.libmp.to_rational(x._mpf_)

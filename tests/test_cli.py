@@ -180,7 +180,8 @@ def test_eval_integer_lattice_value():
 
 
 def test_eval_far_out_matches_the_integer_lattice():
-    # G_2(200) = prod_{k<=198} k!, where the product route misses the tolerance
+    # G_2(200) = prod_{k<=198} k!, where the Richardson-extrapolated product
+    # missed the tolerance; the completed product meets it
     code, out, _ = run(["eval", "--r", "2", "--z", "200", "--format", "json"])
     assert code == 0
     obj = json.loads(out)
@@ -188,7 +189,7 @@ def test_eval_far_out_matches_the_integer_lattice():
     for k in range(1, 199):
         exact *= math.factorial(k)
     with mpmath.workdps(40):
-        assert obj["log"]["method"] == "zeta"
+        assert obj["log"]["method"] == "gauss"
         assert abs(mpmath.mpf(obj["log"]["re"]) - mpmath.log(exact)) < 1e-8
         assert abs(mpmath.mpf(obj["value"]["re"]) / exact - 1) < 1e-8
         assert obj["log"]["im"] == "0.0"
@@ -204,6 +205,24 @@ def test_eval_past_the_float_range_is_not_a_verification_failure():
         z = mpmath.mpc(mpmath.mpf(10) ** 400, 1)
         assert obj["log"]["method"] == "zeta"
         assert abs(mpmath.mpf(obj["log"]["re"]) / mpmath.re(mpmath.loggamma(z)) - 1) < 1e-15
+
+
+@pytest.mark.parametrize("z", ["3", "3+0i"])
+def test_eval_gamma_of_three_is_two_to_25_digits(z):
+    code, out, _ = run(["eval", "--r", "1", "--z", z, "--precision", "30", "--format", "json"])
+    assert code == 0
+    obj = json.loads(out)
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(obj["value"]["re"]) - 2) < 1e-25
+        assert abs(mpmath.mpf(obj["value"]["im"])) < 1e-25
+
+
+def test_eval_at_level_five_reports_a_30_digit_error_estimate():
+    code, out, _ = run(["eval", "--r", "5", "--z", "5/2", "--format", "json"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["log"]["method"] == "gauss"
+    assert float(obj["log"]["err_est"]) <= 1e-25
 
 
 def test_eval_sqrt_pi():
@@ -389,13 +408,13 @@ def test_verify_numeric_with_conventions(conventions_file):
 
 
 def test_verify_sweeps_one_euler_ladder_per_point(conventions_file, monkeypatch):
-    # euler_vs_gauss finds its Gauss extrapolants in the memo, filled by the
+    # euler_vs_gauss finds its Gauss products in the memo, filled by the
     # recurrence check's log G_r(z+1) at the same points; each Euler
-    # extrapolant is one sweep of the ladder.
+    # product is one completion at its level, on the memoized Gauss bases.
     monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
     in_check = []
-    ladders = []
-    real_product, real_extrapolate = cli.product_extrapolated, evaluate.extrapolate
+    completions = []
+    real_product, real_completed = cli.product_extrapolated, evaluate._completed
 
     def marking(*args, **kwargs):
         in_check.append(True)
@@ -404,17 +423,17 @@ def test_verify_sweeps_one_euler_ladder_per_point(conventions_file, monkeypatch)
         finally:
             in_check.pop()
 
-    def recording(seq, order):
-        ladders.append((seq[0].method, bool(in_check)))
-        return real_extrapolate(seq, order)
+    def recording(method, *args):
+        completions.append((method, bool(in_check)))
+        return real_completed(method, *args)
 
     monkeypatch.setattr(cli, "product_extrapolated", marking)
-    monkeypatch.setattr(evaluate, "extrapolate", recording)
+    monkeypatch.setattr(evaluate, "_completed", recording)
     code, _, err = run(["verify", "--suite", "numeric", "--r-max", "2", "--p", "2",
                         "--conventions", conventions_file] + FAST)
     assert code == 0, err
-    assert [method for method, inside in ladders if inside] == ["euler"] * 4
-    assert [method for method, _ in ladders].count("euler") == 4
+    assert [method for method, inside in completions if inside] == ["euler"] * 4
+    assert [method for method, _ in completions].count("euler") == 4
 
 
 def count_series_entries(monkeypatch):
@@ -427,9 +446,9 @@ def count_series_entries(monkeypatch):
         built.update((prec, dr, di, m) for m in ms)
         return real_block(ms, dr, di, prec, bits)
 
-    def recording(zm, cfg, shift, dr, di, cut, ms):
+    def recording(zm, cfg, shift, dr, di, series, ms):
         shifts[evaluate._fixed_bits(cfg) + evaluate._SERIES_GUARD, dr, di].add(shift)
-        return real_entries(zm, cfg, shift, dr, di, cut, ms)
+        return real_entries(zm, cfg, shift, dr, di, series, ms)
 
     monkeypatch.setattr(evaluate, "_log1p_block", counting)
     monkeypatch.setattr(evaluate, "_level0_entries", recording)
@@ -438,8 +457,8 @@ def count_series_entries(monkeypatch):
 
 def summed_again_away_from_the_rungs(built, shifts):
     """The entries summed more than once further than _WALK from every point
-    m = s+1 or s+N+1, N a ladder rung, of a shift s their lattice was built at."""
-    offsets = [1] + [n + 1 for n in evaluate._LADDER]
+    m = s+1 or s+N+1, N = _N, of a shift s their lattice was built at."""
+    offsets = [1, evaluate._N + 1]
     return [key for key, count in built.items()
             if count > 1 and all(abs(key[3] - s - o) > evaluate._WALK
                                  for s in shifts[key[:3]] for o in offsets)]
@@ -461,7 +480,7 @@ def test_verify_walks_build_the_half_row_series_once(monkeypatch):
     assert all(rep["pass"] for rep in reports)
     prec = evaluate._fixed_bits(cfg) + evaluate._SERIES_GUARD
     assert {key[:3] for key in built} == {(prec, 1 << (prec - 1), 0)}
-    # the series runs from m = 16 to the top of the sweeps, 2^14 + 2
+    # the series runs from m = 16 to the top of the sweeps, 2^11 + 2
     ms = [key[3] for key in built]
     assert min(ms) == 16 and max(ms) >= evaluate._N
     assert summed_again_away_from_the_rungs(built, shifts) == []

@@ -99,9 +99,8 @@ def test_superfactorial_lattice():
 
 def test_third_level_integer_lattice():
     assert [g3_integer(n) for n in range(2, 7)] == [1, 1, 1, 2, 24]
-    # The third level inherits the base values of the two below it, each
-    # entering ~N times, so its floor is ~N^2 x (level-1 base error): about
-    # 1e-12 at the default ladder — far inside tolerance, but not 1e-15.
+    # The third level inherits the base values of the two below it, the
+    # level-1 base entering binom(N, 2) times.
     with mpmath.workdps(40):
         for n in range(2, 7):
             want = mpmath.log(g3_integer(n))
@@ -185,7 +184,7 @@ def bracket_from_loggamma(r, z, n):
 
 @pytest.mark.parametrize("digits", [30, 60])
 def test_partials_match_the_bracket_summed_from_loggamma(digits):
-    # At r = 2 the shifted lattice starts from the extrapolated log G_1(z+1).
+    # At r = 2 the shifted lattice starts from the completed log G_1(z+1).
     # Its error enters each of the N bracket terms once and the N = 1 bracket
     # once, so p(N) - N p(1) is compared, in which it cancels.  z = -7/4 has
     # z+1 < 0: a sweep that drops that term's i pi flips the sign of exp.
@@ -205,37 +204,43 @@ def test_partials_match_the_bracket_summed_from_loggamma(digits):
 
 
 def test_single_partial_equals_its_ladder_checkpoint(monkeypatch):
-    # On a fresh z the level-1 base is not memoized, so gauss_partial builds
-    # the lattice up to N = 2^14 to extrapolate it; the N = 2^10 value
-    # must not depend on how far the lattice reaches.
+    # The completed product reads its partial at N = 2^11 from the rung
+    # memos; gauss_partial sums the same N into a private memo, starting
+    # from the same memoized level-1 base, and must give the same value
+    # bit for bit.
     z = Fraction(37, 16)
-    single = gauss_partial(2, z, 2**10, CFG30).value
-    ladders = []
+    partials = []
+    real_partial = evaluate._partial
 
-    def recording(seq, order):
-        ladders.append([item.value for item in seq])
-        return extrapolate(seq, order)
+    def recording(method, r, *args):
+        value, err = real_partial(method, r, *args)
+        partials.append((r, value))
+        return value, err
 
-    monkeypatch.setattr(evaluate, "extrapolate", recording)
+    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
+    monkeypatch.setattr(evaluate, "_partial", recording)
     log_multigamma(2, z + 1, CFG30)
-    # the base came from the memo; the other ladder is the front door's
-    # probe over the first rungs
-    full = [ladder for ladder in ladders if len(ladder) == 9]
-    assert len(full) == 1
-    # the ladder doubles N up to 2^14
-    assert full[0][-5] == single
+    (completed,) = [value for r, value in partials if r == 2]
+    single = gauss_partial(2, z, evaluate._N, CFG30).value
+    with mpmath.workdps(CFG30.precision.working_dps):
+        assert +completed == single
 
 
-def test_euler_extrapolant_equals_its_top_five_partials():
-    # At order 4 the last entry of the Richardson diagonal depends only on
-    # the top five rungs of the ladder, N = 2^10..2^14.
+def test_euler_completion_is_its_partial_plus_the_newton_tail():
+    # The Euler partial at N = 2^11 equals the Gauss bracket, so the same
+    # remainder T_r(z, N+1) completes it; both products meet their err_est.
+    bits = evaluate._fixed_bits(CFG30)
     for r in (1, 2):
-        for z in (Fraction(1, 2), Fraction(3, 2)):
-            shared = product_extrapolated("euler", r, z, CFG30).value
+        for z in (Fraction(1, 2), Fraction(3, 2), (Fraction(-5, 2), Fraction(3))):
+            euler = product_extrapolated("euler", r, mp_z(z, CFG30), CFG30)
+            gauss = product_extrapolated("gauss", r, mp_z(z, CFG30), CFG30)
+            partial = euler_partial(r, mp_z(z, CFG30), evaluate._N, CFG30).value
             with mpmath.workdps(CFG30.precision.working_dps):
-                single = extrapolate([euler_partial(r, z, 2**k, CFG30)
-                                      for k in range(10, 15)], 4).value
-            assert shared == single, (r, z)
+                zm = mp_arg(z)
+                with mpmath.workprec(evaluate._wide_bits(r, zm, CFG30)):
+                    tail, _ = evaluate._newton_tail(r, zm, [(1 << mpmath.mp.prec, 0)], bits)
+                assert abs(euler.value - (partial + tail)) <= euler.err_est, (r, z)
+                assert abs(euler.value - gauss.value) <= euler.err_est + gauss.err_est, (r, z)
 
 
 def prime_count(n):
@@ -246,7 +251,8 @@ def prime_count(n):
 def test_one_call_takes_one_row_of_logs(monkeypatch):
     # Every level of the shifted lattice derives from the one row log(z+n),
     # n <= N, and only its entries below the series cutoff take a log: with
-    # the integer row warm, a call takes a handful.  The integer row
+    # the integer row warm, a product takes a handful (the front door's
+    # zeta route adds the logs of its Hurwitz pass).  The integer row
     # takes one log per prime.
     log_multigamma(1, Fraction(7, 2), CFG30)
     calls = []
@@ -258,12 +264,12 @@ def test_one_call_takes_one_row_of_logs(monkeypatch):
 
     monkeypatch.setattr(mpmath, "log", counting)
     monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
-    log_multigamma(4, Fraction(41, 16), CFG30)
+    product_extrapolated("gauss", 4, Fraction(41, 16) - 1, CFG30)
     assert len(calls) <= 64
     calls.clear()
     monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
     with mpmath.workdps(CFG30.precision.working_dps):
-        log_multigamma(4, mp_arg((Fraction(7, 6), Fraction(1, 4))), CFG30)
+        product_extrapolated("gauss", 4, mp_arg((Fraction(7, 6), Fraction(1, 4))) - 1, CFG30)
     assert len(calls) <= 64
     calls.clear()
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
@@ -274,9 +280,10 @@ def test_one_call_takes_one_row_of_logs(monkeypatch):
 def test_far_argument_takes_o_n_logs_and_a_short_integer_table(monkeypatch):
     # Past m = 2N the shifted level 0 takes a direct log per entry instead
     # of reading log m from the integer table, so a far z costs O(N) logs and
-    # leaves the table O(N) long, not O(Re z).  The front door's probe over
-    # the ladder's first rungs, to N/8, finds that the ladder cannot reach
-    # the tolerance, so the zeta route answers without the full sweep.
+    # leaves the table O(N) long, not O(Re z).  The front door sees from |z|
+    # alone that the products' remainder cannot reach the tolerance, so the
+    # zeta route answers without any sweep; a single partial at N still
+    # builds its row of N.
     n_top = evaluate._N
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
     calls = []
@@ -288,10 +295,10 @@ def test_far_argument_takes_o_n_logs_and_a_short_integer_table(monkeypatch):
         calls.append(args)
         return real_log(*args, **kwargs)
 
-    def counting_entries(zm, cfg, shift, dr, di, cut, ms):
+    def counting_entries(zm, cfg, shift, dr, di, series, ms):
         if zm != 0:  # not the integer lattice
             built.append(len(ms))
-        return real_entries(zm, cfg, shift, dr, di, cut, ms)
+        return real_entries(zm, cfg, shift, dr, di, series, ms)
 
     monkeypatch.setattr(mpmath, "log", counting)
     monkeypatch.setattr(evaluate, "_level0_entries", counting_entries)
@@ -301,9 +308,33 @@ def test_far_argument_takes_o_n_logs_and_a_short_integer_table(monkeypatch):
         monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
         got = log_multigamma(1, z, CFG30)
         assert got.method == "zeta" and got.cross_check is None, z
-        assert sum(built) <= n_top // 8, z
+        assert built == [], z
+        gauss_partial(1, z, n_top, CFG30)
+        assert sum(built) == n_top, z
         assert len(calls) <= 2 * n_top, z
         assert all(len(row0) <= 2 * n_top + 1 for row0 in evaluate._INT_TABLES.values()), z
+
+
+def test_single_partials_past_the_products_n_keep_the_series(monkeypatch):
+    # A partial at N = 2^14 takes the series up to m = 2N, its own top, not
+    # up to the products' 2^12: with the integer table warm it takes only
+    # the direct logs below the series' first octave, not ~12k past 2^12.
+    z, n = Fraction(21, 4), 2**14
+    calls = []
+    real_log = mpmath.log
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_log(*args, **kwargs)
+
+    for r in (1, 2):
+        gauss_partial(r, z, n, CFG30)  # warms the integer table and the base
+        calls.clear()
+        monkeypatch.setattr(mpmath, "log", counting)
+        gauss_partial(r, z, n, CFG30)
+        euler_partial(r, z, n, CFG30)
+        monkeypatch.setattr(mpmath, "log", real_log)
+        assert len(calls) <= 64, (r, len(calls))
 
 
 # Real and complex z: z+n < 0 for small n (-37/3), an integer Re z
@@ -327,10 +358,17 @@ def mp_arg(z):
     return mpmath.mpf(z.numerator) / z.denominator
 
 
-def level0_row(zm, cfg, n_max):
-    """(re, im) of log(z+n), n = 1..n_max (list index n-1), built cold in one piece."""
-    _, shift, dr, di, cut = evaluate._shifted_grid(zm, cfg)
-    return evaluate._level0_entries(zm, cfg, shift, dr, di, cut,
+def mp_z(z, cfg):
+    """mp_arg(z) at cfg's working precision."""
+    with mpmath.workdps(cfg.precision.working_dps):
+        return mp_arg(z)
+
+
+def level0_row(zm, cfg, n_max, n_top=None):
+    """(re, im) of log(z+n), n = 1..n_max (list index n-1), built cold in one piece
+    as a partial at N = n_top (default n_max) builds it."""
+    _, shift, dr, di, series = evaluate._shifted_grid(zm, cfg, n_top or n_max)
+    return evaluate._level0_entries(zm, cfg, shift, dr, di, series,
                                     range(shift + 1, shift + n_max + 1))
 
 
@@ -401,17 +439,17 @@ def test_odd_series_is_within_4_units_of_atanh_and_atan(sign, exact):
 
 
 def test_level0_row_does_not_depend_on_its_length():
-    # The N = 2^10 partial must equal its ladder checkpoint bit for bit
+    # The N = 2^11 partial must equal the completed product's bit for bit
     # (test_single_partial_equals_its_ladder_checkpoint), and the sweep
     # builds level 0 in blocks: an entry must not depend on where its row
-    # starts or stops.
+    # starts or stops, only on the top of its series.
     for z in LEVEL0_ARGS:
         with mpmath.workdps(CFG30.precision.working_dps):
             zm = mp_arg(z)
-            short = level0_row(zm, CFG30, 2**10)
+            short = level0_row(zm, CFG30, 2**10, 2**14)
             full = level0_row(zm, CFG30, 2**14)
-            _, shift, dr, di, cut = evaluate._shifted_grid(zm, CFG30)
-            block = evaluate._level0_entries(zm, CFG30, shift, dr, di, cut,
+            _, shift, dr, di, series = evaluate._shifted_grid(zm, CFG30, 2**14)
+            block = evaluate._level0_entries(zm, CFG30, shift, dr, di, series,
                                              range(shift + 700, shift + 1800))
         assert short[0] == full[0][:2**10] and short[1] == full[1][:2**10], z
         assert block[0] == full[0][699:1799] and block[1] == full[1][699:1799], z
@@ -433,6 +471,8 @@ MEMO_WALKS = ([Fraction(1, 2) + k for k in (0, 3, -2, 9, -7, 0)],
 # as many other fractional parts as the memo holds besides the walk's,
 # touched between the steps of a walk
 OTHER_DS = [Fraction(k, 11) + 2 for k in range(1, evaluate._SHIFTED_KEYS)]
+# rungs below the products' N, and N itself
+RUNGS = (2**6, 2**9, evaluate._N)
 
 
 @pytest.mark.parametrize("digits", [30, 60])
@@ -441,14 +481,14 @@ def test_rungs_walked_in_the_memo_equal_a_cold_sweep(digits, monkeypatch):
     # held points there; its shifted sums at every level and rung must equal
     # a cold sweep's bit for bit.
     cfg = EvalConfig(precision=Precision(digits=digits))
-    ns = evaluate._LADDER
+    ns = RUNGS
     bases = [(-(3 << 150), 5 << 140), (7 << 149, -(1 << 151))]
     built = []
     real_entries = evaluate._level0_entries
 
-    def counting(zm, cfg, shift, dr, di, cut, ms):
+    def counting(zm, cfg, shift, dr, di, series, ms):
         built.append(len(ms))
-        return real_entries(zm, cfg, shift, dr, di, cut, ms)
+        return real_entries(zm, cfg, shift, dr, di, series, ms)
 
     monkeypatch.setattr(evaluate, "_level0_entries", counting)
     monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
@@ -468,7 +508,7 @@ def test_rungs_walked_in_the_memo_equal_a_cold_sweep(digits, monkeypatch):
                 monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", held)
                 assert warm == cold, (digits, z)
                 for other in OTHER_DS:
-                    evaluate._shifted_rungs(mp_arg(other), cfg, 3, evaluate._LADDER[:1],
+                    evaluate._shifted_rungs(mp_arg(other), cfg, 3, RUNGS[:1],
                                             evaluate._SHIFTED_RUNGS)
 
 
@@ -478,7 +518,7 @@ def test_rung_memo_keeps_the_latest_fractional_parts_only(monkeypatch):
     with mpmath.workdps(CFG30.precision.working_dps):
         zs = [mp_arg(Fraction(k, 23) + 5) for k in range(1, 21)]
         for zm in zs:
-            evaluate._shifted_rungs(zm, CFG30, 3, evaluate._LADDER[:2], evaluate._SHIFTED_RUNGS)
+            evaluate._shifted_rungs(zm, CFG30, 3, RUNGS[:2], evaluate._SHIFTED_RUNGS)
         assert [key for key in evaluate._SHIFTED_RUNGS] == [
             evaluate._shifted_grid(zm, CFG30)[0] for zm in zs[-keys:]]
     # each key holds s+1 and the first two rungs: three levels in two parts
@@ -503,19 +543,19 @@ def test_integer_table_grown_in_pieces_equals_one_build(monkeypatch):
 
 @pytest.mark.parametrize("digits", [30, 60])
 def test_integer_rungs_equal_the_levels_streamed_from_level_0(digits, monkeypatch):
-    # The levels above level 0 are read at the ladder rungs as the z = 0
-    # lattice of _shifted_rungs, memoized in _INT_RUNGS: its running sums at
-    # m = N+1 must be log G_k(N+1), the exact sums _integer_levels streams,
+    # The levels above level 0 are read at the rungs as the z = 0 lattice of
+    # _shifted_rungs, memoized in _INT_RUNGS: its running sums at m = N+1
+    # must be log G_k(N+1), the exact sums _integer_levels streams,
     # whichever depth and rungs the memo was filled with first.
     cfg = EvalConfig(precision=Precision(digits=digits))
-    ns = evaluate._LADDER
+    ns = RUNGS
     row0 = evaluate._integer_log_table(cfg, ns[-1] + 1)
     levels = [list(islice(evaluate._integer_levels(row0, k), ns[-1] + 1)) for k in range(5)]
     monkeypatch.setattr(evaluate, "_INT_RUNGS", {})
     with mpmath.workdps(cfg.precision.working_dps):
         for r in (1, 2, 3, 4):
-            # the probe's rungs first, then the whole ladder
-            for rungs in (ns[:6], ns):
+            # the first rungs, then all of them
+            for rungs in (ns[:2], ns):
                 start, points = evaluate._shifted_rungs(mpmath.mpf(0), cfg, r, rungs,
                                                         evaluate._INT_RUNGS)
                 assert start == ((0,) * len(start[0]),) * 2
@@ -529,7 +569,7 @@ def test_integer_rungs_equal_the_levels_streamed_from_level_0(digits, monkeypatc
 def test_integer_caches_hold_one_row_per_precision_for_four_precisions(monkeypatch):
     # After r = 4 sweeps, each precision holds level 0 as its one row, and
     # the integer rung memo one key at shift 0: the points at m = 1 and at
-    # the 9 rungs N+1, four running sums in two parts each.
+    # N+1, four running sums in two parts each.
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
     monkeypatch.setattr(evaluate, "_INT_RUNGS", {})
     monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
@@ -541,11 +581,12 @@ def test_integer_caches_hold_one_row_per_precision_for_four_precisions(monkeypat
         assert row0[0] is None and all(type(x) is int for x in row0[1:])
     assert info["_INT_TABLES"]["entries"] == sum(len(row0) - 1
                                                  for row0 in evaluate._INT_TABLES.values())
-    points = 1 + len(evaluate._LADDER)
+    points = 2
     assert info["_INT_RUNGS"] == {"keys": 2, "tuples": 2 * points, "ints": 2 * points * 8}
     assert all(shift == 0 for shift, _ in evaluate._INT_RUNGS.values())
     assert set(info) == {"_INT_TABLES", "_INT_RUNGS", "_EXTRAP_CACHE", "_SHIFTED_RUNGS",
-                         "constants.zeta_prime_neg", "_barnes_polys"}
+                         "_LOG_DIFFS", "constants.zeta_prime_neg", "_barnes_polys"}
+    assert info["_LOG_DIFFS"] == {"rows": 1, "entries": len(evaluate._LOG_DIFFS[2])}
     # a fifth precision evicts the least recently used row; the rung memo
     # keeps up to _SHIFTED_KEYS precisions, most recently used last
     cfgs = {d: EvalConfig(precision=Precision(digits=d)) for d in (10, 11, 12, 13, 14)}
@@ -561,19 +602,18 @@ def test_integer_caches_hold_one_row_per_precision_for_four_precisions(monkeypat
 
 
 def test_cold_r4_call_sums_the_integer_lattice_once(monkeypatch):
-    # The probe and the bases read the integer lattice at level 3 at most;
-    # it is filled at the caller's depth 4 first, so the level-4 ladder
-    # streams on from their rungs and never sweeps it again from m = 1:
-    # N entries in all, not 2N.
+    # The bases read the integer lattice at level 3 at most; it is filled
+    # at the caller's depth 4 first, so no level sweeps it again from
+    # m = 1: N entries in all, not 2N.
     for memo in ("_INT_RUNGS", "_SHIFTED_RUNGS", "_EXTRAP_CACHE"):
         monkeypatch.setattr(evaluate, memo, {})
     built = []
     real_entries = evaluate._level0_entries
 
-    def counting(zm, cfg, shift, dr, di, cut, ms):
+    def counting(zm, cfg, shift, dr, di, series, ms):
         if zm == 0:  # the integer lattice
             built.append(len(ms))
-        return real_entries(zm, cfg, shift, dr, di, cut, ms)
+        return real_entries(zm, cfg, shift, dr, di, series, ms)
 
     monkeypatch.setattr(evaluate, "_level0_entries", counting)
     assert log_multigamma(4, Fraction(7, 3), CFG30).method == "gauss"
@@ -609,9 +649,9 @@ def test_extrapolation_memo_evicts_the_least_recently_used(monkeypatch):
 
 def test_cold_r4_sweep_peaks_below_a_quarter_of_a_level0_row(monkeypatch):
     # No shifted level is kept whole: a cold r = 4 product streams level 0
-    # in blocks through its running sums and keeps them at the rungs only,
-    # so its traced peak stays below a quarter of one level-0 row of N
-    # entries.  Holding any level row would put it above one row.
+    # in blocks through its running sums and keeps them at m = s+1 and
+    # s+N+1 only, so its traced peak stays below a quarter of one level-0
+    # row of N entries.  Holding any level row would put it above one row.
     with mpmath.workdps(CFG30.precision.working_dps):
         zm = mp_arg((Fraction(7, 6), Fraction(1, 4)))
         # warms the integer row, the rungs and mpmath's caches
@@ -751,7 +791,7 @@ def test_zeta_route_makes_one_hurwitz_pass_at_w(monkeypatch):
 
 
 def test_front_door_prefers_product_route_at_small_arguments():
-    got = log_multigamma(2, 4, EvalConfig(cross_validate=True))
+    got = log_multigamma(2, 4, EvalConfig())
     assert got.method == "gauss"
     assert got.cross_check is not None
     with mpmath.workdps(40):
@@ -772,7 +812,8 @@ def log_lattice(r, n):
     return mpmath.fsum(mpmath.log(superfactorial(m)) for m in range(2, n))
 
 
-# Arguments where the product route misses the tolerance at 30 digits.
+# Arguments where the Richardson-extrapolated product missed the tolerance
+# at 30 digits; the completed product's remainder converges there.
 FAR_CASES = [
     (1, Fraction(1114, 3)),
     (1, (Fraction(-500), Fraction(3))),
@@ -790,33 +831,34 @@ def test_front_door_meets_the_tolerance_far_out(r, z):
     got = log_multigamma(r, zm, CFG30)
     with mpmath.workdps(60):
         want = mpmath.loggamma(zm) if r == 1 else log_lattice(r, int(z))
-        assert got.method == "zeta"
+        assert got.method == "gauss" and got.cross_check is not None
         assert abs(got.value - want) <= got.err_est <= CFG30.tolerance
 
 
-def test_cross_validation_sweeps_the_full_ladder_where_the_probe_would_not(monkeypatch):
-    # At r = 1, z = 45 the probe predicts that the ladder misses tolerance/10,
-    # so a plain call answers from the zeta route alone.  Under
-    # cross_validate both routes still run in full and must agree: a zeta
-    # route off by 1e-3 is caught.
+def test_front_door_raises_when_its_routes_disagree(monkeypatch):
+    # At r = 1, z = 45 both routes run on every call and must agree within
+    # the sum of their err_est: a zeta route off by 1e-3 is caught.
     real_zeta = evaluate._log_multigamma_zeta
 
     def off(r, zm, cfg):
         got = real_zeta(r, zm, cfg)
         return replace(got, value=got.value + mpmath.mpf("1e-3"))
 
-    assert log_multigamma(1, 45, CFG30).cross_check is None
+    assert log_multigamma(1, 45, CFG30).cross_check is not None
     monkeypatch.setattr(evaluate, "_log_multigamma_zeta", off)
     with pytest.raises(ArithmeticError):
-        log_multigamma(1, 45, replace(CFG30, cross_validate=True))
+        log_multigamma(1, 45, CFG30)
 
 
 # The edges of the benchmark's eval-small domains (Re z at both ends, real
-# and complex, |Im z| = 1) and the far ends of cli-session's table grids
-# (Re z <= 7 at r = 2, <= 11/3 at r = 3): the probe lets every one through
-# to the Gauss ladder, whose value it leaves as a cold sweep gives it.
+# and complex, |Im z| = 1), the far ends of cli-session's table grids
+# (Re z <= 7 at r = 2, <= 11/3 at r = 3) and eval-large's r = 1, 2 domains
+# (38 <= |z| <= 56, 30 <= |z| <= 40): the Gauss value answers every one, as
+# a cold sweep gives it, after one sweep of the shifted lattice.
 GAUSS_DOMAINS = {1: (-12, 12), 2: (-12, 12), 3: (-9, 9), 4: (-3, 4)}
 TABLE_EDGES = {2: (Fraction(34, 5),), 3: (Fraction(25, 7),)}
+EVAL_LARGE_EDGES = {1: (Fraction(38), Fraction(56), (Fraction(52), Fraction(12))),
+                    2: (Fraction(27), Fraction(30), Fraction(40), (Fraction(36), Fraction(12)))}
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -824,21 +866,16 @@ def test_front_door_keeps_the_gauss_value_across_the_small_domains(r, monkeypatc
     lo, hi = GAUSS_DOMAINS[r]
     args = [Fraction(hi * 13 - 1, 13), Fraction(lo * 13 + 1, 13),
             (Fraction(hi), Fraction(1)), (Fraction(lo), Fraction(-1)),
-            *TABLE_EDGES.get(r, ())]
-    built, ladders = [], []
-    real_entries, real_extrapolate = evaluate._level0_entries, evaluate.extrapolate
+            *TABLE_EDGES.get(r, ()), *EVAL_LARGE_EDGES.get(r, ())]
+    built = []
+    real_entries = evaluate._level0_entries
 
-    def counting_entries(zm, cfg, shift, dr, di, cut, ms):
+    def counting_entries(zm, cfg, shift, dr, di, series, ms):
         if zm != 0:  # not the integer lattice
             built.append(len(ms))
-        return real_entries(zm, cfg, shift, dr, di, cut, ms)
-
-    def counting_ladders(seq, order):
-        ladders.append(len(seq))
-        return real_extrapolate(seq, order)
+        return real_entries(zm, cfg, shift, dr, di, series, ms)
 
     monkeypatch.setattr(evaluate, "_level0_entries", counting_entries)
-    monkeypatch.setattr(evaluate, "extrapolate", counting_ladders)
     for digits in (30, 60):
         cfg = EvalConfig(precision=Precision(digits=digits))
         for z in args:
@@ -847,94 +884,88 @@ def test_front_door_keeps_the_gauss_value_across_the_small_domains(r, monkeypatc
                 built.clear()
                 monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
                 got = log_multigamma(r, zm, cfg)
-                # the full sweep streams level 0 on from the probe's last rung
+                # one sweep of the shifted lattice serves every level
                 assert sum(built) == evaluate._N, (digits, z)
-                # memoized: neither the probe nor the ladder runs again
-                ladders.clear()
-                assert log_multigamma(r, zm, cfg) is got and ladders == [], (digits, z)
-                # the full ladder again, from a cold sweep
-                key = evaluate._extrap_key("gauss", r, zm - 1, cfg, evaluate._ORDER)
-                evaluate._EXTRAP_CACHE.pop(key)
+                # memoized: no level is swept again
+                again = log_multigamma(r, zm, cfg)
+                assert sum(built) == evaluate._N and again == got, (digits, z)
+                # the product again, from a cold sweep
+                evaluate._EXTRAP_CACHE.clear()
                 monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
                 want = product_extrapolated("gauss", r, zm - 1, cfg)
-            assert got.method == "gauss", (digits, z)
+            assert got.method == "gauss" and got.cross_check is not None, (digits, z)
             assert got.value == want.value and got.err_est == want.err_est, (digits, z)
+            assert got.err_est < cfg.tolerance / 10, (digits, z)
 
 
-def test_probe_sends_eval_large_shaped_r2_calls_to_the_zeta_route(monkeypatch):
-    # r = 2 at 30 <= |z| <= 40: the full ladder's err_est (2.1e-9 at z = 30)
-    # misses tolerance/10.  The probe at level 2 sees it from the first
-    # octaves, so the zeta route answers and no full sweep or ladder runs.
-    n_top = evaluate._N
-    built = []
-    real_entries = evaluate._level0_entries
-
-    def counting_entries(zm, cfg, shift, dr, di, cut, ms):
-        if zm != 0:  # not the integer lattice
-            built.append(len(ms))
-        return real_entries(zm, cfg, shift, dr, di, cut, ms)
-
-    def no_ladder(*args, **kwargs):
-        raise AssertionError("the full Gauss ladder ran")
-
-    monkeypatch.setattr(evaluate, "_level0_entries", counting_entries)
-    monkeypatch.setattr(evaluate, "product_extrapolated", no_ladder)
-    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
-    for z in (Fraction(30), Fraction(36), Fraction(40), (Fraction(33), Fraction(5))):
-        built.clear()
-        monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
-        with mpmath.workdps(CFG30.precision.working_dps):
-            got = log_multigamma(2, mp_arg(z), CFG30)
-        assert got.method == "zeta" and got.cross_check is None, z
-        assert sum(built) <= n_top // 8, z
-
-
-def test_probe_lets_the_last_gauss_argument_of_r2_through(monkeypatch):
-    # r = 2, z = 27: the probe predicts 6.5e-10 and the full ladder reaches
-    # 9.75e-10 < tolerance/10, so the call keeps the Gauss value, as a cold
-    # sweep gives it.  A more pessimistic probe would lose this call first.
-    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
-    got = log_multigamma(2, 27, CFG30)
-    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
-    monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
-    want = product_extrapolated("gauss", 2, 26, CFG30)
-    assert got.method == "gauss" and got.cross_check is None
-    assert got.value == want.value and got.err_est == want.err_est
-
-
-def test_probe_level_one_base_is_on_the_gauss_branch(monkeypatch):
-    # The level-2 probe starts its level 1 from mpmath.loggamma; the full
-    # ladder starts it from the Gauss product.  Left of the imaginary axis
-    # the two must continue log along the same path.
-    bases = []
-    real_sums = evaluate._sums_at
-
-    def recording(r, ns, start, points, bases_in):
-        bases.extend(bases_in)
-        return real_sums(r, ns, start, points, bases_in)
-
-    monkeypatch.setattr(evaluate, "_sums_at", recording)
-    bits = evaluate._fixed_bits(CFG30)
+def test_gauss_level_one_base_is_on_the_loggamma_branch():
+    # The level-2 product starts its level 1 from the completed level-1
+    # product.  Left of the imaginary axis it must continue log along the
+    # path of mpmath.loggamma, whose imaginary part is not reduced either.
     for z in (Fraction(-35, 3), (Fraction(-11), Fraction(1, 4)),
               (Fraction(-11), Fraction(-1, 4)), (Fraction(-5), Fraction(20))):
-        bases.clear()
         with mpmath.workdps(CFG30.precision.working_dps):
             zm = mp_arg(z) - 1
-            evaluate._ladder_predicted_err(2, zm, CFG30)
-            want = product_extrapolated("gauss", 1, zm, CFG30, order=evaluate._BASE_ORDER)
-            assert len(bases) == 1, z
-            got = evaluate._from_fixed(*bases[0], bits, True)
-            assert abs(got - want.value) < 1e-15, z
+            base = product_extrapolated("gauss", 1, zm, CFG30)
+            assert abs(base.value - mpmath.loggamma(zm + 1)) <= base.err_est < 1e-30, z
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_cross_validation_agrees_left_of_the_imaginary_axis(r):
     # Both routes sum principal logs of z+n, so they land on the same branch.
-    cfg = replace(CFG30, cross_validate=True)
     for z in ((Fraction(-5, 2), Fraction(3)), Fraction(-37, 3), (Fraction(-5), Fraction(3, 4))):
-        with mpmath.workdps(cfg.precision.working_dps):
-            got = log_multigamma(r, mp_arg(z), cfg)
+        with mpmath.workdps(CFG30.precision.working_dps):
+            got = log_multigamma(r, mp_arg(z), CFG30)
         assert got.cross_check is not None, z
+
+
+# The honesty grid: the nine points of the accuracy survey, the arguments
+# that the Richardson ladder missed (1114/3, 200, 1333/3, -901/2) and r = 5,
+# each at 30 and 60 digits.
+HONESTY_GRID = [(1, Fraction(7, 2)), (2, Fraction(26, 3)), (3, Fraction(26, 3)),
+                (3, Fraction(-62, 13)), (4, Fraction(10, 3)), (4, (Fraction(7, 6), Fraction(1, 4))),
+                (2, (Fraction(-5, 2), Fraction(3))), (3, Fraction(43, 9)), (1, Fraction(-37, 3)),
+                (1, Fraction(1114, 3)), (2, Fraction(200)), (3, Fraction(1333, 3)),
+                (3, Fraction(-901, 2)), (5, Fraction(5, 2))]
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+def test_honesty_grid_values_lie_within_their_err_est(digits):
+    # |value - ref| <= err_est for the Gauss and Euler products and the
+    # front door, against the zeta route at 20 more digits, mpmath.loggamma
+    # at r = 1 and mpmath.barnesg at r = 2.  At r <= 4 the Gauss error is
+    # also below 10^(5-digits).
+    cfg = EvalConfig(precision=Precision(digits=digits))
+    ref_cfg = EvalConfig(precision=Precision(digits=digits + 20))
+    for r, z in HONESTY_GRID:
+        zm = mp_z(z, cfg)
+        with mpmath.workdps(cfg.precision.working_dps):
+            zm1 = zm - 1
+        routes = [product_extrapolated("gauss", r, zm1, cfg),
+                  product_extrapolated("euler", r, zm1, cfg), log_multigamma(r, zm, cfg)]
+        assert routes[-1].method == "gauss", (r, z)
+        with mpmath.workdps(ref_cfg.precision.working_dps):
+            ref = evaluate._log_multigamma_zeta(r, zm, ref_cfg).value
+            for got in routes:
+                assert abs(got.value - ref) <= got.err_est, (r, z, got)
+                if r == 1:
+                    assert abs(got.value - mpmath.loggamma(zm)) <= got.err_est, (r, z)
+                if r == 2:
+                    want = mpmath.log(mpmath.barnesg(zm))
+                    assert branch_free_distance(got.value, want) <= got.err_est, (r, z)
+            if r <= 4:
+                assert abs(routes[0].value - ref) <= mpmath.mpf(10) ** (5 - digits), (r, z)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(1, math.nan),
+                               complex(math.inf, 1), mpmath.mpf("nan"), mpmath.mpc("inf", 0)],
+                         ids=["nan", "inf", "-inf", "1+nan*i", "inf+i", "mpf-nan", "mpc-inf"])
+def test_non_finite_arguments_are_value_errors(z):
+    for call in (lambda: log_multigamma(2, z, CFG),
+                 lambda: product_extrapolated("gauss", 2, z, CFG),
+                 lambda: gauss_partial(2, z, 16, CFG)):
+        with pytest.raises(ValueError, match="z must be finite"):
+            call()
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
