@@ -898,6 +898,45 @@ def test_front_door_keeps_the_gauss_value_across_the_small_domains(r, monkeypatc
             assert got.err_est < cfg.tolerance / 10, (digits, z)
 
 
+def test_probe_sends_eval_large_shaped_r2_calls_to_the_zeta_route(monkeypatch):
+    # r = 2 at 30 <= |z| <= 40, the arguments that the error probe once
+    # handed to the zeta route alone: _newton_reaches lets them through, so
+    # the zeta route runs once per call beside the Gauss product, and
+    # cross_check is their gap while the Gauss value answers.
+    real_zeta = evaluate._log_multigamma_zeta
+    zetas = []
+
+    def recording(r, zm, cfg):
+        zetas.append(real_zeta(r, zm, cfg))
+        return zetas[-1]
+
+    monkeypatch.setattr(evaluate, "_log_multigamma_zeta", recording)
+    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
+    for z in (Fraction(30), Fraction(36), Fraction(40), (Fraction(33), Fraction(5))):
+        zetas.clear()
+        with mpmath.workdps(CFG30.precision.working_dps):
+            zm = mp_arg(z)
+            assert evaluate._newton_reaches(2, abs(zm - 1), CFG30.tolerance), z
+            got = log_multigamma(2, zm, CFG30)
+            gauss = product_extrapolated("gauss", 2, zm - 1, CFG30)
+            assert len(zetas) == 1, z
+            assert got.cross_check == abs(gauss.value - zetas[0].value), z
+        assert got.method == "gauss" and got.value == gauss.value, z
+
+
+def test_probe_lets_the_last_gauss_argument_of_r2_through(monkeypatch):
+    # r = 2, z = 27, the last argument that the error probe let through to
+    # the Gauss product, keeps the Gauss value, as a cold sweep gives it.
+    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
+    got = log_multigamma(2, 27, CFG30)
+    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
+    monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
+    want = product_extrapolated("gauss", 2, 26, CFG30)
+    assert got.method == "gauss" and got.cross_check is not None
+    assert got.value == want.value and got.err_est == want.err_est
+    assert got.err_est < CFG30.tolerance / 10
+
+
 def test_gauss_level_one_base_is_on_the_loggamma_branch():
     # The level-2 product starts its level 1 from the completed level-1
     # product.  Left of the imaginary axis it must continue log along the
