@@ -33,9 +33,9 @@ time.
 
 The product sweep runs in fixed point (_fixed_bits): level 0, log n and
 log(z+n), takes few logs (_integer_log_table, _level0_entries), and the
-levels above are exact integer sums of it, streamed once per lattice and
-kept only at m = s+1 and s+N+1, s = floor(Re z) (_shifted_rungs, memoized
-per fractional part).  A single partial (gauss_partial, euler_partial) sums
+levels above are exact integer sums of it, kept only at their two end
+points m = s+1 and s+N+1, s = floor(Re z) (_lattice_ends, memoized per
+fractional part).  A single partial (gauss_partial, euler_partial) sums
 both lattices into a private memo, an independent check of the products.
 cache_info() reports the module-level caches; cli.py renders the results.
 """
@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import add, floordiv, mul, rshift, sub
 from typing import Any, Sequence, Union
 
@@ -282,9 +282,6 @@ _SERIES_GUARD = 10
 # Shifted entries log(z+n), z+n = m + d, with m below 2^4 (or below 2|d|)
 # take a direct log: a series there needs many terms for few entries.
 _FIRST_SERIES_OCTAVE = 4
-# The most entries one _log1p_block sums at once, so that the series'
-# temporary rows stay short.
-_SERIES_BLOCK = _N // 16
 
 # _INT_TABLES[dps][n] = log n scaled by 2^bits (index 0 unused), grown on
 # demand, for the _INT_KEYS most recently used working precisions dps.
@@ -320,7 +317,7 @@ def _integer_log_table(cfg: EvalConfig, n_max: int) -> list:
     than Omega(n) (1 + 2^-10 log n) 2^-bits, Omega(n) <= log2(n) the number
     of prime factors with multiplicity, and it depends on n alone, not on
     how the table was grown.  The levels above are exact running sums of
-    this row: the z = 0 lattice of _shifted_rungs, or _integer_levels.
+    this row: the z = 0 lattice of _lattice_ends, or _integer_levels.
     """
     key = cfg.precision.working_dps
     row0 = _INT_TABLES[key] = _INT_TABLES.pop(key, [None])
@@ -415,15 +412,15 @@ def _log1p_block(ms: range, dr: int, di: int, prec: int, bits: int) -> tuple[lis
             _odd_series(v, -1, prec, 2 * prec - bits, v0[0]))
 
 
-# _SHIFTED_RUNGS[(dps, exact d)] = (shift s, {m: point}): the running sums of
-# the shifted level 0 with fractional part d at m = s+1 and at m = s+R+1 for
-# rungs R <= _N (the products read R = _N), centred on the latest s.  At most
-# _SHIFTED_KEYS keys, the least recently used evicted first; a later shift
-# within _WALK of s walks every point there.  _INT_RUNGS holds the integer
-# lattice, z = 0, in the same form, one key per precision, always at shift
-# 0: kept apart, so that an integer z, whose key is the same, cannot walk it.
-_SHIFTED_RUNGS: dict[tuple, tuple[int, dict[int, tuple]]] = {}
-_INT_RUNGS: dict[tuple, tuple[int, dict[int, tuple]]] = {}
+# _SHIFTED_RUNGS[(dps, exact d)] = (shift s, (start, end)): the running sums
+# of the shifted level 0 with fractional part d at m = s+1 and at m = s+N+1,
+# N = _N, for the latest s.  At most _SHIFTED_KEYS keys, the least recently
+# used evicted first; a later shift within _WALK of s walks both points
+# there.  _INT_RUNGS holds the integer lattice, z = 0, in the same form, one
+# key per precision, always at shift 0: kept apart, so that an integer z,
+# whose key is the same, cannot walk it.
+_SHIFTED_RUNGS: dict[tuple, tuple[int, tuple[tuple, tuple]]] = {}
+_INT_RUNGS: dict[tuple, tuple[int, tuple[tuple, tuple]]] = {}
 _SHIFTED_KEYS = 10
 _WALK = 16
 
@@ -434,8 +431,8 @@ def _level0_entries(zm, cfg: EvalConfig, shift: int, dr: int, di: int,
 
     The entries with m in series (_shifted_grid; it stops at 2N for the
     partial's N, so the integer table stays O(N) long) are log m from the
-    table plus, for d != 0, log(1 + d/m) from _log1p_block, in blocks of at
-    most _SERIES_BLOCK m within one octave; d = (dr + i di) 2^-prec.
+    table plus, for d != 0, log(1 + d/m) from _log1p_block, one block per
+    octave; d = (dr + i di) 2^-prec.
 
     With m = n + shift and 0 <= Re d < 1 (_shifted_grid), the entry is
     log(z+n).  From m >= 2^j >= 2|d|, j >= _FIRST_SERIES_OCTAVE, each series
@@ -468,11 +465,9 @@ def _level0_entries(zm, cfg: EvalConfig, shift: int, dr: int, di: int,
         else:
             for j in range(lo.bit_length() - 1, (hi - 1).bit_length()):
                 octave = range(max(lo, 1 << j), min(hi, 2 << j))
-                for start in range(octave.start, octave.stop, _SERIES_BLOCK):
-                    block = range(start, min(octave.stop, start + _SERIES_BLOCK))
-                    series_re, series_im = _log1p_block(block, dr, di, prec, bits)
-                    re0.extend(map(add, log_m[block.start:block.stop], series_re))
-                    im0.extend(repeat(0, len(block)) if series_im is None else series_im)
+                series_re, series_im = _log1p_block(octave, dr, di, prec, bits)
+                re0.extend(map(add, log_m[octave.start:octave.stop], series_re))
+                im0.extend(repeat(0, len(octave)) if series_im is None else series_im)
     re0.extend(re for re, _ in direct[lo - ms.start:])
     im0.extend(im for _, im in direct[lo - ms.start:])
     return re0, im0
@@ -502,46 +497,20 @@ def _shifted_grid(zm, cfg: EvalConfig, n: int = _N) -> tuple[tuple, int, int, in
     return key, shift, dr, di, range(1 << max(_FIRST_SERIES_OCTAVE, math.ceil(d_log2) + 1), top)
 
 
-def _running_sums(start: Sequence[int], row: list, offsets: Sequence[int]) -> list[tuple]:
-    """The running sums (W_1..W_K) at each offset, from their values start at offset 0.
+def _running_sums(levels: Sequence[int], row: list) -> tuple:
+    """The running sums len(row) steps after levels, row the level-0 entries over those steps.
 
-    offsets ascend in (0, len(row)].  row holds level 0, W_0, from offset 0
-    on, and W_k(m+1) = W_k(m) + W_{k-1}(m): each level is one exact running
-    sum of the one below.  The top level is read at the offsets only, and a
-    part that is 0 throughout (the imaginary part of a real lattice right of
-    0) stays 0.
+    W_k(m+1) = W_k(m) + W_{k-1}(m): each level is one exact running sum of
+    the one below, and the top level is only added up.  A part that is 0
+    throughout (the imaginary part of a real lattice right of 0) stays 0.
     """
-    if not (any(start) or any(row)):
-        return [tuple(start)] * len(offsets)
-    columns = []
-    level = row
-    for w in start[:-1]:
-        level = list(accumulate(islice(level, len(row)), initial=w))
-        columns.append([level[t] for t in offsets])
-    top, below, column = start[-1], iter(level), []
-    for t, at in zip(offsets, [0, *offsets]):
-        top += sum(islice(below, t - at))
-        column.append(top)
-    columns.append(column)
-    return list(zip(*columns))
-
-
-def _streamed(build, point: tuple, m0: int, ms: Sequence[int]) -> list[tuple]:
-    """The (re, im) running sums at each m in ms, ascending and > m0, from point at m0.
-
-    build(range) gives level 0 over the range; it is built and summed in
-    blocks that end at multiples of _SERIES_BLOCK, like the series' own, so
-    no row longer than that is alive.
-    """
+    if not (any(levels) or any(row)):
+        return tuple(levels)
     out = []
-    for lo in chain([m0], range(m0 - m0 % _SERIES_BLOCK + _SERIES_BLOCK, ms[-1], _SERIES_BLOCK)):
-        hi = min(lo - lo % _SERIES_BLOCK + _SERIES_BLOCK, ms[-1])
-        offsets = [m - lo for m in ms if lo < m <= hi]
-        sums = [_running_sums(levels, row, offsets + [hi - lo])
-                for levels, row in zip(point, build(range(lo, hi)))]
-        out.extend(zip(*(part[:-1] for part in sums)))
-        point = tuple(part[-1] for part in sums)
-    return out
+    for w in levels[:-1]:
+        row = list(accumulate(row, initial=w))
+        out.append(row.pop())
+    return (*out, levels[-1] + sum(row))
 
 
 def _walked_back(levels: Sequence[int], row: list) -> tuple:
@@ -553,63 +522,52 @@ def _walked_back(levels: Sequence[int], row: list) -> tuple:
     return tuple(levels)
 
 
-def _shifted_rungs(zm, cfg: EvalConfig, depth: int, ns: Sequence[int],
-                   memo: dict) -> tuple[tuple, list[tuple]]:
-    """The running sums of z's shifted level 0 at m = s+1 and at each m = s+n+1, n in ns.
+def _lattice_ends(zm, cfg: EvalConfig, depth: int, n: int, memo: dict) -> tuple[tuple, tuple]:
+    """(start, end): the running sums of z's shifted level 0 at m = s+1 and m = s+n+1.
 
-    s = floor(Re z); ns ascends to _N for the products or to a single
-    partial's N, and level 0 takes the series up to 2 max(ns[-1], _N).  A
-    point is a pair (re, im) of tuples (W_1..W_K), K >= max(depth, 3), W_0 =
-    log(z+n) at m = n + s (_level0_entries) and W_k the exact running sums
-    above it: W_k(m+1) = W_k(m) + W_{k-1}(m).
-    Memoized in memo (_SHIFTED_RUNGS, _INT_RUNGS, or a caller's own {}); a
-    miss streams level 0 on from the last rung held (_streamed).  A key held
-    at another shift s' with |s - s'| <= _WALK is first walked there point
-    by point from the few entries between; one held too far away or too
-    shallow is swept again from m = s+1, where every W_k is 0.
+    s = floor(Re z); n is _N for the products or a single partial's N, and
+    level 0 takes the series up to 2 max(n, _N).  A point is a pair (re, im)
+    of tuples (W_1..W_K), K >= max(depth, 3), W_0 = log(z+j) at m = s + j
+    (_level0_entries) and W_k the exact running sums above it: W_k(m+1) =
+    W_k(m) + W_{k-1}(m).  Memoized in memo (_SHIFTED_RUNGS or _INT_RUNGS,
+    both read at n = _N only, or a caller's own {}).  A key held at another
+    shift s' with |s - s'| <= _WALK is walked there from the few entries
+    between: forward by their running sums, back by _walked_back.  One held
+    too far away or too shallow is summed again from m = s+1, where every
+    W_k is 0, over a row of n entries.
     """
-    key, shift, dr, di, series = _shifted_grid(zm, cfg, ns[-1])
+    key, shift, dr, di, series = _shifted_grid(zm, cfg, n)
     depth = max(depth, 3)
     build = partial(_level0_entries, zm, cfg, shift, dr, di, series)
-    held_shift, points = memo.pop(key, (shift, {}))
+    held_shift, ends = memo.pop(key, (shift, None))
     step = shift - held_shift
-    if not points or len(points[held_shift + 1][0]) < depth or abs(step) > _WALK:
-        points = {shift + 1: ((0,) * depth, (0,) * depth)}
-    elif step > 0:
-        points = {m + step: _streamed(build, point, m, [m + step])[0]
-                  for m, point in points.items()}
-    elif step < 0:
-        points = {m + step: tuple(map(_walked_back, point, build(range(m + step, m))))
-                  for m, point in points.items()}
-    memo[key] = (shift, points)
+    if ends is None or len(ends[0][0]) < depth or abs(step) > _WALK:
+        start = ((0,) * depth,) * 2
+        ends = start, tuple(map(_running_sums, start, build(range(shift + 1, shift + n + 1))))
+    elif step:
+        walk = _running_sums if step > 0 else _walked_back
+        ends = tuple(tuple(map(walk, point, build(range(min(m, m + step), max(m, m + step)))))
+                     for m, point in zip((held_shift + 1, held_shift + n + 1), ends))
+    memo[key] = (shift, ends)
     _evict(memo, _SHIFTED_KEYS)
-    wanted = [shift + n + 1 for n in ns]
-    last = max(points)
-    ahead = [m for m in wanted if m > last]
-    if ahead:
-        points.update(zip(ahead, _streamed(build, points[last], last, ahead)))
-    return points[shift + 1], [points[m] for m in wanted]
+    return ends
 
 
-def _sums_at(r: int, ns: Sequence[int], start: tuple, points: Sequence[tuple],
-             bases: Sequence[tuple]) -> list[tuple[int, int]]:
-    """(re, im) of sum_{n<=N} log G_{r-1}(z+n) at each N in ns, fixed-point ints.
+def _sums_at(r: int, n: int, start: tuple, end: tuple, bases: Sequence[tuple]) -> tuple[int, int]:
+    """(re, im) of sum_{m<=n} log G_{r-1}(z+m), fixed-point ints.
 
-    start and points are the running sums at m = s+1 and m = s+N+1, bases
+    start and end are the running sums at m = s+1 and m = s+n+1, bases
     B_1..B_{r-1} as (re, im) ints.  Level k of the shifted lattice starts
-    from B_k and walks the recurrence log G_k(z+n+1) = log G_k(z+n) +
-    log G_{k-1}(z+n), so the sum is sum_{k<r} B_k binom(N, r-k) + U_r(N+1),
-    U_r the r-fold running sum of level 0 from n = 1, and U_r(N+1) is
-    W_r(s+N+1) - sum_{k<=r} W_k(s+1) binom(N, r-k): the same exact integer
+    from B_k and walks the recurrence log G_k(z+m+1) = log G_k(z+m) +
+    log G_{k-1}(z+m), so the sum is sum_{k<r} B_k binom(n, r-k) + U_r(n+1),
+    U_r the r-fold running sum of level 0 from m = 1, and U_r(n+1) is
+    W_r(s+n+1) - sum_{k<=r} W_k(s+1) binom(n, r-k): the same exact integer
     that a row of level r-1 adds up to.
     """
-    out = []
-    for n, point in zip(ns, points):
-        binoms = [math.comb(n, r - k) for k in range(1, r + 1)]
-        out.append(tuple(end[r - 1] - sum(map(mul, binoms, begin))
-                         + sum(base[part] * c for base, c in zip(bases, binoms))
-                         for part, (begin, end) in enumerate(zip(start, point))))
-    return out
+    binoms = [math.comb(n, r - k) for k in range(1, r + 1)]
+    return tuple(top[r - 1] - sum(map(mul, binoms, begin))
+                 + sum(base[part] * c for base, c in zip(bases, binoms))
+                 for part, (begin, top) in enumerate(zip(start, end)))
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +595,7 @@ def _extend_binomials(binoms: list, zm, top: int) -> None:
                        ((cr * zi + ci * ar) >> prec) // (m + 1)))
 
 
-def _partial(method: str, r: int, zm, cfg: EvalConfig, n: int, start: tuple, point: tuple,
+def _partial(method: str, r: int, zm, cfg: EvalConfig, n: int, start: tuple, end: tuple,
              below: Sequence[LogValue], binoms: list, memo: dict) -> tuple:
     """(value, err): the log of the N-th partial product at the current precision, and its rounding.
 
@@ -645,8 +603,8 @@ def _partial(method: str, r: int, zm, cfg: EvalConfig, n: int, start: tuple, poi
     euler: the same, the correction distributed as telescoping ratios
     (G_k(n+1)/G_k(n))^binom(z, r-k), G_{k-1}(n) or (n+1)/n, each floored onto
     the grid.  The second sum comes from the shifted running sums at start
-    and point on the bases below (_sums_at), binoms is extended to m = r, and
-    log G_k(N+1) are the running sums of the z = 0 lattice (_shifted_rungs,
+    and end on the bases below (_sums_at), binoms is extended to m = r, and
+    log G_k(N+1) are the running sums of the z = 0 lattice (_lattice_ends,
     from memo).  A real z < -1 gives a complex value.
 
     err: each level-0 entry misses by less than e0 = bit_length(2 max(N, _N))
@@ -657,14 +615,14 @@ def _partial(method: str, r: int, zm, cfg: EvalConfig, n: int, start: tuple, poi
     unit of the terms' sizes and of binom(|z| + m, m) log G_k(N+1).
     """
     bits = _fixed_bits(cfg)
-    (shifted,) = _sums_at(r, [n], start, [point], [_to_fixed(b.value, bits) for b in below])
+    shifted = _sums_at(r, n, start, end, [_to_fixed(b.value, bits) for b in below])
     _extend_binomials(binoms, zm, r)
     cplx = isinstance(zm, mpmath.mpc) or zm < -1
     coeffs = [_from_fixed(*binoms[r - k], mpmath.mp.prec, isinstance(zm, mpmath.mpc))
               for k in range(r)]  # binom(z, r-k)
     row0 = _integer_log_table(cfg, n + 1)
-    _, (integer_point,) = _shifted_rungs(mpmath.mp.zero, cfg, r, [n], memo)
-    rung = (row0[n + 1], *integer_point[0][:r])  # log G_k(N+1), k = 0..r
+    _, integer_end = _lattice_ends(mpmath.mp.zero, cfg, r, n, memo)
+    rung = (row0[n + 1], *integer_end[0][:r])  # log G_k(N+1), k = 0..r
     e0 = (2 * max(n, _N)).bit_length() + 3
     units = 2 * e0 * math.comb(n + r - 1, r) + sum(math.comb(n, r - k) for k in range(1, r))
     units += e0 * mpmath.fsum(abs(c) * math.comb(n + k - 1, k) for k, c in enumerate(coeffs))
@@ -772,11 +730,11 @@ def _newton_tail(k: int, zm, binoms: list, bits: int) -> tuple:
     return value, mpmath.ldexp(1, math.ceil(log_tail)) + mpmath.ldexp(1, -bits) + rounding
 
 
-def _completed(method: str, k: int, zm, cfg: EvalConfig, start: tuple, point: tuple,
+def _completed(method: str, k: int, zm, cfg: EvalConfig, start: tuple, end: tuple,
                below: Sequence[LogValue], binoms: list) -> LogValue:
     """log G_k(z+1) as the partial at N = _N plus T_k(z, N+1), rounded to the working
     precision.  Level i < k starts from below[i-1], whose error enters times binom(N, k-i)."""
-    value, err = _partial(method, k, zm, cfg, _N, start, point, below, binoms, _INT_RUNGS)
+    value, err = _partial(method, k, zm, cfg, _N, start, end, below, binoms, _INT_RUNGS)
     tail, tail_err = _newton_tail(k, zm, binoms, _fixed_bits(cfg))
     value += tail
     err += tail_err + mpmath.fsum(b.err_est * math.comb(_N, k - i) for i, b in enumerate(below, 1))
@@ -796,9 +754,9 @@ def _single_partial(method: str, r: int, z: ComplexLike, n: int, cfg: EvalConfig
         zm = _to_mp(z)
         _check_not_singular(r, zm + 1)
         below = _levels("gauss", r - 1, zm, cfg)
-        start, (point,) = _shifted_rungs(zm, cfg, r, [n], {})
+        start, end = _lattice_ends(zm, cfg, r, n, {})
         with mpmath.workprec(_wide_bits(r, zm, cfg)):
-            value, _ = _partial(method, r, zm, cfg, n, start, point, below,
+            value, _ = _partial(method, r, zm, cfg, n, start, end, below,
                                 [(1 << mpmath.mp.prec, 0)], {})
         return LogValue(value=+value, method=method)
 
@@ -863,7 +821,7 @@ def cache_info() -> dict[str, dict[str, int]]:
     keys, the points (tuples of running sums) they hold, and the ints in those.
     """
     def rung_memo(memo: dict) -> dict[str, int]:
-        points = [point for _, held in memo.values() for point in held.values()]
+        points = [point for _, ends in memo.values() for point in ends]
         return {"keys": len(memo), "tuples": len(points),
                 "ints": sum(len(re) + len(im) for re, im in points)}
 
@@ -892,13 +850,13 @@ def _levels(method: str, r: int, zm, cfg: EvalConfig) -> list[LogValue]:
     keys = [_extrap_key(m, k, zm, cfg) for k, m in enumerate(methods, 1)]
     levels = [_EXTRAP_CACHE.pop(key, None) for key in keys]
     if None in levels:
-        _shifted_rungs(mpmath.mp.zero, cfg, r, [_N], _INT_RUNGS)
-        start, (point,) = _shifted_rungs(zm, cfg, r, [_N], _SHIFTED_RUNGS)
+        _lattice_ends(mpmath.mp.zero, cfg, r, _N, _INT_RUNGS)
+        start, end = _lattice_ends(zm, cfg, r, _N, _SHIFTED_RUNGS)
         with mpmath.workprec(_wide_bits(r, zm, cfg)):
             binoms = [(1 << mpmath.mp.prec, 0)]
             for k in range(1, r + 1):
                 if levels[k - 1] is None:
-                    levels[k - 1] = _completed(methods[k - 1], k, zm, cfg, start, point,
+                    levels[k - 1] = _completed(methods[k - 1], k, zm, cfg, start, end,
                                                levels[:k - 1], binoms)
     _EXTRAP_CACHE.update(zip(keys, levels))
     _evict(_EXTRAP_CACHE, _EXTRAP_KEYS)
@@ -1033,11 +991,12 @@ def _log_multigamma_zeta(r: int, zm, cfg: EvalConfig) -> LogValue:
 
 
 def log_g0(z: ComplexLike, prec: Precision = Precision()) -> LogValue:
-    """log G_0(z) = principal log z."""
+    """log G_0(z) = principal log z, err_est its rounding bound |log z| eps."""
     with mpmath.workdps(prec.working_dps):
         zm = _to_mp(z)
         _check_not_singular(0, zm)
-        return LogValue(value=mpmath.log(zm), method="exact", err_est=mpmath.mpf(0))
+        value = mpmath.log(zm)
+        return LogValue(value=value, method="exact", err_est=abs(value) * mpmath.eps)
 
 
 def log_multigamma(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> LogValue:
