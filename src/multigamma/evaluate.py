@@ -114,7 +114,7 @@ class CalibrationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogValue:
     """A logarithm accumulated additively, tagged with its method of origin.
 
@@ -802,8 +802,9 @@ def extrapolate(seq: Sequence[LogValue], order: int) -> LogValue:
     return LogValue(value=col[-1], method=seq[0].method, err_est=err)
 
 
-# Completed product values, per (method, r, working dps, exact z): at most
-# _EXTRAP_KEYS, the least recently used evicted first.
+# Completed product values, per (method, r, working dps, exact z), and the
+# front door's zeta-route values, method "zeta": at most _EXTRAP_KEYS, the
+# least recently used evicted first.
 _EXTRAP_CACHE: dict[tuple, LogValue] = {}
 _EXTRAP_KEYS = 4096
 
@@ -816,7 +817,8 @@ def cache_info() -> dict[str, dict[str, int]]:
     """What each module-level cache holds now.
 
     A row is a level-0 row of _INT_TABLES (one per precision), a memoized
-    LogValue, the table _LOG_DIFFS, a zeta'(-j) or one k's polynomials;
+    LogValue (a completed product or a zeta-route value), the table
+    _LOG_DIFFS, a zeta'(-j) or one k's polynomials;
     entries count the ints or values in them.  For the rung memos: their
     keys, the points (tuples of running sums) they hold, and the ints in those.
     """
@@ -1007,7 +1009,9 @@ def log_multigamma(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> Lo
     answers alone, cross_check None.  Otherwise both run, their difference
     is cross_check and must not exceed the sum of their err_est
     (ArithmeticError), and the Gauss value answers if its err_est is below
-    tolerance/10, the zeta value otherwise.
+    tolerance/10, the zeta value otherwise.  Both routes' values are
+    memoized in _EXTRAP_CACHE per (r, z, precision); the cross-check runs
+    on every call.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -1016,10 +1020,13 @@ def log_multigamma(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> Lo
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
         _check_not_singular(r, zm)
+        key = _extrap_key("zeta", r, zm, cfg)
+        zeta = _EXTRAP_CACHE.pop(key, None) or _log_multigamma_zeta(r, zm, cfg)
+        _EXTRAP_CACHE[key] = zeta
+        _evict(_EXTRAP_CACHE, _EXTRAP_KEYS)
         if not _newton_reaches(r, abs(zm - 1), cfg.tolerance):
-            return _log_multigamma_zeta(r, zm, cfg)
+            return zeta
         gauss = product_extrapolated("gauss", r, zm - 1, cfg)
-        zeta = _log_multigamma_zeta(r, zm, cfg)
         gap = abs(gauss.value - zeta.value)
         if gap > gauss.err_est + zeta.err_est:
             raise ArithmeticError(
@@ -1080,19 +1087,25 @@ def log_gamma_r(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig(), *,
     G_r(z) = R_r(z) Gamma_r(z)^((-1)^(r-1)) with
     log R_r(z) = s_R sum_j G_{r,j}(z-1) zeta'(-j) (ConventionSet derives s_R).
     conventions is DERIVED except while calibrate_conventions tries its
-    candidates.
+    candidates.  err_est adds to G_r's the residual factor's: each
+    zeta'(-j) is within 10^-digits max(1, |zeta'(-j)|), times |G_{r,j}(z-1)|,
+    plus the rounding (|value| + |correction|) eps.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     base = log_multigamma(r, z, cfg)
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
-        correction = mpmath.mpf(0)
+        eps = mpmath.mpf(10) ** -cfg.precision.digits
+        correction = err = mpmath.mpf(0)
         for j in range(r):
-            correction += grj_poly(r, j).evaluate(zm - 1) * zeta_prime_neg(j, cfg.precision)
+            coeff, zeta_j = grj_poly(r, j).evaluate(zm - 1), zeta_prime_neg(j, cfg.precision)
+            correction += coeff * zeta_j
+            err += abs(coeff) * eps * max(1, abs(zeta_j))
         sign = (-1) ** (r - 1)
         value = sign * (base.value - conventions.s_R * correction)
-        return LogValue(value=+value, method=base.method, err_est=base.err_est,
+        err += (abs(value) + abs(correction)) * mpmath.eps
+        return LogValue(value=+value, method=base.method, err_est=base.err_est + err,
                         cross_check=base.cross_check)
 
 
@@ -1163,7 +1176,8 @@ def calibrate_conventions(cfg: EvalConfig = EvalConfig()) -> ConventionSet:
     keeps the combinations for which (a) the multiplication residuals at
     r=1, p in {2,3} and r=2, p=2 anchors vanish within tolerance, and
     (b) log Gamma_1 via G_1/R_1 matches the Hurwitz-zeta oracle.  The
-    expensive log values are shared across all eight candidates.  Raises
+    front door's memo shares the expensive log values, both routes', across
+    all eight candidates: each argument takes one Hurwitz pass.  Raises
     CalibrationError (with the full residual table) unless DERIVED is the
     only survivor; returns DERIVED with its residuals as evidence.
     """

@@ -840,8 +840,43 @@ def test_front_door_raises_when_its_routes_disagree(monkeypatch):
 
     assert log_multigamma(1, 45, CFG30).cross_check is not None
     monkeypatch.setattr(evaluate, "_log_multigamma_zeta", off)
+    # the warm-up memoized the true zeta value
+    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
     with pytest.raises(ArithmeticError):
         log_multigamma(1, 45, CFG30)
+
+
+def count_hurwitz_passes(monkeypatch) -> list:
+    """Record the point of each hurwitz_zeta_sderivs pass the evaluator makes."""
+    passes = []
+    real = evaluate.hurwitz_zeta_sderivs
+    monkeypatch.setattr(evaluate, "hurwitz_zeta_sderivs",
+                        lambda j_max, a, prec: passes.append(a) or real(j_max, a, prec))
+    return passes
+
+
+@pytest.mark.parametrize("r, z, both", [(2, Fraction(7, 3), True), (1, Fraction(3001), False)],
+                         ids=["both-routes", "zeta-only"])
+def test_front_door_memoizes_its_zeta_route(r, z, both, monkeypatch):
+    # A repeated (r, z, precision) finds the zeta value in _EXTRAP_CACHE and
+    # makes no Hurwitz pass; the cross-check still runs on the memoized
+    # values, so the result is the same.  Another r or precision is
+    # another key, one pass each.
+    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
+    passes = count_hurwitz_passes(monkeypatch)
+    first = log_multigamma(r, z, CFG30)
+    assert len(passes) == 1
+    assert (first.cross_check is not None) == both
+    again = log_multigamma(r, z, CFG30)
+    assert len(passes) == 1
+    for got, want in ((again.value, first.value), (again.err_est, first.err_est),
+                      (again.cross_check, first.cross_check)):
+        assert got == want and type(got) is type(want)
+    assert again.method == first.method
+    log_multigamma(r + 1, z, CFG30)
+    assert len(passes) == 2
+    log_multigamma(r, z, EvalConfig(precision=Precision(digits=40)))
+    assert len(passes) == 3
 
 
 # The edges of the benchmark's eval-small domains (Re z at both ends, real
@@ -1178,6 +1213,21 @@ def test_log_gamma_r_with_the_wrong_s_r_moves_by_twice_the_residual_factor():
         assert abs(got - wrong - 2 * log_r) < 1e-25
 
 
+@pytest.mark.parametrize("digits", [30, 60])
+def test_log_gamma_r_lies_within_its_err_est(digits):
+    # err_est counts the residual factor's zeta'(-j), each within
+    # 10^-digits of its own, besides G_r's err_est: at r = 1 and 30 digits
+    # zeta'(0) alone puts the value 6e-37 off, and G_1's err_est at z = 40
+    # is 2e-40.
+    cfg = EvalConfig(precision=Precision(digits=digits))
+    for r in (1, 2, 3):
+        for z in (Fraction(5, 2), Fraction(7, 3), Fraction(40), Fraction(301, 3)):
+            got = log_gamma_r(r, z, cfg)
+            want = barnes_zeta_oracle(r, z, Precision(digits=digits + 30)).value
+            with mpmath.workdps(digits + 40):
+                assert abs(got.value - want) <= got.err_est, (r, z)
+
+
 def test_multiplication_p_equals_one_is_trivially_exact():
     rep = multiplication_residual(2, 1, mpmath.mpf("1.5"), CFG)
     assert rep.passed
@@ -1200,6 +1250,16 @@ def test_calibration_finds_the_documented_unique_survivor():
 
 def test_calibration_is_idempotent():
     assert calibrate_conventions(CFG) == resolved()
+
+
+def test_calibration_takes_one_hurwitz_pass_per_argument(monkeypatch):
+    # Eight candidates evaluate the same 17 (r, z) at the front door; the
+    # memo shares the zeta route's value, so each takes one pass, not one
+    # per candidate (200 without the memo).
+    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
+    passes = count_hurwitz_passes(monkeypatch)
+    calibrate_conventions(CFG30)
+    assert len(passes) == 17
 
 
 def test_calibration_fails_when_its_survivor_is_not_the_derived_set(monkeypatch):
