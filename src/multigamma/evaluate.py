@@ -33,10 +33,13 @@ time.
 
 The product sweep runs in fixed point (_fixed_bits): level 0, log n and
 log(z+n), takes few logs (_integer_log_table, _level0_entries), and the
-levels above are exact integer sums of it, kept only at their two end
-points m = s+1 and s+N+1, s = floor(Re z) (_lattice_ends, memoized per
-fractional part).  A single partial (gauss_partial, euler_partial) sums
-both lattices into a private memo, an independent check of the products.
+levels above are exact integer sums of it: log G_k(N+1) the running sums
+of the integer row (_integer_ends), the shifted levels kept only at their
+two end points m = s+1 and s+N+1, s = floor(Re z) (_lattice_ends, memoized
+per fractional part).  Each product level is completed on its own, on the
+Gauss levels below it (_completed), so no value or err_est depends on what
+the memos held.  A single partial (gauss_partial, euler_partial) sums its
+shifted lattice into a private memo, an independent check of the products.
 cache_info() reports the module-level caches; cli.py renders the results.
 """
 
@@ -59,7 +62,6 @@ from .exact_poly import (
     DERIVED,
     ConventionSet,
     RationalPoly,
-    bernoulli_numbers,
     binom_poly,
     composition_counts,
     grj_poly,
@@ -190,10 +192,7 @@ def higher_stirling_terms(r: int) -> HigherStirlingTerms:
     """The exact coefficient polynomials of the level-r asymptotic expansion."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    nums = bernoulli_numbers(r)
-    log_coeff = binom_poly(r).shift(1)
-    for j in range(r):
-        log_coeff = log_coeff + grj_poly(r, j).scale(Fraction(nums[j + 1], j + 1))
+    log_coeff = psi_poly(r).shift(1)  # binom(z+1, r) + sum_j B_{j+1}/(j+1) G_{r,j}(z)
     zp1 = RationalPoly((1, 1))  # z + 1
     power = RationalPoly.zero()
     zp1_pow = RationalPoly.one()
@@ -295,6 +294,16 @@ def _evict(cache: dict, keys: int) -> None:
         del cache[next(iter(cache))]
 
 
+def _memoized(cache: dict, keys: int, key, make):
+    """cache[key], from make() on a miss, made the most recently used of at most keys."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = make()
+    cache[key] = value
+    _evict(cache, keys)
+    return value
+
+
 def _smallest_prime_factors(lo: int, hi: int) -> list[int]:
     """spf[n - lo] = the smallest prime factor of n for lo <= n <= hi (n itself below 2).
 
@@ -317,11 +326,9 @@ def _integer_log_table(cfg: EvalConfig, n_max: int) -> list:
     than Omega(n) (1 + 2^-10 log n) 2^-bits, Omega(n) <= log2(n) the number
     of prime factors with multiplicity, and it depends on n alone, not on
     how the table was grown.  The levels above are exact running sums of
-    this row: the z = 0 lattice of _lattice_ends, or _integer_levels.
+    this row: _integer_ends at one n, or _integer_levels streamed.
     """
-    key = cfg.precision.working_dps
-    row0 = _INT_TABLES[key] = _INT_TABLES.pop(key, [None])
-    _evict(_INT_TABLES, _INT_KEYS)
+    row0 = _memoized(_INT_TABLES, _INT_KEYS, cfg.precision.working_dps, lambda: [None])
     if len(row0) <= n_max:
         bits = _fixed_bits(cfg)
         lo = len(row0)
@@ -416,11 +423,9 @@ def _log1p_block(ms: range, dr: int, di: int, prec: int, bits: int) -> tuple[lis
 # of the shifted level 0 with fractional part d at m = s+1 and at m = s+N+1,
 # N = _N, for the latest s.  At most _SHIFTED_KEYS keys, the least recently
 # used evicted first; a later shift within _WALK of s walks both points
-# there.  _INT_RUNGS holds the integer lattice, z = 0, in the same form, one
-# key per precision, always at shift 0: kept apart, so that an integer z,
-# whose key is the same, cannot walk it.
+# there.  _INT_ENDS holds as many keys of _integer_ends.
 _SHIFTED_RUNGS: dict[tuple, tuple[int, tuple[tuple, tuple]]] = {}
-_INT_RUNGS: dict[tuple, tuple[int, tuple[tuple, tuple]]] = {}
+_INT_ENDS: dict[tuple, tuple] = {}
 _SHIFTED_KEYS = 10
 _WALK = 16
 
@@ -513,6 +518,13 @@ def _running_sums(levels: Sequence[int], row: list) -> tuple:
     return (*out, levels[-1] + sum(row))
 
 
+def _integer_ends(cfg: EvalConfig, depth: int, n: int) -> tuple:
+    """log G_k(n+1), k = 1..depth: the running sums of the integer row over m = 1..n,
+    fixed-point ints, one pass per (precision, depth, n), memoized in _INT_ENDS."""
+    return _memoized(_INT_ENDS, _SHIFTED_KEYS, (cfg.precision.working_dps, depth, n),
+                     lambda: _running_sums((0,) * depth, _integer_log_table(cfg, n + 1)[1:n + 1]))
+
+
 def _walked_back(levels: Sequence[int], row: list) -> tuple:
     """The running sums len(row) steps before levels, row the level-0 entries over those steps."""
     levels = list(levels)
@@ -529,8 +541,8 @@ def _lattice_ends(zm, cfg: EvalConfig, depth: int, n: int, memo: dict) -> tuple[
     level 0 takes the series up to 2 max(n, _N).  A point is a pair (re, im)
     of tuples (W_1..W_K), K >= max(depth, 3), W_0 = log(z+j) at m = s + j
     (_level0_entries) and W_k the exact running sums above it: W_k(m+1) =
-    W_k(m) + W_{k-1}(m).  Memoized in memo (_SHIFTED_RUNGS or _INT_RUNGS,
-    both read at n = _N only, or a caller's own {}).  A key held at another
+    W_k(m) + W_{k-1}(m).  Memoized in memo (_SHIFTED_RUNGS, read at n = _N
+    only, or a single partial's own {}).  A key held at another
     shift s' with |s - s'| <= _WALK is walked there from the few entries
     between: forward by their running sums, back by _walked_back.  One held
     too far away or too shallow is summed again from m = s+1, where every
@@ -596,7 +608,7 @@ def _extend_binomials(binoms: list, zm, top: int) -> None:
 
 
 def _partial(method: str, r: int, zm, cfg: EvalConfig, n: int, start: tuple, end: tuple,
-             below: Sequence[LogValue], binoms: list, memo: dict) -> tuple:
+             below: Sequence[LogValue], binoms: list) -> tuple:
     """(value, err): the log of the N-th partial product at the current precision, and its rounding.
 
     gauss: sum_{n<=N} [log G_{r-1}(n) - log G_{r-1}(z+n)] + sum_k binom(z, r-k) log G_k(N+1);
@@ -604,8 +616,8 @@ def _partial(method: str, r: int, zm, cfg: EvalConfig, n: int, start: tuple, end
     (G_k(n+1)/G_k(n))^binom(z, r-k), G_{k-1}(n) or (n+1)/n, each floored onto
     the grid.  The second sum comes from the shifted running sums at start
     and end on the bases below (_sums_at), binoms is extended to m = r, and
-    log G_k(N+1) are the running sums of the z = 0 lattice (_lattice_ends,
-    from memo).  A real z < -1 gives a complex value.
+    log G_k(N+1) are the running sums of the integer row (_integer_ends).
+    A real z < -1 gives a complex value.
 
     err: each level-0 entry misses by less than e0 = bit_length(2 max(N, _N))
     + 3 units of 2^-bits, a level-k sum at N+1 adds binom(N+k-1, k) of them,
@@ -621,8 +633,7 @@ def _partial(method: str, r: int, zm, cfg: EvalConfig, n: int, start: tuple, end
     coeffs = [_from_fixed(*binoms[r - k], mpmath.mp.prec, isinstance(zm, mpmath.mpc))
               for k in range(r)]  # binom(z, r-k)
     row0 = _integer_log_table(cfg, n + 1)
-    _, integer_end = _lattice_ends(mpmath.mp.zero, cfg, r, n, memo)
-    rung = (row0[n + 1], *integer_end[0][:r])  # log G_k(N+1), k = 0..r
+    rung = (row0[n + 1], *_integer_ends(cfg, r, n))  # log G_k(N+1), k = 0..r
     e0 = (2 * max(n, _N)).bit_length() + 3
     units = 2 * e0 * math.comb(n + r - 1, r) + sum(math.comb(n, r - k) for k in range(1, r))
     units += e0 * mpmath.fsum(abs(c) * math.comb(n + k - 1, k) for k, c in enumerate(coeffs))
@@ -709,7 +720,7 @@ def _newton_tail(k: int, zm, binoms: list, bits: int) -> tuple:
     The terms stop at the first J whose remainder bound (_tail_bounds) is
     below 2^-bits, or at _J_MAX, and are summed exactly in ints.  err adds
     the bound, the table's error (scaled below 2^-bits), the binomials'
-    (binoms, shared by the levels of one product) and the final rounding.
+    (binoms, shared with its level's partial) and the final rounding.
     """
     if not abs(zm) < _X - 1:
         return mpmath.mpf(0), mpmath.inf
@@ -730,22 +741,36 @@ def _newton_tail(k: int, zm, binoms: list, bits: int) -> tuple:
     return value, mpmath.ldexp(1, math.ceil(log_tail)) + mpmath.ldexp(1, -bits) + rounding
 
 
-def _completed(method: str, k: int, zm, cfg: EvalConfig, start: tuple, end: tuple,
-               below: Sequence[LogValue], binoms: list) -> LogValue:
+def _completed(method: str, k: int, zm, cfg: EvalConfig) -> LogValue:
     """log G_k(z+1) as the partial at N = _N plus T_k(z, N+1), rounded to the working
-    precision.  Level i < k starts from below[i-1], whose error enters times binom(N, k-i)."""
-    value, err = _partial(method, k, zm, cfg, _N, start, end, below, binoms, _INT_RUNGS)
-    tail, tail_err = _newton_tail(k, zm, binoms, _fixed_bits(cfg))
-    value += tail
-    err += tail_err + mpmath.fsum(b.err_est * math.comb(_N, k - i) for i, b in enumerate(below, 1))
-    with mpmath.workdps(cfg.precision.working_dps):
-        err += abs(value) * mpmath.eps
-        return LogValue(value=+value, method=method, err_est=+err)
+    precision and memoized in _EXTRAP_CACHE per (method, k, precision, exact z).
+
+    A miss sweeps level 0 at depth k first, so that the Gauss bases i < k,
+    completed the same way, read its end points from _SHIFTED_RUNGS; level k
+    then takes _wide_bits(k) and binomials of its own, so its value and
+    err_est depend on method, k, z and the precision alone.  Base i's
+    err_est enters times binom(N, k-i).
+    """
+    def complete() -> LogValue:
+        start, end = _lattice_ends(zm, cfg, k, _N, _SHIFTED_RUNGS)
+        below = [_completed("gauss", i, zm, cfg) for i in range(1, k)]
+        with mpmath.workprec(_wide_bits(k, zm, cfg)):
+            binoms = [(1 << mpmath.mp.prec, 0)]
+            value, err = _partial(method, k, zm, cfg, _N, start, end, below, binoms)
+            tail, tail_err = _newton_tail(k, zm, binoms, _fixed_bits(cfg))
+            value += tail
+            err += tail_err + mpmath.fsum(b.err_est * math.comb(_N, k - i)
+                                          for i, b in enumerate(below, 1))
+        with mpmath.workdps(cfg.precision.working_dps):
+            err += abs(value) * mpmath.eps
+            return LogValue(value=+value, method=method, err_est=+err)
+
+    return _memoized(_EXTRAP_CACHE, _EXTRAP_KEYS, _extrap_key(method, k, zm, cfg), complete)
 
 
 def _single_partial(method: str, r: int, z: ComplexLike, n: int, cfg: EvalConfig) -> LogValue:
-    """One partial at any N, its lattices summed into a private {}: an independent check
-    of the products, equal to theirs bit for bit at N = _N, on the same Gauss bases."""
+    """One partial at any N, its shifted lattice summed into a private {}: an independent
+    check of the products, equal to theirs bit for bit at N = _N, on the same Gauss bases."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if n < 1:
@@ -753,11 +778,11 @@ def _single_partial(method: str, r: int, z: ComplexLike, n: int, cfg: EvalConfig
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
         _check_not_singular(r, zm + 1)
-        below = _levels("gauss", r - 1, zm, cfg)
+        below = [_completed("gauss", i, zm, cfg) for i in range(1, r)]
         start, end = _lattice_ends(zm, cfg, r, n, {})
         with mpmath.workprec(_wide_bits(r, zm, cfg)):
             value, _ = _partial(method, r, zm, cfg, n, start, end, below,
-                                [(1 << mpmath.mp.prec, 0)], {})
+                                [(1 << mpmath.mp.prec, 0)])
         return LogValue(value=+value, method=method)
 
 
@@ -816,53 +841,28 @@ def _extrap_key(method: str, r: int, zm, cfg: EvalConfig) -> tuple:
 def cache_info() -> dict[str, dict[str, int]]:
     """What each module-level cache holds now.
 
-    A row is a level-0 row of _INT_TABLES (one per precision), a memoized
-    LogValue (a completed product or a zeta-route value), the table
-    _LOG_DIFFS, a zeta'(-j) or one k's polynomials;
-    entries count the ints or values in them.  For the rung memos: their
-    keys, the points (tuples of running sums) they hold, and the ints in those.
+    A row is a level-0 row of _INT_TABLES (one per precision), the
+    integer ends log G_k(n+1) at one (precision, depth, n) of _INT_ENDS, a
+    memoized LogValue (a completed product or a zeta-route value), the table
+    _LOG_DIFFS, a zeta'(-j) or one k's polynomials; entries count the ints
+    or values in them.  For the rung memo: its keys, the points (tuples of
+    running sums) it holds, and the ints in those.
     """
-    def rung_memo(memo: dict) -> dict[str, int]:
-        points = [point for _, ends in memo.values() for point in ends]
-        return {"keys": len(memo), "tuples": len(points),
-                "ints": sum(len(re) + len(im) for re, im in points)}
-
+    points = [point for _, ends in _SHIFTED_RUNGS.values() for point in ends]
     zeta_primes = constants.zeta_prime_neg.cache_info().currsize
     barnes = _barnes_polys.cache_info().currsize
     diffs = len(_LOG_DIFFS[2])
     return {
         "_INT_TABLES": {"rows": len(_INT_TABLES),
                         "entries": sum(len(row) - 1 for row in _INT_TABLES.values())},
-        "_INT_RUNGS": rung_memo(_INT_RUNGS),
+        "_INT_ENDS": {"rows": len(_INT_ENDS), "entries": sum(map(len, _INT_ENDS.values()))},
         "_EXTRAP_CACHE": {"rows": len(_EXTRAP_CACHE), "entries": len(_EXTRAP_CACHE)},
-        "_SHIFTED_RUNGS": rung_memo(_SHIFTED_RUNGS),
+        "_SHIFTED_RUNGS": {"keys": len(_SHIFTED_RUNGS), "tuples": len(points),
+                           "ints": sum(len(re) + len(im) for re, im in points)},
         "_LOG_DIFFS": {"rows": int(diffs > 0), "entries": diffs},
         "constants.zeta_prime_neg": {"rows": zeta_primes, "entries": zeta_primes},
         "_barnes_polys": {"rows": barnes, "entries": barnes},
     }
-
-
-def _levels(method: str, r: int, zm, cfg: EvalConfig) -> list[LogValue]:
-    """The completed log G_k(z+1), k = 1..r: Gauss below r, method at r, each memoized.
-
-    The missing levels are built bottom-up, each on the ones below it, from
-    one sweep of each lattice at depth r and one list of binomials in z.
-    """
-    methods = [method if k == r else "gauss" for k in range(1, r + 1)]
-    keys = [_extrap_key(m, k, zm, cfg) for k, m in enumerate(methods, 1)]
-    levels = [_EXTRAP_CACHE.pop(key, None) for key in keys]
-    if None in levels:
-        _lattice_ends(mpmath.mp.zero, cfg, r, _N, _INT_RUNGS)
-        start, end = _lattice_ends(zm, cfg, r, _N, _SHIFTED_RUNGS)
-        with mpmath.workprec(_wide_bits(r, zm, cfg)):
-            binoms = [(1 << mpmath.mp.prec, 0)]
-            for k in range(1, r + 1):
-                if levels[k - 1] is None:
-                    levels[k - 1] = _completed(methods[k - 1], k, zm, cfg, start, end,
-                                               levels[:k - 1], binoms)
-    _EXTRAP_CACHE.update(zip(keys, levels))
-    _evict(_EXTRAP_CACHE, _EXTRAP_KEYS)
-    return levels
 
 
 def product_extrapolated(method: str, r: int, z: ComplexLike,
@@ -871,10 +871,11 @@ def product_extrapolated(method: str, r: int, z: ComplexLike,
 
     method, "gauss" or "euler", is the partial's accumulation order; both
     take T_r(z, N+1) (_newton_tail) and the completed Gauss products below r
-    as level bases.  err_est is the remainder's bound plus the partial's
-    rounding plus each base's err_est times binom(N, r-k), infinite for
-    |z| >= N.  Memoized per (method, r, z, precision); every level and
-    method at z, and at z + k for |k| <= _WALK, share one sweep of level 0.
+    as level bases (_completed).  err_est is the remainder's bound plus the
+    partial's rounding plus each base's err_est times binom(N, r-k),
+    infinite for |z| >= N.  Memoized per (method, r, z, precision), the
+    same whatever the memos held; every level and method at z, and at z + k
+    for |k| <= _WALK, share one sweep of level 0.
     """
     if method not in ("gauss", "euler"):
         raise ValueError(f"unknown product method {method!r}")
@@ -883,7 +884,7 @@ def product_extrapolated(method: str, r: int, z: ComplexLike,
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
         _check_not_singular(r, zm + 1)
-        return _levels(method, r, zm, cfg)[-1]
+        return _completed(method, r, zm, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -1020,10 +1021,8 @@ def log_multigamma(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()) -> Lo
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
         _check_not_singular(r, zm)
-        key = _extrap_key("zeta", r, zm, cfg)
-        zeta = _EXTRAP_CACHE.pop(key, None) or _log_multigamma_zeta(r, zm, cfg)
-        _EXTRAP_CACHE[key] = zeta
-        _evict(_EXTRAP_CACHE, _EXTRAP_KEYS)
+        zeta = _memoized(_EXTRAP_CACHE, _EXTRAP_KEYS, _extrap_key("zeta", r, zm, cfg),
+                         partial(_log_multigamma_zeta, r, zm, cfg))
         if not _newton_reaches(r, abs(zm - 1), cfg.tolerance):
             return zeta
         gauss = product_extrapolated("gauss", r, zm - 1, cfg)

@@ -411,6 +411,7 @@ def test_verify_sweeps_one_euler_ladder_per_point(conventions_file, monkeypatch)
     # euler_vs_gauss finds its Gauss products in the memo, filled by the
     # recurrence check's log G_r(z+1) at the same points; each Euler
     # product is one completion at its level, on the memoized Gauss bases.
+    # Only completions computed count, not those the memo answers.
     monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
     in_check = []
     completions = []
@@ -423,9 +424,10 @@ def test_verify_sweeps_one_euler_ladder_per_point(conventions_file, monkeypatch)
         finally:
             in_check.pop()
 
-    def recording(method, *args):
-        completions.append((method, bool(in_check)))
-        return real_completed(method, *args)
+    def recording(method, k, zm, cfg):
+        if evaluate._extrap_key(method, k, zm, cfg) not in evaluate._EXTRAP_CACHE:
+            completions.append((method, bool(in_check)))
+        return real_completed(method, k, zm, cfg)
 
     monkeypatch.setattr(cli, "product_extrapolated", marking)
     monkeypatch.setattr(evaluate, "_completed", recording)

@@ -10,13 +10,16 @@ Error estimates are treated as part of the contract: the value lies within
 err_est of the reference.
 """
 
+import ast
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -26,7 +29,7 @@ from hypothesis import strategies as st
 from multigamma import evaluate
 from multigamma.cli import main as cli_main
 from multigamma.constants import Precision, zeta_prime_neg
-from multigamma.exact_poly import DERIVED, grj_poly
+from multigamma.exact_poly import DERIVED, bernoulli_numbers, binom_poly, grj_poly
 from multigamma.evaluate import (
     CalibrationError,
     EvalConfig,
@@ -37,6 +40,7 @@ from multigamma.evaluate import (
     euler_partial,
     extrapolate,
     gauss_partial,
+    higher_stirling_terms,
     log_g0,
     log_gamma_r,
     log_multigamma,
@@ -540,31 +544,26 @@ def test_integer_table_grown_in_pieces_equals_one_build(monkeypatch):
 
 @pytest.mark.parametrize("digits", [30, 60])
 def test_integer_rungs_equal_the_levels_streamed_from_level_0(digits, monkeypatch):
-    # The levels above level 0 are read at N+1 as the z = 0 lattice of
-    # _lattice_ends, memoized in _INT_RUNGS: its running sums at m = N+1
-    # must be log G_k(N+1), the exact sums _integer_levels streams,
-    # whichever depth the memo was filled with first.
+    # The levels above level 0 are read at N+1 as the running sums of the
+    # integer row, memoized in _INT_ENDS per (precision, depth, N): they
+    # must be log G_k(N+1), the exact sums _integer_levels streams, at
+    # every depth, cold or memoized, at the products' N and a partial's.
     cfg = EvalConfig(precision=Precision(digits=digits))
-    n = evaluate._N
-    row0 = evaluate._integer_log_table(cfg, n + 1)
-    levels = [list(islice(evaluate._integer_levels(row0, k), n + 1)) for k in range(5)]
-    monkeypatch.setattr(evaluate, "_INT_RUNGS", {})
-    with mpmath.workdps(cfg.precision.working_dps):
-        for r in (1, 2, 3, 4):
-            start, end = evaluate._lattice_ends(mpmath.mpf(0), cfg, r, n, evaluate._INT_RUNGS)
-            assert start == ((0,) * len(start[0]),) * 2
-            assert end[1] == (0,) * len(end[1])
-            for k in range(1, r + 1):
-                assert end[0][k - 1] == levels[k][n], (r, k)
-                assert evaluate._sums_at(k, n, start, end, ()) == (levels[k][n], 0), (r, k)
+    monkeypatch.setattr(evaluate, "_INT_ENDS", {})
+    for n in (evaluate._N, 1000):
+        row0 = evaluate._integer_log_table(cfg, n + 1)
+        want = tuple(list(islice(evaluate._integer_levels(row0, k), n + 1))[n]
+                     for k in range(1, 5))
+        for r in (4, 1, 2, 3, 4):
+            assert evaluate._integer_ends(cfg, r, n) == want[:r], (n, r)
 
 
 def test_integer_caches_hold_one_row_per_precision_for_four_precisions(monkeypatch):
     # After r = 4 sweeps, each precision holds level 0 as its one row, and
-    # the integer rung memo one key at shift 0: the points at m = 1 and at
-    # N+1, four running sums in two parts each.
+    # the integer ends log G_k(N+1) at each depth k = 1..4 that a level
+    # read: 1 + 2 + 3 + 4 sums per precision.
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
-    monkeypatch.setattr(evaluate, "_INT_RUNGS", {})
+    monkeypatch.setattr(evaluate, "_INT_ENDS", {})
     monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
     for digits in (30, 60):
         log_multigamma(4, Fraction(7, 3), EvalConfig(precision=Precision(digits=digits)))
@@ -574,54 +573,59 @@ def test_integer_caches_hold_one_row_per_precision_for_four_precisions(monkeypat
         assert row0[0] is None and all(type(x) is int for x in row0[1:])
     assert info["_INT_TABLES"]["entries"] == sum(len(row0) - 1
                                                  for row0 in evaluate._INT_TABLES.values())
-    points = 2
-    assert info["_INT_RUNGS"] == {"keys": 2, "tuples": 2 * points, "ints": 2 * points * 8}
-    assert all(shift == 0 for shift, _ in evaluate._INT_RUNGS.values())
-    assert set(info) == {"_INT_TABLES", "_INT_RUNGS", "_EXTRAP_CACHE", "_SHIFTED_RUNGS",
+    assert info["_INT_ENDS"] == {"rows": 2 * 4, "entries": 2 * (1 + 2 + 3 + 4)}
+    assert sorted(key[1:] for key in evaluate._INT_ENDS) == [
+        (depth, evaluate._N) for depth in (1, 1, 2, 2, 3, 3, 4, 4)]
+    assert set(info) == {"_INT_TABLES", "_INT_ENDS", "_EXTRAP_CACHE", "_SHIFTED_RUNGS",
                          "_LOG_DIFFS", "constants.zeta_prime_neg", "_barnes_polys"}
     assert info["_LOG_DIFFS"] == {"rows": 1, "entries": len(evaluate._LOG_DIFFS[2])}
-    # a fifth precision evicts the least recently used row; the rung memo
-    # keeps up to _SHIFTED_KEYS precisions, most recently used last
+    # a fifth precision evicts the least recently used row; the integer
+    # ends keep up to _SHIFTED_KEYS keys, most recently used last
     cfgs = {d: EvalConfig(precision=Precision(digits=d)) for d in (10, 11, 12, 13, 14)}
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
-    monkeypatch.setattr(evaluate, "_INT_RUNGS", {})
+    monkeypatch.setattr(evaluate, "_INT_ENDS", {})
     for digits in (10, 11, 12, 13, 10, 14):
         # as a product reads them, up to N+1
         evaluate._integer_log_table(cfgs[digits], evaluate._N + 1)
-        evaluate._lattice_ends(mpmath.mpf(0), cfgs[digits], 3, evaluate._N, evaluate._INT_RUNGS)
+        for depth in (2, 3):
+            evaluate._integer_ends(cfgs[digits], depth, evaluate._N)
     dps = {d: cfgs[d].precision.working_dps for d in cfgs}
     assert list(evaluate._INT_TABLES) == [dps[d] for d in (12, 13, 10, 14)]
-    assert [key[0] for key in evaluate._INT_RUNGS] == [dps[d] for d in (11, 12, 13, 10, 14)]
+    assert list(evaluate._INT_ENDS) == [(dps[d], depth, evaluate._N)
+                                        for d in (11, 12, 13, 10, 14) for depth in (2, 3)]
 
 
 def test_cold_r4_call_sums_the_integer_lattice_once(monkeypatch):
-    # The bases read the integer lattice at level 3 at most; it is filled
-    # at the caller's depth 4 first, so no level sweeps it again from
-    # m = 1: N entries in all, not 2N.
-    for memo in ("_INT_RUNGS", "_SHIFTED_RUNGS", "_EXTRAP_CACHE"):
+    # Level k reads log G_j(N+1), j <= k, as the running sums of the integer
+    # row at depth k: a cold r = 4 call sums the row once per depth, however
+    # many levels read that depth.
+    for memo in ("_INT_ENDS", "_SHIFTED_RUNGS", "_EXTRAP_CACHE"):
         monkeypatch.setattr(evaluate, memo, {})
-    built = []
-    real_entries = evaluate._level0_entries
+    depths = []
+    real_sums = evaluate._running_sums
+    row = evaluate._integer_log_table(CFG30, evaluate._N + 1)[1:evaluate._N + 1]
 
-    def counting(zm, cfg, shift, dr, di, series, ms):
-        if zm == 0:  # the integer lattice
-            built.append(len(ms))
-        return real_entries(zm, cfg, shift, dr, di, series, ms)
+    def summing(levels, level0):
+        if level0 == row:
+            depths.append(len(levels))
+        return real_sums(levels, level0)
 
-    monkeypatch.setattr(evaluate, "_level0_entries", counting)
+    monkeypatch.setattr(evaluate, "_running_sums", summing)
     assert log_multigamma(4, Fraction(7, 3), CFG30).method == "gauss"
-    assert sum(built) == evaluate._N
+    assert product_extrapolated("euler", 4, Fraction(4, 3), CFG30).method == "euler"
+    assert sorted(depths) == [1, 2, 3, 4]
 
 
 def test_single_partials_leave_the_rung_memos_as_they_were():
-    # A single partial sums both lattices into a private memo, so 200
-    # distinct N add no point to either rung memo.
+    # A single partial sums its shifted lattice into a private memo, so 200
+    # distinct N add no point to the rung memo; the integer ends it reads
+    # keep at most _SHIFTED_KEYS keys.
     before = evaluate.cache_info()
     for n in range(1000, 1200):
         (gauss_partial if n % 2 else euler_partial)(1, Fraction(7, 2), n, CFG30)
     after = evaluate.cache_info()
-    for memo in ("_INT_RUNGS", "_SHIFTED_RUNGS"):
-        assert after[memo] == before[memo], memo
+    assert after["_SHIFTED_RUNGS"] == before["_SHIFTED_RUNGS"]
+    assert after["_INT_ENDS"]["rows"] <= evaluate._SHIFTED_KEYS
 
 
 def test_extrapolation_memo_evicts_the_least_recently_used(monkeypatch):
@@ -729,6 +733,23 @@ def test_extrapolate_rejects_mixed_tags_and_short_ladders():
             extrapolate([lv(1)] * 3, order=4)
         with pytest.raises(ValueError, match=">= 0"):
             extrapolate([lv(1)] * 3, order=-1)
+
+
+# ---------------------------------------------------------------------------
+# Higher Stirling formula
+# ---------------------------------------------------------------------------
+
+
+def test_higher_stirling_log_coefficient_is_psi_at_z_plus_1():
+    # The coefficient of log(z+1), binom(z+1, r) + sum_j B_{j+1}/(j+1)
+    # G_{r,j}(z) term by term, is psi_r(z+1), the multiplication formula's
+    # exponent of p, which higher_stirling_terms takes it from.
+    for r in range(1, 9):
+        nums = bernoulli_numbers(r)
+        want = binom_poly(r).shift(1)
+        for j in range(r):
+            want = want + grj_poly(r, j).scale(Fraction(nums[j + 1], j + 1))
+        assert higher_stirling_terms(r).log_coeff == want, r
 
 
 # ---------------------------------------------------------------------------
@@ -929,32 +950,36 @@ def test_front_door_keeps_the_gauss_value_across_the_small_domains(r, monkeypatc
 
 @pytest.mark.parametrize("digits", [30, 60])
 def test_front_door_values_do_not_depend_on_the_memos(digits, monkeypatch):
-    # A walk shaped like verify's: z, z+1, z-1 and z+16 at r = 1..3, real
-    # and complex.  Warm, each call reads or walks what the calls before it
-    # left in the memos; its value, cross_check and method must be what a
-    # call with every memo emptied gives, bit for bit.  err_est agrees to
-    # 1e-9 only: a memoized level below r carries the rounding terms of the
-    # precision of the call that first completed it.
+    # A walk shaped like verify's: z, z+1, z-1 and z+16 at r = 1..4, real
+    # and complex, through the front door and the Euler product.  Warm, each
+    # call reads or walks what the calls before it left in the memos; its
+    # value, err_est, cross_check and method must be what a call with every
+    # memo emptied gives, bit for bit: each level is completed at its own
+    # precision, whichever call completed it first.
     cfg = EvalConfig(precision=Precision(digits=digits))
-    memos = ("_SHIFTED_RUNGS", "_INT_RUNGS", "_EXTRAP_CACHE")
-    for memo in memos:
-        monkeypatch.setattr(evaluate, memo, {})
+    memos = {"_SHIFTED_RUNGS": dict, "_INT_ENDS": dict, "_EXTRAP_CACHE": dict,
+             "_INT_TABLES": dict, "_LOG_DIFFS": lambda: [0, 0, []]}
+    for memo, empty in memos.items():
+        monkeypatch.setattr(evaluate, memo, empty())
+    calls = (log_multigamma, lambda r, zm, cfg: product_extrapolated("euler", r, zm - 1, cfg))
     for z in (Fraction(7, 3), (Fraction(-5, 4), Fraction(1, 3))):
-        for r in (1, 2, 3):
+        for r in (1, 2, 3, 4):
             for k in (0, 1, -1, 16):
                 with mpmath.workdps(cfg.precision.working_dps):
                     zm = mp_arg(z) + k
-                warm = log_multigamma(r, zm, cfg)
-                held = {memo: getattr(evaluate, memo) for memo in memos}
-                for memo in memos:
-                    setattr(evaluate, memo, {})
-                cold = log_multigamma(r, zm, cfg)
-                for memo, cache in held.items():
-                    setattr(evaluate, memo, cache)
-                assert warm.method == cold.method, (digits, z, r, k)
-                for got, want in ((warm.value, cold.value), (warm.cross_check, cold.cross_check)):
-                    assert evaluate._z_key(got) == evaluate._z_key(want), (digits, z, r, k)
-                assert abs(warm.err_est - cold.err_est) <= 1e-9 * cold.err_est, (digits, z, r, k)
+                for call in calls:
+                    warm = call(r, zm, cfg)
+                    held = {memo: getattr(evaluate, memo) for memo in memos}
+                    for memo, empty in memos.items():
+                        setattr(evaluate, memo, empty())
+                    cold = call(r, zm, cfg)
+                    for memo, cache in held.items():
+                        setattr(evaluate, memo, cache)
+                    assert warm.method == cold.method, (digits, z, r, k)
+                    for got, want in ((warm.value, cold.value), (warm.err_est, cold.err_est),
+                                      (warm.cross_check, cold.cross_check)):
+                        assert (got is want is None
+                                or evaluate._z_key(got) == evaluate._z_key(want)), (digits, z, r, k)
 
 
 def test_probe_sends_eval_large_shaped_r2_calls_to_the_zeta_route(monkeypatch):
@@ -1295,3 +1320,24 @@ def test_calibration_with_unreachable_tolerance_reports_the_table():
     with pytest.raises(CalibrationError) as exc:
         calibrate_conventions(cfg)
     assert "s_phi" in str(exc.value)
+
+
+def test_readme_library_block_runs_and_its_comments_hold():
+    # The README's Library example, run statement by statement as a reader
+    # would paste it: each call must exist with that signature, and the
+    # values its comments state must hold.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    source = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace, shown = {}, {}
+    for stmt in ast.parse(source).body:
+        text = ast.get_source_segment(source, stmt)
+        if isinstance(stmt, ast.Expr):
+            shown[text] = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    with mpmath.workdps(40):
+        for log_g2_4 in (namespace["lv"], shown['mg.product_extrapolated("euler", 2, 3, cfg)']):
+            assert abs(mpmath.exp(log_g2_4.value) - 2) < 1e-25  # G_2(4) = 1! 2! = 2
+        assert abs(shown["mg.multiple_sine(1, 0.5, cfg)"] - mpmath.mpf(1) / 2) < 1e-25
+    assert shown["mg.multiplication_residual(2, 3, 2, cfg)"].residual < 1e-30
+    assert shown["mg.calibrate_conventions(cfg)"] == DERIVED
