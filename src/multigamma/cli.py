@@ -211,6 +211,12 @@ def log_value_obj(lv: LogValue, digits: int) -> dict:
     }
 
 
+def _a_plus_bi(parts: dict) -> str:
+    """parts' "re" and "im" as "a + bi", or "a - bi" for a negative b: parse_z reads both."""
+    im = parts["im"]
+    return f"{parts['re']} - {im[1:]}i" if im.startswith("-") else f"{parts['re']} + {im}i"
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -230,8 +236,8 @@ def cmd_eval(args) -> int:
         value = {"re": mpmath.nstr(mpmath.re(g_value), digits),
                  "im": mpmath.nstr(mpmath.im(g_value), digits)}
     if args.format == "text":
-        print(f"log G_{args.r}({args.z}) = {log['re']} + {log['im']}i")
-        print(f"G_{args.r}({args.z})     = {value['re']} + {value['im']}i")
+        print(f"log G_{args.r}({args.z}) = {_a_plus_bi(log)}")
+        print(f"G_{args.r}({args.z})     = {_a_plus_bi(value)}")
         print(f"method  = {log['method']}")
         print(f"err_est = {log['err_est']}")
     else:

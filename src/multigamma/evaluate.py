@@ -14,9 +14,9 @@ Three routes are implemented and cross-checked:
   Gamma(j) Gamma(x) / Gamma(x+j) bounds the terms left out (_tail_bounds);
 * the Euler factor-by-factor rearrangement: its N-th partial equals the
   Gauss bracket, accumulated in another order, and the same T_r completes it;
-* the Hurwitz-zeta route for log G_r(z): the Barnes zeta derivative
-  sum_j a_j(w) zeta_H'(-j, w) = log Gamma_r(w) plus a polynomial fixed by
-  G_r(1) = 1, at w = z + M with Re w > 0, walked back down with the
+* the Hurwitz-zeta route for log G_r(z): the paper's polynomials G_{r,j}
+  give log G_r(w) = sum_j G_{r,j}(w-1) (zeta_H'(-j, w) - zeta'(-j)) at
+  w = z + M with Re w > 0 (_zeta_levels), walked back down with the
   defining recurrence G_r(w+1) = G_{r-1}(w) G_r(w).
 
 The front door (log_multigamma) runs both routes, or the zeta route alone
@@ -62,12 +62,13 @@ from .exact_poly import (
     DERIVED,
     ConventionSet,
     RationalPoly,
-    binom_poly,
     composition_counts,
     grj_poly,
     phi_rj_poly,
     psi_poly,
 )
+# Not called here; bench/tracing.py wraps it on this module and fails if it is missing.
+from .exact_poly import binom_poly  # noqa: F401
 
 __all__ = [
     "SingularInputError",
@@ -844,13 +845,12 @@ def cache_info() -> dict[str, dict[str, int]]:
     A row is a level-0 row of _INT_TABLES (one per precision), the
     integer ends log G_k(n+1) at one (precision, depth, n) of _INT_ENDS, a
     memoized LogValue (a completed product or a zeta-route value), the table
-    _LOG_DIFFS, a zeta'(-j) or one k's polynomials; entries count the ints
-    or values in them.  For the rung memo: its keys, the points (tuples of
-    running sums) it holds, and the ints in those.
+    _LOG_DIFFS or a zeta'(-j); entries count the ints or values in them.
+    For the rung memo: its keys, the points (tuples of running sums) it
+    holds, and the ints in those.
     """
     points = [point for _, ends in _SHIFTED_RUNGS.values() for point in ends]
     zeta_primes = constants.zeta_prime_neg.cache_info().currsize
-    barnes = _barnes_polys.cache_info().currsize
     diffs = len(_LOG_DIFFS[2])
     return {
         "_INT_TABLES": {"rows": len(_INT_TABLES),
@@ -861,7 +861,6 @@ def cache_info() -> dict[str, dict[str, int]]:
                            "ints": sum(len(re) + len(im) for re, im in points)},
         "_LOG_DIFFS": {"rows": int(diffs > 0), "entries": diffs},
         "constants.zeta_prime_neg": {"rows": zeta_primes, "entries": zeta_primes},
-        "_barnes_polys": {"rows": barnes, "entries": barnes},
     }
 
 
@@ -911,51 +910,28 @@ def log_multigamma_asymptotic(r: int, z: ComplexLike, cfg: EvalConfig = EvalConf
         return LogValue(value=+value, method="asymptotic")
 
 
-@lru_cache(maxsize=32)
-def _barnes_polys(k: int) -> tuple[RationalPoly, ...]:
-    """Q^(j)/j!, j < k, for Q(t) = binom(t+k-1, k-1): exact, built once per k."""
-    q, polys = binom_poly(k - 1).shift(k - 1), []
-    for j in range(k):
-        polys.append(q)
-        q = q.derivative().scale(Fraction(1, j + 1))
-    return tuple(polys)
-
-
-def _barnes_coeffs(k: int, w) -> list:
-    """a_j(w) = Q^(j)(-w)/j!, j < k: binom(t - w + k - 1, k - 1) = sum_j a_j(w) t^j.
-
-    Then sum_{n>=0} binom(n+k-1, k-1) (w+n)^-s = sum_j a_j(w) zeta_H(s-j, w);
-    exact at an int or Fraction w, at the working precision otherwise.
-    """
-    return [q.evaluate(-w) for q in _barnes_polys(k)]
-
-
 def _zeta_levels(r: int, wm, prec: Precision) -> list[tuple]:
-    """(log G_k(w), err) for k = 1..r, at Re w > 0, from the Hurwitz zeta.
+    """(log G_k(w), err) for k = 1..r, at Re w > 0, from the Hurwitz zeta:
+    log G_k(w) = L_k(w) = sum_{j<k} G_{k,j}(w-1) (zeta_H'(-j, w) - zeta'(-j)).
 
-    L_k(w) = sum_j a_j(w) zeta_H'(-j, w) (_barnes_coeffs) is log Gamma_k(w),
-    and L_k(w+1) = L_k(w) - L_{k-1}(w), so F_k = (-1)^(k-1) L_k satisfies
-    the recurrence of log G_k with F_0 = log.  log G_k - F_k is then a
-    polynomial p_k with p_k(w+1) - p_k(w) = p_{k-1}(w), and G_i(1) = 1 at
-    every level fixes it:
-        log G_k(w) = F_k(w) - sum_{i<=k} F_i(1) binom(w-1, k-i),
-    with F_i(1) from zeta'(-j) = zeta_H'(-j, 1).  One pass at w gives
-    zeta_H'(-j, w) for every j < r (hurwitz_zeta_sderivs).  No convention
-    enters.  Each product c v summed counts 10^-digits |c| (1 + |v|) towards
-    err: Hurwitz promises 10^-digits max(1, |v|), and the guard digits absorb
-    the rounding.
+    Proof, with no convention: (1) L_k(1) = 0, as zeta_H'(-j, 1) = zeta'(-j);
+    (2) zeta_H'(-j, w+1) = zeta_H'(-j, w) + w^j log w and the telescoping
+    law G_{k,j}(w) - G_{k,j}(w-1) = G_{k-1,j}(w-1) (grj_telescoping[m<L])
+    give L_k(w+1) - L_k(w) = L_{k-1}(w) + log w sum_j G_{k,j}(w) w^j, L_0 = 0;
+    (3) that sum is binom(0, k-1): L_k solves log G_k's recurrence from
+    log G_0 = log, so L_k - log G_k is, level by level, 1-periodic and 0 at
+    1, and with its (k+1)-th derivative tending to 0 on the real axis, 0.
+    One pass gives every zeta_H'(-j, w) (hurwitz_zeta_sderivs).  Each
+    product c v summed counts 10^-digits |c| (1 + |v|) towards err: Hurwitz
+    promises 10^-digits max(1, |v|), and the guard digits absorb the rounding.
     """
     eps = mpmath.mpf(10) ** -prec.digits
     zetas = hurwitz_zeta_sderivs(r, wm, prec)
     consts = [zeta_prime_neg(j, prec) for j in range(r)]
-    f_at_1 = []
     levels = []
     for k in range(1, r + 1):
-        sign = (-1) ** (k - 1)
-        f_at_1.append(sign * mpmath.fdot((_to_mp(a), c)
-                                         for a, c in zip(_barnes_coeffs(k, 1), consts)))
-        pairs = [(sign * a, zj) for a, zj in zip(_barnes_coeffs(k, wm), zetas)]
-        pairs += [(-f1, binom_poly(k - i).evaluate(wm - 1)) for i, f1 in enumerate(f_at_1, 1)]
+        coeffs = [grj_poly(k, j).evaluate(wm - 1) for j in range(k)]
+        pairs = [*zip(coeffs, zetas), *zip([-c for c in coeffs], consts)]
         err = eps * mpmath.fsum(abs(c) * (1 + abs(v)) for c, v in pairs)
         levels.append((mpmath.fdot(pairs), err))
     return levels
@@ -1051,17 +1027,16 @@ def _exact_fraction(x) -> Fraction:
 
 
 def barnes_zeta_oracle(r: int, z, prec: Precision = Precision()) -> LogValue:
-    """log Gamma_r(z) by the zeta route, for real z > 0.
+    """log Gamma_r(z) = (-1)^(r-1) sum_{j<r} G_{r,j}(z-1) zeta_H'(-j, z), for real z > 0.
 
-    The Barnes-type series sum over r-tuples collapses to
-    sum_k binom(k+r-1, r-1) (z+k)^-s; writing the binomial as an exact
-    polynomial in (k+z) gives zeta_r(s, z) = sum_j a_j(z) zeta_H(s-j, z),
-    so log Gamma_r(z) = d/ds zeta_r(s,z)|_0 = sum_j a_j(z) zeta_H'(-j, z).
-    Each zeta_H'(-j, z) comes from hurwitz_zeta_sderiv, a pass of its own
-    per j, each within 10^-digits max(1, |value|).  Shares no code with the
-    product routes; the front door's zeta route forms the same sum from one
-    pass for every j, so a check against this oracle must take its other
-    side from the product route.
+    binom(t-z+r-1, r-1) = (-1)^(r-1) sum_j G_{r,j}(z-1) t^j turns the Barnes
+    series sum_n binom(n+r-1, r-1) (z+n)^-s into Hurwitz zetas, and the sum
+    is its s-derivative at 0, (-1)^(r-1) times _zeta_levels' level r without
+    its zeta'(-j) terms, log R_r.  The coefficients are exact; each
+    zeta_H'(-j, z) is a hurwitz_zeta_sderiv pass of its own, within
+    10^-digits max(1, |value|).  No code is shared with the product routes,
+    while the front door's zeta route forms the same sum from one pass for
+    all j: a check against this oracle takes its other side from a product.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -1071,12 +1046,11 @@ def barnes_zeta_oracle(r: int, z, prec: Precision = Precision()) -> LogValue:
     with mpmath.workdps(prec.working_dps):
         zm = _to_mp(zq)
         total = mpmath.mpf(0)
-        for j, aj in enumerate(_barnes_coeffs(r, zq)):
-            if aj == 0:
-                continue
-            total += _to_mp(aj) * hurwitz_zeta_sderiv(-j, zm, prec)
-        err = mpmath.mpf(10) ** -prec.digits
-        return LogValue(value=+total, method="oracle", err_est=err)
+        for j in range(r):
+            coeff = (-1) ** (r - 1) * grj_poly(r, j).evaluate(zq - 1)
+            if coeff:
+                total += _to_mp(coeff) * hurwitz_zeta_sderiv(-j, zm, prec)
+        return LogValue(value=+total, method="oracle", err_est=mpmath.mpf(10) ** -prec.digits)
 
 
 def log_gamma_r(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig(), *,

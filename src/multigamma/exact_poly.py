@@ -417,9 +417,9 @@ class ConventionSet:
 
     All three follow from the Barnes zeta with unit periods,
     zeta_r(sigma, z) = sum_{n in N^r} (z + |n|)^-sigma.  With s_R = -1 the
-    R_r term is the polynomial that the zeta route adds to log Gamma_r to
-    fix G_r(1) = 1.  Writing n = p m + s
-    with s in [0, p)^r gives, exactly,
+    R_r term is the zeta route's -sum_j G_{r,j}(w-1) zeta'(-j), literally
+    (evaluate._zeta_levels).  Writing n = p m + s with s in [0, p)^r gives,
+    exactly,
 
         zeta_r(sigma, z) = p^-sigma sum_s zeta_r(sigma, (z + |s|)/p),
 

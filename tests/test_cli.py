@@ -7,7 +7,9 @@ flag parsing, byte-identical machine output, and the exit-code mapping.
 """
 
 import argparse
+import ast
 import csv
+import importlib
 import importlib.util
 import io
 import json
@@ -97,6 +99,22 @@ def test_usage_errors_exit_1():
         code, _, err = run(argv)
         assert code == 1, argv
         assert err.strip(), argv
+
+
+def test_usage_errors_past_the_parser_exit_1(tmp_path):
+    # values the parser accepts and the commands reject
+    not_json = tmp_path / "conventions.json"
+    not_json.write_text("not json", encoding="utf-8")
+    for argv, message in (
+        (["verify", "--suite", "symbolic", "--p", "2,x"], "bad integer list"),
+        (["table", "--r", "1", "--from", "1+i", "--to", "2", "--step", "1"], "complex bounds"),
+        (["constants", "--j", "-1"], "--j entries must be >= 0"),
+        (["verify", "--suite", "symbolic", "--conventions", str(not_json)],
+         "cannot read conventions"),
+    ):
+        code, out, err = run(argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and message in err, argv
 
 
 def test_empty_list_items_are_usage_errors():
@@ -262,6 +280,28 @@ def test_eval_text_mentions_method_and_error():
     code, out, _ = run(["eval", "--r", "1", "--z", "2"] + FAST)
     assert code == 0
     assert "method" in out and "err_est" in out
+
+
+@pytest.mark.parametrize("z", ["1-2i", "1+2i"])
+def test_eval_text_prints_a_bi_as_parse_z_reads_it(z):
+    # a negative imaginary part prints as "a - bi", never "a + -bi"
+    _, out, _ = run(["eval", "--r", "1", "--z", z, "--format", "json"] + FAST)
+    obj = json.loads(out)
+    code, text, _ = run(["eval", "--r", "1", "--z", z] + FAST)
+    assert code == 0 and "+ -" not in text
+    for line, parts in zip(text.splitlines(), (obj["log"], obj["value"])):
+        assert parse_z(line.split(" = ")[1]) == (Fraction(parts["re"]), Fraction(parts["im"]))
+
+
+def test_front_door_arithmetic_error_exits_3(monkeypatch):
+    # a disagreement between the routes is a failed check, not a value
+    def disagree(*args, **kwargs):
+        raise ArithmeticError("product and zeta routes disagree")
+
+    monkeypatch.setattr(cli, "log_multigamma", disagree)
+    code, out, err = run(["eval", "--r", "2", "--z", "7/3"] + FAST)
+    assert (code, out) == (3, "")
+    assert err.startswith("verification failure: ") and "disagree" in err
 
 
 # ---------------------------------------------------------------------------
@@ -645,12 +685,32 @@ def test_constants_json_deterministic():
 # ---------------------------------------------------------------------------
 
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_tree(name):
+    """A bench script's syntax tree: read as text, so nothing is written under bench/."""
+    return ast.parse((BENCH / name).read_text(encoding="utf-8"))
+
+
 def test_bench_tracer_boundaries_resolve():
     # bench/tracing.py replaces each of these attributes when a traced
     # benchmark run starts; a missing one crashes that run.
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    for module_name, attr, _ in tracing.BOUNDARIES:
+    boundaries = next(ast.literal_eval(node.value) for node in _bench_tree("tracing.py").body
+                      if isinstance(node, ast.Assign) and node.targets[0].id == "BOUNDARIES")
+    for module_name, attr, _ in boundaries:
         assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
+
+
+def test_bench_imports_from_multigamma_resolve():
+    # every name bench/*.py imports from the library, at module level or in a function
+    seen = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(_bench_tree(path.name)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("multigamma"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    seen.add((node.module, alias.name))
+                    assert (hasattr(module, alias.name) or importlib.util.find_spec(
+                        f"{node.module}.{alias.name}")), (path.name, node.module, alias.name)
+    assert seen

@@ -577,7 +577,7 @@ def test_integer_caches_hold_one_row_per_precision_for_four_precisions(monkeypat
     assert sorted(key[1:] for key in evaluate._INT_ENDS) == [
         (depth, evaluate._N) for depth in (1, 1, 2, 2, 3, 3, 4, 4)]
     assert set(info) == {"_INT_TABLES", "_INT_ENDS", "_EXTRAP_CACHE", "_SHIFTED_RUNGS",
-                         "_LOG_DIFFS", "constants.zeta_prime_neg", "_barnes_polys"}
+                         "_LOG_DIFFS", "constants.zeta_prime_neg"}
     assert info["_LOG_DIFFS"] == {"rows": 1, "entries": len(evaluate._LOG_DIFFS[2])}
     # a fifth precision evicts the least recently used row; the integer
     # ends keep up to _SHIFTED_KEYS keys, most recently used last
@@ -1183,6 +1183,22 @@ def test_oracle_level_one_is_loggamma():
             zm = mpmath.mpf(z.numerator) / z.denominator
             want = mpmath.loggamma(zm) - mpmath.log(2 * mpmath.pi) / 2
             assert abs(got - want) < 1e-18
+
+
+def test_product_err_est_is_infinite_from_abs_z_at_n_and_the_zeta_route_answers():
+    # The Newton remainder has no bound for |z| >= N = 2048 (_newton_tail):
+    # err_est is +inf there, finite just below, and the front door answers
+    # both from the zeta route alone.
+    far, near = Fraction(6145, 3), Fraction(6143, 3)
+    assert mpmath.isinf(product_extrapolated("gauss", 1, far).err_est)
+    assert 32 <= product_extrapolated("gauss", 1, near).err_est < 33  # the bound 2^5, rounded up
+    for z in (far, near):
+        got = log_multigamma(1, z + 1)
+        assert (got.method, got.cross_check) == ("zeta", None)
+        with mpmath.workdps(50):
+            assert abs(got.value - mpmath.loggamma(mp_arg(z + 1))) <= got.err_est, z
+    # an mpf argument is read as the exact binary rational it is
+    assert barnes_zeta_oracle(1, mpmath.mpf(0.5)) == barnes_zeta_oracle(1, Fraction(1, 2))
 
 
 def test_oracle_rejects_nonpositive_arguments():

@@ -252,6 +252,23 @@ def test_grj_generating_identity(r, z0, u0):
     assert lhs == binom_poly(r - 1).evaluate(z0 - u0)
 
 
+def test_signed_grj_are_the_hurwitz_coefficients_of_the_barnes_series():
+    # The zeta route and the oracle take (-1)^(k-1) G_{k,j}(w-1) as the
+    # coefficient of t^j in binom(t - w + k - 1, k - 1), the product of
+    # t + i - w over i = 1..k-1 divided by (k-1)!, expanded here in t with
+    # coefficients that are polynomials in w.
+    zero = RationalPoly.zero()
+    for k in range(1, 13):
+        coeffs = [RationalPoly.one()]
+        for i in range(1, k):
+            factor = RationalPoly((i, -1))  # i - w
+            coeffs = [a * factor + b for a, b in zip(coeffs + [zero], [zero] + coeffs)]
+        assert len(coeffs) == k
+        for j, coeff in enumerate(coeffs):
+            want = coeff.scale(Fraction(1, math.factorial(k - 1)))
+            assert grj_poly(k, j).shift(-1).scale((-1) ** (k - 1)) == want, (k, j)
+
+
 # ---------------------------------------------------------------------------
 # psi_r, Q_r, and the multiplication-formula brackets
 # ---------------------------------------------------------------------------
