@@ -211,6 +211,12 @@ def log_value_obj(lv: LogValue, digits: int) -> dict:
     }
 
 
+def _held_digits(x, err, digits: int) -> str:
+    """x to its significant digits, 1..digits, the last one's unit not below the error err."""
+    held = mpmath.floor(mpmath.log10(abs(x))) + 1 - mpmath.log10(err) if err and x else digits
+    return mpmath.nstr(x if abs(x) >= err else mpmath.mpf(0), max(1, min(digits, int(held))))
+
+
 def _a_plus_bi(parts: dict) -> str:
     """parts' "re" and "im" as "a + bi", or "a - bi" for a negative b: parse_z reads both."""
     im = parts["im"]
@@ -233,8 +239,9 @@ def cmd_eval(args) -> int:
         log_value = log_multigamma(args.r, zm, cfg)
         g_value = mpmath.exp(log_value.value)
         log = log_value_obj(log_value, digits)
-        value = {"re": mpmath.nstr(mpmath.re(g_value), digits),
-                 "im": mpmath.nstr(mpmath.im(g_value), digits)}
+        g_err = abs(g_value) * log_value.err_est  # bounds G's error
+        value = {"re": _held_digits(mpmath.re(g_value), g_err, digits),
+                 "im": _held_digits(mpmath.im(g_value), g_err, digits)}
     if args.format == "text":
         print(f"log G_{args.r}({args.z}) = {_a_plus_bi(log)}")
         print(f"G_{args.r}({args.z})     = {_a_plus_bi(value)}")

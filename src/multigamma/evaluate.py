@@ -33,13 +33,13 @@ time.
 
 The product sweep runs in fixed point (_fixed_bits): level 0, log n and
 log(z+n), takes few logs (_integer_log_table, _level0_entries), and the
-levels above are exact integer sums of it: log G_k(N+1) the running sums
-of the integer row (_integer_ends), the shifted levels kept only at their
-two end points m = s+1 and s+N+1, s = floor(Re z) (_lattice_ends, memoized
-per fractional part).  Each product level is completed on its own, on the
-Gauss levels below it (_completed), so no value or err_est depends on what
-the memos held.  A single partial (gauss_partial, euler_partial) sums its
-shifted lattice into a private memo, an independent check of the products.
+levels above are exact integer sums of it, kept only at their two end
+points m = s+1 and s+N+1, s = floor(Re z) (_lattice_ends, memoized per
+fractional part); log G_k(N+1) is z = 0's sum (_sums_at).  Each product
+level is completed on its own, on the Gauss levels below it (_completed),
+so no value or err_est depends on what the memos held.  A single partial
+(gauss_partial, euler_partial) sums its lattices into private memos, an
+independent check of the products.
 cache_info() reports the module-level caches; cli.py renders the results.
 """
 
@@ -327,7 +327,7 @@ def _integer_log_table(cfg: EvalConfig, n_max: int) -> list:
     than Omega(n) (1 + 2^-10 log n) 2^-bits, Omega(n) <= log2(n) the number
     of prime factors with multiplicity, and it depends on n alone, not on
     how the table was grown.  The levels above are exact running sums of
-    this row: _integer_ends at one n, or _integer_levels streamed.
+    this row: z = 0's lattice (_lattice_ends), or _integer_levels streamed.
     """
     row0 = _memoized(_INT_TABLES, _INT_KEYS, cfg.precision.working_dps, lambda: [None])
     if len(row0) <= n_max:
@@ -423,12 +423,10 @@ def _log1p_block(ms: range, dr: int, di: int, prec: int, bits: int) -> tuple[lis
 # _SHIFTED_RUNGS[(dps, exact d)] = (shift s, (start, end)): the running sums
 # of the shifted level 0 with fractional part d at m = s+1 and at m = s+N+1,
 # N = _N, for the latest s.  At most _SHIFTED_KEYS keys, the least recently
-# used evicted first; a later shift within _WALK of s walks both points
-# there.  _INT_ENDS holds as many keys of _integer_ends.
+# used evicted first; a later shift less than N/4 from s walks both points
+# there.  Key d = 0 is the integer lattice, read at s = 0 for log G_k(N+1).
 _SHIFTED_RUNGS: dict[tuple, tuple[int, tuple[tuple, tuple]]] = {}
-_INT_ENDS: dict[tuple, tuple] = {}
 _SHIFTED_KEYS = 10
-_WALK = 16
 
 
 def _level0_entries(zm, cfg: EvalConfig, shift: int, dr: int, di: int,
@@ -519,13 +517,6 @@ def _running_sums(levels: Sequence[int], row: list) -> tuple:
     return (*out, levels[-1] + sum(row))
 
 
-def _integer_ends(cfg: EvalConfig, depth: int, n: int) -> tuple:
-    """log G_k(n+1), k = 1..depth: the running sums of the integer row over m = 1..n,
-    fixed-point ints, one pass per (precision, depth, n), memoized in _INT_ENDS."""
-    return _memoized(_INT_ENDS, _SHIFTED_KEYS, (cfg.precision.working_dps, depth, n),
-                     lambda: _running_sums((0,) * depth, _integer_log_table(cfg, n + 1)[1:n + 1]))
-
-
 def _walked_back(levels: Sequence[int], row: list) -> tuple:
     """The running sums len(row) steps before levels, row the level-0 entries over those steps."""
     levels = list(levels)
@@ -543,18 +534,18 @@ def _lattice_ends(zm, cfg: EvalConfig, depth: int, n: int, memo: dict) -> tuple[
     of tuples (W_1..W_K), K >= max(depth, 3), W_0 = log(z+j) at m = s + j
     (_level0_entries) and W_k the exact running sums above it: W_k(m+1) =
     W_k(m) + W_{k-1}(m).  Memoized in memo (_SHIFTED_RUNGS, read at n = _N
-    only, or a single partial's own {}).  A key held at another
-    shift s' with |s - s'| <= _WALK is walked there from the few entries
-    between: forward by their running sums, back by _walked_back.  One held
-    too far away or too shallow is summed again from m = s+1, where every
-    W_k is 0, over a row of n entries.
+    only, or a single partial's own {}).  A key held at another shift s'
+    with 4 |s - s'| < n, at most about a sweep's cost, is walked there from
+    the entries between: forward by their running sums, back by
+    _walked_back.  One held further away or too shallow is summed again
+    from m = s+1, where every W_k is 0, over a row of n entries.
     """
     key, shift, dr, di, series = _shifted_grid(zm, cfg, n)
     depth = max(depth, 3)
     build = partial(_level0_entries, zm, cfg, shift, dr, di, series)
     held_shift, ends = memo.pop(key, (shift, None))
     step = shift - held_shift
-    if ends is None or len(ends[0][0]) < depth or abs(step) > _WALK:
+    if ends is None or len(ends[0][0]) < depth or 4 * abs(step) >= n:
         start = ((0,) * depth,) * 2
         ends = start, tuple(map(_running_sums, start, build(range(shift + 1, shift + n + 1))))
     elif step:
@@ -609,7 +600,7 @@ def _extend_binomials(binoms: list, zm, top: int) -> None:
 
 
 def _partial(method: str, r: int, zm, cfg: EvalConfig, n: int, start: tuple, end: tuple,
-             below: Sequence[LogValue], binoms: list) -> tuple:
+             ints: tuple, below: Sequence[LogValue], binoms: list) -> tuple:
     """(value, err): the log of the N-th partial product at the current precision, and its rounding.
 
     gauss: sum_{n<=N} [log G_{r-1}(n) - log G_{r-1}(z+n)] + sum_k binom(z, r-k) log G_k(N+1);
@@ -617,8 +608,8 @@ def _partial(method: str, r: int, zm, cfg: EvalConfig, n: int, start: tuple, end
     (G_k(n+1)/G_k(n))^binom(z, r-k), G_{k-1}(n) or (n+1)/n, each floored onto
     the grid.  The second sum comes from the shifted running sums at start
     and end on the bases below (_sums_at), binoms is extended to m = r, and
-    log G_k(N+1) are the running sums of the integer row (_integer_ends).
-    A real z < -1 gives a complex value.
+    log G_k(N+1) the same sum over the end points ints of z = 0, on bases
+    log G_j(1) = 0.  A real z < -1 gives a complex value.
 
     err: each level-0 entry misses by less than e0 = bit_length(2 max(N, _N))
     + 3 units of 2^-bits, a level-k sum at N+1 adds binom(N+k-1, k) of them,
@@ -634,7 +625,7 @@ def _partial(method: str, r: int, zm, cfg: EvalConfig, n: int, start: tuple, end
     coeffs = [_from_fixed(*binoms[r - k], mpmath.mp.prec, isinstance(zm, mpmath.mpc))
               for k in range(r)]  # binom(z, r-k)
     row0 = _integer_log_table(cfg, n + 1)
-    rung = (row0[n + 1], *_integer_ends(cfg, r, n))  # log G_k(N+1), k = 0..r
+    rung = (row0[n + 1], *(_sums_at(k, n, *ints, [(0, 0)] * (k - 1))[0] for k in range(1, r + 1)))
     e0 = (2 * max(n, _N)).bit_length() + 3
     units = 2 * e0 * math.comb(n + r - 1, r) + sum(math.comb(n, r - k) for k in range(1, r))
     units += e0 * mpmath.fsum(abs(c) * math.comb(n + k - 1, k) for k, c in enumerate(coeffs))
@@ -747,17 +738,19 @@ def _completed(method: str, k: int, zm, cfg: EvalConfig) -> LogValue:
     precision and memoized in _EXTRAP_CACHE per (method, k, precision, exact z).
 
     A miss sweeps level 0 at depth k first, so that the Gauss bases i < k,
-    completed the same way, read its end points from _SHIFTED_RUNGS; level k
-    then takes _wide_bits(k) and binomials of its own, so its value and
-    err_est depend on method, k, z and the precision alone.  Base i's
+    completed the same way, read its end points from _SHIFTED_RUNGS, and
+    reads z = 0's after them at that depth (an integer z shares its key).
+    Level k then takes _wide_bits(k) and binomials of its own, so its value
+    and err_est depend on method, k, z and the precision alone.  Base i's
     err_est enters times binom(N, k-i).
     """
     def complete() -> LogValue:
         start, end = _lattice_ends(zm, cfg, k, _N, _SHIFTED_RUNGS)
         below = [_completed("gauss", i, zm, cfg) for i in range(1, k)]
+        ints = _lattice_ends(mpmath.mpf(0), cfg, len(start[0]), _N, _SHIFTED_RUNGS)
         with mpmath.workprec(_wide_bits(k, zm, cfg)):
             binoms = [(1 << mpmath.mp.prec, 0)]
-            value, err = _partial(method, k, zm, cfg, _N, start, end, below, binoms)
+            value, err = _partial(method, k, zm, cfg, _N, start, end, ints, below, binoms)
             tail, tail_err = _newton_tail(k, zm, binoms, _fixed_bits(cfg))
             value += tail
             err += tail_err + mpmath.fsum(b.err_est * math.comb(_N, k - i)
@@ -770,8 +763,8 @@ def _completed(method: str, k: int, zm, cfg: EvalConfig) -> LogValue:
 
 
 def _single_partial(method: str, r: int, z: ComplexLike, n: int, cfg: EvalConfig) -> LogValue:
-    """One partial at any N, its shifted lattice summed into a private {}: an independent
-    check of the products, equal to theirs bit for bit at N = _N, on the same Gauss bases."""
+    """One partial at any N, its lattices summed into private {}s: an independent check
+    of the products, equal to theirs bit for bit at N = _N, on the same Gauss bases."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if n < 1:
@@ -781,8 +774,9 @@ def _single_partial(method: str, r: int, z: ComplexLike, n: int, cfg: EvalConfig
         _check_not_singular(r, zm + 1)
         below = [_completed("gauss", i, zm, cfg) for i in range(1, r)]
         start, end = _lattice_ends(zm, cfg, r, n, {})
+        ints = _lattice_ends(mpmath.mpf(0), cfg, r, n, {})
         with mpmath.workprec(_wide_bits(r, zm, cfg)):
-            value, _ = _partial(method, r, zm, cfg, n, start, end, below,
+            value, _ = _partial(method, r, zm, cfg, n, start, end, ints, below,
                                 [(1 << mpmath.mp.prec, 0)])
         return LogValue(value=+value, method=method)
 
@@ -842,12 +836,11 @@ def _extrap_key(method: str, r: int, zm, cfg: EvalConfig) -> tuple:
 def cache_info() -> dict[str, dict[str, int]]:
     """What each module-level cache holds now.
 
-    A row is a level-0 row of _INT_TABLES (one per precision), the
-    integer ends log G_k(n+1) at one (precision, depth, n) of _INT_ENDS, a
-    memoized LogValue (a completed product or a zeta-route value), the table
+    A row is a level-0 row of _INT_TABLES (one per precision), a memoized
+    LogValue (a completed product or a zeta-route value), the table
     _LOG_DIFFS or a zeta'(-j); entries count the ints or values in them.
-    For the rung memo: its keys, the points (tuples of running sums) it
-    holds, and the ints in those.
+    For the rung memo: its keys, the integer lattice's among them, the
+    points (tuples of running sums) it holds, and the ints in those.
     """
     points = [point for _, ends in _SHIFTED_RUNGS.values() for point in ends]
     zeta_primes = constants.zeta_prime_neg.cache_info().currsize
@@ -855,7 +848,6 @@ def cache_info() -> dict[str, dict[str, int]]:
     return {
         "_INT_TABLES": {"rows": len(_INT_TABLES),
                         "entries": sum(len(row) - 1 for row in _INT_TABLES.values())},
-        "_INT_ENDS": {"rows": len(_INT_ENDS), "entries": sum(map(len, _INT_ENDS.values()))},
         "_EXTRAP_CACHE": {"rows": len(_EXTRAP_CACHE), "entries": len(_EXTRAP_CACHE)},
         "_SHIFTED_RUNGS": {"keys": len(_SHIFTED_RUNGS), "tuples": len(points),
                            "ints": sum(len(re) + len(im) for re, im in points)},
@@ -874,7 +866,7 @@ def product_extrapolated(method: str, r: int, z: ComplexLike,
     partial's rounding plus each base's err_est times binom(N, r-k),
     infinite for |z| >= N.  Memoized per (method, r, z, precision), the
     same whatever the memos held; every level and method at z, and at z + k
-    for |k| <= _WALK, share one sweep of level 0.
+    for |k| < N/4, share one sweep of level 0.
     """
     if method not in ("gauss", "euler"):
         raise ValueError(f"unknown product method {method!r}")

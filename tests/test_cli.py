@@ -213,6 +213,40 @@ def test_eval_far_out_matches_the_integer_lattice():
         assert obj["log"]["im"] == "0.0"
 
 
+def test_eval_prints_g_to_the_digits_its_log_holds():
+    # |G| err_est bounds G's error, so each part of G prints only the digits
+    # that leaves it.  r = 4 at z = 10^5 holds about 9 of 30.
+    code, out, _ = run(["eval", "--r", "4", "--z", "100000", "--format", "json"])
+    assert code == 0
+    obj = json.loads(out)
+    err_est = float(obj["log"]["err_est"])
+    mantissa = obj["value"]["re"].split("e")[0]
+    digits = len(mantissa.replace(".", ""))
+    assert digits < 30
+    # the last digit's unit is not below |G| err_est; one more digit's would be
+    assert 10.0 ** (1 - digits) >= float(mantissa) * err_est > 10.0 ** -digits, digits
+    with mpmath.workdps(40):
+        log_g = mpmath.mpf(obj["log"]["re"])
+        got = mpmath.mpf(obj["value"]["re"])
+        assert abs(mpmath.log(got) - log_g) < 10 * err_est
+    assert obj["value"]["im"] == "0.0"
+    # G_0(-1) = exp(i pi) = -1: the imaginary part left by pi's rounding is
+    # below |G| err_est and prints as 0
+    code, out, _ = run(["eval", "--r", "0", "--z", "-1", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["value"] == {"re": "-1.0", "im": "0.0"}
+
+
+def test_eval_prints_every_digit_of_g_at_an_integer():
+    # G_1(20) = 19! and G_2(7) = 1! 2! ... 5!: err_est leaves every digit,
+    # and the imaginary part prints as "0.0"
+    for r, z, exact in ((1, 20, math.factorial(19)),
+                        (2, 7, math.prod(math.factorial(k) for k in range(1, 6)))):
+        code, out, _ = run(["eval", "--r", str(r), "--z", str(z), "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["value"] == {"re": f"{exact}.0", "im": "0.0"}, (r, z)
+
+
 def test_eval_past_the_float_range_is_not_a_verification_failure():
     # Re z = 10^400: the Hurwitz cutoff once went through a float and
     # overflowed, which eval reported as a verification failure (exit 3).
@@ -498,12 +532,17 @@ def count_series_entries(monkeypatch):
 
 
 def summed_again_away_from_the_rungs(built, shifts):
-    """The entries summed more than once further than _WALK from every point
-    m = s+1 or s+N+1, N = _N, of a shift s their lattice was built at."""
+    """The entries summed more than once further from every point m = s+1 or
+    s+N+1, N = _N, of a shift s their lattice was built at than those shifts
+    span: farther than any walk between them reaches, so summed by a sweep."""
     offsets = [1, evaluate._N + 1]
-    return [key for key, count in built.items()
-            if count > 1 and all(abs(key[3] - s - o) > evaluate._WALK
-                                 for s in shifts[key[:3]] for o in offsets)]
+    away = []
+    for key, count in built.items():
+        held = shifts[key[:3]]
+        span = max(held) - min(held)
+        if count > 1 and all(abs(key[3] - s - o) > span for s in held for o in offsets):
+            away.append(key)
+    return away
 
 
 def test_verify_walks_build_the_half_row_series_once(monkeypatch):

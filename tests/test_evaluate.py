@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from multigamma import evaluate
 from multigamma.cli import main as cli_main
-from multigamma.constants import Precision, zeta_prime_neg
+from multigamma.constants import Precision, hurwitz_zeta_sderiv, zeta_prime_neg
 from multigamma.exact_poly import DERIVED, bernoulli_numbers, binom_poly, grj_poly
 from multigamma.evaluate import (
     CalibrationError,
@@ -467,21 +467,28 @@ def shifted_sums_r123(zm, cfg, bases):
 
 # Walks over z + Z: d = 1/2 from Re z <= 0, where level 0 starts with direct
 # logs, to Re z = 19/2; d = 1/2 across floor(Re z) = 16, where it starts
-# inside an octave of the series, with steps of 16, the most the memo walks;
-# and a complex d.
+# inside an octave of the series, with steps of 16; a complex d; and long
+# walks of 100 and 500 steps each way, just short of N/4 = 512, at a real, a
+# complex and an integer z.  An integer z shares its key with the integer
+# lattice, which each front-door product leaves at shift 0: its next rung
+# read walks there from 0.
 MEMO_WALKS = ([Fraction(1, 2) + k for k in (0, 3, -2, 9, -7, 0)],
               [Fraction(33, 2) + k for k in (0, -16, 0, 16, 1)],
-              [(Fraction(3, 4) + k, Fraction(1, 4)) for k in (0, -3, 2, 5, -1)])
-# as many other fractional parts as the memo holds besides the walk's,
-# touched between the steps of a walk
-OTHER_DS = [Fraction(k, 11) + 2 for k in range(1, evaluate._SHIFTED_KEYS)]
+              [(Fraction(3, 4) + k, Fraction(1, 4)) for k in (0, -3, 2, 5, -1)],
+              [Fraction(1, 2) + k for k in (0, 100, 0, -500, 0)],
+              [(Fraction(3, 4) + k, Fraction(1, 4)) for k in (0, -100, 400, -100)],
+              [Fraction(k) for k in (3, 103, 503, 3, 403)])
+# as many other fractional parts as the memo holds besides the walk's and
+# the integer lattice's, touched between the steps of a walk
+OTHER_DS = [Fraction(k, 11) + 2 for k in range(1, evaluate._SHIFTED_KEYS - 1)]
 
 
 @pytest.mark.parametrize("digits", [30, 60])
 def test_rungs_walked_in_the_memo_equal_a_cold_sweep(digits, monkeypatch):
     # Each step of a walk finds its d held at another shift and walks the
     # two held end points there; its shifted sums at every level must equal
-    # a cold sweep's bit for bit.
+    # a cold sweep's bit for bit, and so must the front door's value,
+    # err_est and cross_check at r = 3 on the walked points.
     cfg = EvalConfig(precision=Precision(digits=digits))
     bases = [(-(3 << 150), 5 << 140), (7 << 149, -(1 << 151))]
     built = []
@@ -493,21 +500,33 @@ def test_rungs_walked_in_the_memo_equal_a_cold_sweep(digits, monkeypatch):
 
     monkeypatch.setattr(evaluate, "_level0_entries", counting)
     monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
+    monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
     with mpmath.workdps(cfg.precision.working_dps):
         for walk in MEMO_WALKS:
             for step, z in enumerate(walk):
                 zm = mp_arg(z)
+                key, shift = evaluate._shifted_grid(zm, cfg)[:2]
+                held_shift = evaluate._SHIFTED_RUNGS.get(key, (None,))[0]
                 built.clear()
                 warm = shifted_sums_r123(zm, cfg, bases)
                 if step:
-                    # the two held end points walked |k| <= 16 steps each
-                    assert sum(built) <= 2 * 16, (z, built)
+                    # the two held end points walked, fewer than N/4 steps each
+                    assert 4 * abs(shift - held_shift) < evaluate._N, z
+                    assert sum(built) == 2 * abs(shift - held_shift), (z, built)
                 assert len(evaluate._SHIFTED_RUNGS) <= evaluate._SHIFTED_KEYS
+                warm_front = log_multigamma(3, zm + 1, cfg)
                 held = evaluate._SHIFTED_RUNGS
                 monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
+                evaluate._EXTRAP_CACHE.clear()
                 cold = shifted_sums_r123(zm, cfg, bases)
+                cold_front = log_multigamma(3, zm + 1, cfg)
+                evaluate._EXTRAP_CACHE.clear()
                 monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", held)
                 assert warm == cold, (digits, z)
+                for got, want in ((warm_front.value, cold_front.value),
+                                  (warm_front.err_est, cold_front.err_est),
+                                  (warm_front.cross_check, cold_front.cross_check)):
+                    assert evaluate._z_key(got) == evaluate._z_key(want), (digits, z)
                 for other in OTHER_DS:
                     evaluate._lattice_ends(mp_arg(other), cfg, 3, evaluate._N,
                                            evaluate._SHIFTED_RUNGS)
@@ -543,63 +562,77 @@ def test_integer_table_grown_in_pieces_equals_one_build(monkeypatch):
 
 
 @pytest.mark.parametrize("digits", [30, 60])
-def test_integer_rungs_equal_the_levels_streamed_from_level_0(digits, monkeypatch):
-    # The levels above level 0 are read at N+1 as the running sums of the
-    # integer row, memoized in _INT_ENDS per (precision, depth, N): they
-    # must be log G_k(N+1), the exact sums _integer_levels streams, at
-    # every depth, cold or memoized, at the products' N and a partial's.
+def test_integer_rungs_equal_the_levels_streamed_from_level_0(digits):
+    # log G_k(N+1) = sum_{m<=N} log G_{k-1}(m) is the integer lattice's sum:
+    # _sums_at over the end points of z = 0's lattice, on the bases
+    # log G_j(1) = 0.  It must be the exact sums _integer_levels streams, at
+    # every depth, swept cold, memoized, or walked from another integer's
+    # shift (where the start point is no longer 0), at the products' N and
+    # a partial's.
     cfg = EvalConfig(precision=Precision(digits=digits))
-    monkeypatch.setattr(evaluate, "_INT_ENDS", {})
+    zero = (0, 0, 0, 0)
     for n in (evaluate._N, 1000):
         row0 = evaluate._integer_log_table(cfg, n + 1)
         want = tuple(list(islice(evaluate._integer_levels(row0, k), n + 1))[n]
                      for k in range(1, 5))
-        for r in (4, 1, 2, 3, 4):
-            assert evaluate._integer_ends(cfg, r, n) == want[:r], (n, r)
+        memo = {}
+        with mpmath.workdps(cfg.precision.working_dps):
+            for held, r in ((None, 4), (None, 1), (n // 4 - 1, 2), (-100, 3), (7, 4)):
+                if held is not None:  # swept at held, then walked to 0
+                    memo = {}
+                    evaluate._lattice_ends(mpmath.mpf(held), cfg, 4, n, memo)
+                ints = evaluate._lattice_ends(mpmath.mpf(0), cfg, r, n, memo)
+                assert (ints[0][0] == zero) == (held is None), (n, held)
+                got = [evaluate._sums_at(k, n, *ints, [(0, 0)] * (k - 1)) for k in range(1, r + 1)]
+                assert got == [(w, 0) for w in want[:r]], (n, held, r)
 
 
 def test_integer_caches_hold_one_row_per_precision_for_four_precisions(monkeypatch):
     # After r = 4 sweeps, each precision holds level 0 as its one row, and
-    # the integer ends log G_k(N+1) at each depth k = 1..4 that a level
-    # read: 1 + 2 + 3 + 4 sums per precision.
+    # the rung memo holds that precision's integer lattice at depth 4,
+    # beside the lattice of z's fractional part.
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
-    monkeypatch.setattr(evaluate, "_INT_ENDS", {})
+    monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
     monkeypatch.setattr(evaluate, "_EXTRAP_CACHE", {})
+    cfgs = {d: EvalConfig(precision=Precision(digits=d)) for d in (10, 11, 12, 13, 14, 30, 60)}
+    dps = {d: cfgs[d].precision.working_dps for d in cfgs}
+    integer_d = (mpmath.libmp.fzero, mpmath.libmp.fzero)
     for digits in (30, 60):
-        log_multigamma(4, Fraction(7, 3), EvalConfig(precision=Precision(digits=digits)))
+        log_multigamma(4, Fraction(7, 3), cfgs[digits])
     info = evaluate.cache_info()
     assert info["_INT_TABLES"]["rows"] == len(evaluate._INT_TABLES) == 2
     for row0 in evaluate._INT_TABLES.values():
         assert row0[0] is None and all(type(x) is int for x in row0[1:])
     assert info["_INT_TABLES"]["entries"] == sum(len(row0) - 1
                                                  for row0 in evaluate._INT_TABLES.values())
-    assert info["_INT_ENDS"] == {"rows": 2 * 4, "entries": 2 * (1 + 2 + 3 + 4)}
-    assert sorted(key[1:] for key in evaluate._INT_ENDS) == [
-        (depth, evaluate._N) for depth in (1, 1, 2, 2, 3, 3, 4, 4)]
-    assert set(info) == {"_INT_TABLES", "_INT_ENDS", "_EXTRAP_CACHE", "_SHIFTED_RUNGS",
+    assert info["_SHIFTED_RUNGS"]["keys"] == 4
+    for digits in (30, 60):
+        shift, (start, _) = evaluate._SHIFTED_RUNGS[(dps[digits], integer_d)]
+        assert shift == 0 and len(start[0]) == 4
+    assert set(info) == {"_INT_TABLES", "_EXTRAP_CACHE", "_SHIFTED_RUNGS",
                          "_LOG_DIFFS", "constants.zeta_prime_neg"}
     assert info["_LOG_DIFFS"] == {"rows": 1, "entries": len(evaluate._LOG_DIFFS[2])}
     # a fifth precision evicts the least recently used row; the integer
-    # ends keep up to _SHIFTED_KEYS keys, most recently used last
-    cfgs = {d: EvalConfig(precision=Precision(digits=d)) for d in (10, 11, 12, 13, 14)}
+    # lattices stay in the rung memo, most recently used last
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
-    monkeypatch.setattr(evaluate, "_INT_ENDS", {})
+    monkeypatch.setattr(evaluate, "_SHIFTED_RUNGS", {})
     for digits in (10, 11, 12, 13, 10, 14):
-        # as a product reads them, up to N+1
-        evaluate._integer_log_table(cfgs[digits], evaluate._N + 1)
         for depth in (2, 3):
-            evaluate._integer_ends(cfgs[digits], depth, evaluate._N)
-    dps = {d: cfgs[d].precision.working_dps for d in cfgs}
+            evaluate._lattice_ends(mpmath.mpf(0), cfgs[digits], depth, evaluate._N,
+                                   evaluate._SHIFTED_RUNGS)
+        # as a product reads it, up to N+1
+        evaluate._integer_log_table(cfgs[digits], evaluate._N + 1)
     assert list(evaluate._INT_TABLES) == [dps[d] for d in (12, 13, 10, 14)]
-    assert list(evaluate._INT_ENDS) == [(dps[d], depth, evaluate._N)
-                                        for d in (11, 12, 13, 10, 14) for depth in (2, 3)]
+    assert list(evaluate._SHIFTED_RUNGS) == [(dps[d], integer_d) for d in (11, 12, 13, 10, 14)]
 
 
 def test_cold_r4_call_sums_the_integer_lattice_once(monkeypatch):
-    # Level k reads log G_j(N+1), j <= k, as the running sums of the integer
-    # row at depth k: a cold r = 4 call sums the row once per depth, however
-    # many levels read that depth.
-    for memo in ("_INT_ENDS", "_SHIFTED_RUNGS", "_EXTRAP_CACHE"):
+    # Each level k reads log G_j(N+1), j <= k, from the integer lattice's end
+    # points, fetched at the depth z's own lattice is held at: a cold r = 4
+    # call sums the integer row once, at depth 4, and an Euler product at the
+    # same z, or a product at an integer z, which shares the integer key and
+    # walks it, sums it no more.
+    for memo in ("_SHIFTED_RUNGS", "_EXTRAP_CACHE"):
         monkeypatch.setattr(evaluate, memo, {})
     depths = []
     real_sums = evaluate._running_sums
@@ -613,19 +646,38 @@ def test_cold_r4_call_sums_the_integer_lattice_once(monkeypatch):
     monkeypatch.setattr(evaluate, "_running_sums", summing)
     assert log_multigamma(4, Fraction(7, 3), CFG30).method == "gauss"
     assert product_extrapolated("euler", 4, Fraction(4, 3), CFG30).method == "euler"
-    assert sorted(depths) == [1, 2, 3, 4]
+    assert log_multigamma(4, 6, CFG30).method == "gauss"
+    assert depths == [4]
 
 
 def test_single_partials_leave_the_rung_memos_as_they_were():
-    # A single partial sums its shifted lattice into a private memo, so 200
-    # distinct N add no point to the rung memo; the integer ends it reads
-    # keep at most _SHIFTED_KEYS keys.
+    # A single partial sums its shifted and integer lattices into private
+    # memos, so 200 distinct N add no point to the rung memo.
     before = evaluate.cache_info()
     for n in range(1000, 1200):
         (gauss_partial if n % 2 else euler_partial)(1, Fraction(7, 2), n, CFG30)
     after = evaluate.cache_info()
     assert after["_SHIFTED_RUNGS"] == before["_SHIFTED_RUNGS"]
-    assert after["_INT_ENDS"]["rows"] <= evaluate._SHIFTED_KEYS
+
+
+def test_the_benchmark_layer_calls_return_finite_values():
+    # bench/layers.py times the single partials at N = 2^14, z = 21/4,
+    # r = 1..3, at 30 and 60 digits, and the Hurwitz derivative and the
+    # oracle at fixed arguments; a call that raised would leave its run with
+    # no result.  The same calls, each value finite.
+    z = Fraction(21, 4)
+    for digits in (30, 60):
+        cfg = EvalConfig(precision=Precision(digits=digits))
+        for r in (1, 2, 3):
+            for partial in (gauss_partial, euler_partial):
+                assert mpmath.isfinite(partial(r, z, 2**14, cfg).value), (digits, r, partial)
+    prec = Precision(digits=30)
+    args = (Fraction(1, 3), Fraction(5, 2), Fraction(29, 4))
+    for a in args:
+        for j in range(4):
+            assert mpmath.isfinite(hurwitz_zeta_sderiv(-j, a, prec)), (j, a)
+        for r in (1, 2, 3):
+            assert mpmath.isfinite(barnes_zeta_oracle(r, a, prec).value), (r, a)
 
 
 def test_extrapolation_memo_evicts_the_least_recently_used(monkeypatch):
@@ -957,7 +1009,7 @@ def test_front_door_values_do_not_depend_on_the_memos(digits, monkeypatch):
     # memo emptied gives, bit for bit: each level is completed at its own
     # precision, whichever call completed it first.
     cfg = EvalConfig(precision=Precision(digits=digits))
-    memos = {"_SHIFTED_RUNGS": dict, "_INT_ENDS": dict, "_EXTRAP_CACHE": dict,
+    memos = {"_SHIFTED_RUNGS": dict, "_EXTRAP_CACHE": dict,
              "_INT_TABLES": dict, "_LOG_DIFFS": lambda: [0, 0, []]}
     for memo, empty in memos.items():
         monkeypatch.setattr(evaluate, memo, empty())
