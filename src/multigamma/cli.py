@@ -240,17 +240,20 @@ def cmd_eval(args) -> int:
         g_value = mpmath.exp(log_value.value)
         log = log_value_obj(log_value, digits)
         g_err = abs(g_value) * log_value.err_est  # bounds G's error
-        value = {"re": _held_digits(mpmath.re(g_value), g_err, digits),
-                 "im": _held_digits(mpmath.im(g_value), g_err, digits)}
+        if g_err < abs(g_value):
+            value = {"re": _held_digits(mpmath.re(g_value), g_err, digits),
+                     "im": _held_digits(mpmath.im(g_value), g_err, digits)}
+        else:  # no digit of G holds
+            value = {"re": None, "im": None}
     if args.format == "text":
         print(f"log G_{args.r}({args.z}) = {_a_plus_bi(log)}")
-        print(f"G_{args.r}({args.z})     = {_a_plus_bi(value)}")
+        print(f"G_{args.r}({args.z})     = {_a_plus_bi(value) if value['re'] else 'unknown'}")
         print(f"method  = {log['method']}")
         print(f"err_est = {log['err_est']}")
     else:
         emit(args.format, {"r": args.r, "z": args.z, "log": log, "value": value},
              ["r", "z", "log_re", "log_im", "value_re", "value_im", "method", "err_est"],
-             [[str(args.r), args.z, log["re"], log["im"], value["re"], value["im"],
+             [[str(args.r), args.z, log["re"], log["im"], value["re"] or "", value["im"] or "",
                log["method"], log["err_est"] or ""]])
     return 0
 

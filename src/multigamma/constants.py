@@ -22,12 +22,24 @@ f(t) = (t+a)^j log(t+a) and m = 2K - j.  As |t+a| >= max(t + Re a,
 
 (for complex a see Johansson, "Rigorous high-precision computation of the
 Hurwitz zeta function and its derivatives", arXiv:1309.2877).  Each tail
-stops at the first K whose bound is below 10^-(digits + GUARD_DIGITS/2)
-max(1, |value|).  M puts the bound's minimum over K below that for every
-j < J; should the bound turn upward first, the pass raises ArithmeticError
-rather than return the value.  The terms reach about |x|^(j+1) |L|, j
-log10(M + |a|) digits or more above |zeta'(-j, a)|, and the pass carries
-those digits too (_sderivs).
+takes the first K whose bound is below 10^-(digits + GUARD_DIGITS/2),
+fixed before the sum runs (_tail_terms).  M puts the bound's minimum over
+K below that for every j < J; should the bound turn upward first, the
+pass raises ArithmeticError rather than return the value.  The terms reach
+about |x|^(j+1) |L|, j log10(M + |a|) digits or more above |zeta'(-j, a)|,
+and the pass carries those digits too (_sderivs, which sizes them in
+floats).
+
+Fixed-point tail.  With u = 1/x^2 and c_k = B_2k/(2k)!, the tail is
+x^(j-1) (D - L P), D = sum_{k=1..K} c_k P_k'(-j) u^(k-1) and P the same
+sum over c_k P_k(-j).  D and P run by Horner from k = K down over Python
+ints scaled by 2^F, F the pass's binary precision plus the bit length of
+J.  Each coefficient is the exact rational c_k P_k'(-j) or c_k P_k(-j)
+floored onto the grid once: c_k floored by itself loses the large k.  The
+floors (of a coefficient, of u and of each product's parts) are each below
+one unit of 2^-F, and as |u| <= 1/Y^2 < 1/25 (Y > 5.7 wherever _cutoff
+sets M) they leave D and P within 2.6 (1 + max_k |S_k|) 2^-F, S_k the
+Horner partial sums.  Only the product with x^(j-1) and L is in mpmath.
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
+from mpmath.libmp import to_fixed
 
 from .exact_poly import _bernoulli_upto
 
@@ -47,6 +60,7 @@ __all__ = ["Precision", "hurwitz_zeta_sderiv", "hurwitz_zeta_sderivs", "zeta_pri
 GUARD_DIGITS = 10
 
 _LN_2PI = math.log(2 * math.pi)
+_LN_10 = math.log(10)
 
 
 @dataclass(frozen=True)
@@ -64,6 +78,12 @@ class Precision:
         return self.digits + GUARD_DIGITS
 
 
+def _ln_abs(v) -> float:
+    """ln |v| in floats for a nonzero mpf or mpc, past the float range by one mpmath log."""
+    f = abs(complex(v))
+    return math.log(f) if 0 < f < math.inf else float(mpmath.log(abs(v)))
+
+
 def _cutoff(js: range, a, target_ln: float) -> tuple[int, float]:
     """(M, log Y): the least M >= 0 whose remainder bound dips e^(2 pi) below e^-target_ln.
 
@@ -71,9 +91,32 @@ def _cutoff(js: range, a, target_ln: float) -> tuple[int, float]:
     """
     worst = max(math.lgamma(j + 1) - (j + 1) * _LN_2PI for j in (js[0], js[-1]))
     y = (target_ln + math.log(6) + worst) / (2 * math.pi) + 1
-    re, im = mpmath.re(a), abs(mpmath.im(a))
-    cutoff = max(0, int(mpmath.ceil(min(y - re, math.sqrt(2) * y - re - im))))
-    return cutoff, float(mpmath.log(max(cutoff + re, (cutoff + re + im) / math.sqrt(2))))
+    re, im = float(mpmath.re(a)), abs(float(mpmath.im(a)))
+    cutoff = math.ceil(max(0.0, min(y - re, math.sqrt(2) * y - re - im)))
+    y_big = max(cutoff + re, (cutoff + re + im) / math.sqrt(2))
+    if y_big == math.inf:  # cutoff is 0 here
+        y_big = max(mpmath.re(a), (mpmath.re(a) + abs(mpmath.im(a))) / math.sqrt(2))
+    return cutoff, _ln_abs(y_big)
+
+
+def _tail_terms(j: int, cutoff: int, ln_y: float, target_ln: float) -> int:
+    """K: the first k whose remainder bound is below e^-target_ln.
+
+    Raises ArithmeticError where the bound turns upward first.
+    """
+    prev, k = math.inf, 1
+    while True:
+        m = 2 * k - j
+        if m >= 2:
+            bound = (math.log(6) - 2 * k * _LN_2PI + math.lgamma(j + 1)
+                     + math.lgamma(m - 1) - (m - 1) * ln_y)
+            if bound <= -target_ln:
+                return k
+            if bound > prev:
+                raise ArithmeticError(f"Euler-Maclaurin remainder for zeta'({-j}, a) cannot "
+                                      f"reach its target at cutoff {cutoff}")
+            prev = bound
+        k += 1
 
 
 def _em_pass(js: range, a, cutoff: int, ln_y: float, target_ln: float) -> list:
@@ -81,10 +124,11 @@ def _em_pass(js: range, a, cutoff: int, ln_y: float, target_ln: float) -> list:
     a = mpmath.mpmathify(a)
     x = cutoff + a
     log_x = mpmath.log(x)
+    bits = mpmath.mp.prec + js.stop.bit_length()  # the tail's grid is 2^-bits
     inv_x2 = 1 / (x * x)
+    u_re, u_im = (to_fixed(part._mpf_, bits) for part in (inv_x2.real, inv_x2.imag))
     bases = [n + a for n in range(cutoff)]
     terms = [mpmath.log(b) for b in bases]  # (n+a)^j log(n+a) at j = 0
-    coeffs = []  # B_2k/(2k)!, k = 1, 2, ...
     values = []
     x_j = mpmath.mpf(1)
     for j in range(js.stop):
@@ -96,29 +140,26 @@ def _em_pass(js: range, a, cutoff: int, ln_y: float, target_ln: float) -> list:
         scale = x_j * x
         value = (scale * (log_x / (j + 1) - mpmath.mpf(1) / (j + 1) ** 2)
                  - x_j * log_x / 2 - mpmath.fsum(terms))
+        count = _tail_terms(j, cutoff, ln_y, target_ln)
+        bernoulli = _bernoulli_upto(2 * count)
+        coeffs = []  # c_k P_k'(-j) and c_k P_k(-j) on the grid
         p, dp = -j, 1  # P_1(s) = s and its derivative at s = -j
-        prev, k = math.inf, 1
-        while True:
-            if k > len(coeffs):
-                c = _bernoulli_upto(2 * k)[2 * k] / math.factorial(2 * k)
-                coeffs.append(mpmath.mpf(c.numerator) / c.denominator)
+        for k in range(1, count + 1):
             if k > 1:
                 for i in (2 * k - 3, 2 * k - 2):
                     p, dp = p * (i - j), dp * (i - j) + p
-            scale *= inv_x2
-            value += coeffs[k - 1] * (dp - p * log_x) * scale
-            m = 2 * k - j
-            if m >= 2:
-                bound = (math.log(6) - 2 * k * _LN_2PI + math.lgamma(j + 1)
-                         + math.lgamma(m - 1) - (m - 1) * ln_y)
-                if bound <= max(0, (mpmath.mag(value) - 2) * math.log(2)) - target_ln:
-                    break
-                if bound > prev:
-                    raise ArithmeticError(f"Euler-Maclaurin remainder for zeta'({-j}, a) cannot "
-                                          f"reach its target at cutoff {cutoff}")
-                prev = bound
-            k += 1
-        values.append(value)
+            c = bernoulli[2 * k]
+            den = c.denominator * math.factorial(2 * k)
+            coeffs.append(((c.numerator * dp << bits) // den, (c.numerator * p << bits) // den))
+        d_re = d_im = p_re = p_im = 0
+        for e_d, e_p in reversed(coeffs):  # D = sum_k c_k P_k'(-j) u^(k-1), P likewise
+            d_re, d_im = (((d_re * u_re - d_im * u_im) >> bits) + e_d,
+                          (d_re * u_im + d_im * u_re) >> bits)
+            p_re, p_im = (((p_re * u_re - p_im * u_im) >> bits) + e_p,
+                          (p_re * u_im + p_im * u_re) >> bits)
+        d_sum, p_sum = (mpmath.mpc((re, -bits), (im, -bits)) if u_im else mpmath.mpf((re, -bits))
+                        for re, im in ((d_re, d_im), (p_re, p_im)))
+        values.append(value + scale * inv_x2 * (d_sum - p_sum * log_x))
     return values
 
 
@@ -128,6 +169,7 @@ def _sderivs(js: range, a, prec: Precision) -> list:
     The pass first carries 2 digits more than its largest term has above
     |a|^(j+1) |log a| / (j+1), the size of zeta'(-j, a) at large |a|, and
     runs again with every digit of that term where a value comes out smaller.
+    These sizes are float estimates.
     """
     target_ln = (prec.digits + GUARD_DIGITS // 2) * math.log(10)
     with mpmath.workdps(prec.working_dps):
@@ -135,14 +177,16 @@ def _sderivs(js: range, a, prec: Precision) -> list:
         if mpmath.re(am) <= 0:
             raise ValueError("hurwitz zeta requires Re a > 0")
         cutoff, ln_y = _cutoff(js, am, target_ln)
-        x = cutoff + am
-        largest_log = max(abs(mpmath.log(abs(x))), abs(mpmath.log(abs(am)))) + 4
-        sizes = [(j + 1) * mpmath.log10(abs(x) + 1) + mpmath.log10(largest_log) for j in js]
-        guess = max(size - max(0, (j + 1) * mpmath.log10(abs(am))
-                               + mpmath.log10(abs(mpmath.log(am)) / (j + 1)))
-                    for j, size in zip(js, sizes))
-    every = int(mpmath.ceil(max(sizes)))
-    for extra in sorted({min(int(mpmath.ceil(guess)) + 2, every), every}):
+        ln_x, ln_a = _ln_abs(cutoff + am), _ln_abs(am)
+    ln_x1 = max(ln_x, 0.0) + math.log1p(math.exp(-abs(ln_x)))  # ln(|x| + 1)
+    abs_log_a = math.hypot(ln_a, math.atan2(float(am.imag), float(am.real)))
+    ln_largest = math.log(max(abs(ln_x), abs(ln_a)) + 4)
+    sizes = [((j + 1) * ln_x1 + ln_largest) / _LN_10 for j in js]
+    leads = [((j + 1) * ln_a + math.log(abs_log_a / (j + 1))) / _LN_10 if abs_log_a else 0.0
+             for j in js]  # log10 |a|^(j+1) |log a| / (j+1)
+    guess = max(size - max(0.0, lead) for size, lead in zip(sizes, leads))
+    every = math.ceil(max(sizes))
+    for extra in sorted({min(math.ceil(guess) + 2, every), every}):
         with mpmath.workdps(prec.working_dps + extra):
             values = _em_pass(js, a, cutoff, ln_y, target_ln)
         if all(size - max(0, (mpmath.mag(v) - 2) * math.log10(2)) <= extra
@@ -167,9 +211,18 @@ def hurwitz_zeta_sderiv(s, a, prec: Precision = Precision()):
     return _sderivs(range(j, j + 1), a, prec)[0]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=16)
+def _zeta_prime_block(block: int, prec: Precision) -> tuple:
+    """zeta'(-j) for the four j with j // 4 = block, from one pass at a = 1."""
+    return tuple(_sderivs(range(4 * block, 4 * block + 4), 1, prec))
+
+
 def zeta_prime_neg(j: int, prec: Precision = Precision()):
-    """zeta'(-j) for integer j >= 0; the 64 most recently used (j, precision) memoized."""
+    """zeta'(-j) for integer j >= 0, from the one pass of its block of four j.
+
+    The 16 most recently used (block, precision) pairs are memoized, so
+    every j < 4 of a precision costs one pass.
+    """
     if j < 0:
         raise ValueError("j must be >= 0")
-    return hurwitz_zeta_sderiv(-j, 1, prec)
+    return _zeta_prime_block(j // 4, prec)[j % 4]

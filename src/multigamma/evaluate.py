@@ -838,12 +838,13 @@ def cache_info() -> dict[str, dict[str, int]]:
 
     A row is a level-0 row of _INT_TABLES (one per precision), a memoized
     LogValue (a completed product or a zeta-route value), the table
-    _LOG_DIFFS or a zeta'(-j); entries count the ints or values in them.
+    _LOG_DIFFS or a block of four zeta'(-j); entries count the ints or
+    values in them.
     For the rung memo: its keys, the integer lattice's among them, the
     points (tuples of running sums) it holds, and the ints in those.
     """
     points = [point for _, ends in _SHIFTED_RUNGS.values() for point in ends]
-    zeta_primes = constants.zeta_prime_neg.cache_info().currsize
+    zeta_blocks = constants._zeta_prime_block.cache_info().currsize
     diffs = len(_LOG_DIFFS[2])
     return {
         "_INT_TABLES": {"rows": len(_INT_TABLES),
@@ -852,7 +853,7 @@ def cache_info() -> dict[str, dict[str, int]]:
         "_SHIFTED_RUNGS": {"keys": len(_SHIFTED_RUNGS), "tuples": len(points),
                            "ints": sum(len(re) + len(im) for re, im in points)},
         "_LOG_DIFFS": {"rows": int(diffs > 0), "entries": diffs},
-        "constants.zeta_prime_neg": {"rows": zeta_primes, "entries": zeta_primes},
+        "constants.zeta_prime_neg": {"rows": zeta_blocks, "entries": 4 * zeta_blocks},
     }
 
 
@@ -1060,18 +1061,27 @@ def log_gamma_r(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig(), *,
         raise ValueError("r must be >= 1")
     base = log_multigamma(r, z, cfg)
     with mpmath.workdps(cfg.precision.working_dps):
-        zm = _to_mp(z)
-        eps = mpmath.mpf(10) ** -cfg.precision.digits
-        correction = err = mpmath.mpf(0)
-        for j in range(r):
-            coeff, zeta_j = grj_poly(r, j).evaluate(zm - 1), zeta_prime_neg(j, cfg.precision)
-            correction += coeff * zeta_j
-            err += abs(coeff) * eps * max(1, abs(zeta_j))
-        sign = (-1) ** (r - 1)
-        value = sign * (base.value - conventions.s_R * correction)
+        correction, err = _residual_sum(r, _to_mp(z), cfg.precision)
+        value = _log_gamma_r_value(r, base.value, correction, conventions)
         err += (abs(value) + abs(correction)) * mpmath.eps
         return LogValue(value=+value, method=base.method, err_est=base.err_est + err,
                         cross_check=base.cross_check)
+
+
+def _residual_sum(r: int, zm, prec: Precision) -> tuple:
+    """(sum_j G_{r,j}(z-1) zeta'(-j), its error from the zeta'(-j)): log R_r(z) without s_R."""
+    eps = mpmath.mpf(10) ** -prec.digits
+    correction = err = mpmath.mpf(0)
+    for j in range(r):
+        coeff, zeta_j = grj_poly(r, j).evaluate(zm - 1), zeta_prime_neg(j, prec)
+        correction += coeff * zeta_j
+        err += abs(coeff) * eps * max(1, abs(zeta_j))
+    return correction, err
+
+
+def _log_gamma_r_value(r: int, log_g, correction, conventions: ConventionSet):
+    """log Gamma_r(z) from log G_r(z) and _residual_sum's correction, under conventions."""
+    return (-1) ** (r - 1) * (log_g - conventions.s_R * correction)
 
 
 def multiple_sine(r: int, z: ComplexLike, cfg: EvalConfig = EvalConfig()):
@@ -1108,18 +1118,31 @@ def multiplication_residual(r: int, p: int, z: ComplexLike,
         raise ValueError("need r >= 1 and p >= 1")
     with mpmath.workdps(cfg.precision.working_dps):
         zm = _to_mp(z)
-        lhs = mpmath.mpf(0)
-        for s, count in enumerate(composition_counts(p, r)):
-            lhs += count * log_multigamma(r, (zm + s) / p, cfg).value
-        phi = mpmath.mpf(0)
-        for j in range(r):
-            phi += phi_rj_poly(r, j, p, conventions).evaluate(zm) * zeta_prime_neg(j, cfg.precision)
-        rhs = phi - psi_poly(r).evaluate(zm) * mpmath.log(p) + log_multigamma(r, zm, cfg).value
-        residual = abs(lhs - rhs) / max(mpmath.mpf(1), abs(lhs))
-        verdict = "pass" if residual < cfg.tolerance else "fail"
-        return ResidualReport(identity="multiplication", r=r, p=p, z=zm,
-                              lhs=+lhs, rhs=+rhs, residual=+residual,
-                              tolerance=cfg.tolerance, verdict=verdict)
+        return _multiplication_report(r, p, zm, _multiplication_parts(r, p, zm, cfg),
+                                      cfg, conventions)
+
+
+def _multiplication_parts(r: int, p: int, zm, cfg: EvalConfig) -> tuple:
+    """(LHS, psi_r(z) log p, log G_r(z)): the multiplication formula's convention-free parts."""
+    lhs = mpmath.mpf(0)
+    for s, count in enumerate(composition_counts(p, r)):
+        lhs += count * log_multigamma(r, (zm + s) / p, cfg).value
+    return lhs, psi_poly(r).evaluate(zm) * mpmath.log(p), log_multigamma(r, zm, cfg).value
+
+
+def _multiplication_report(r: int, p: int, zm, parts: tuple, cfg: EvalConfig,
+                           conventions: ConventionSet) -> ResidualReport:
+    """The residual of _multiplication_parts once phi_r(z) under conventions joins the RHS."""
+    lhs, psi_log_p, log_g = parts
+    phi = mpmath.mpf(0)
+    for j in range(r):
+        phi += phi_rj_poly(r, j, p, conventions).evaluate(zm) * zeta_prime_neg(j, cfg.precision)
+    rhs = phi - psi_log_p + log_g
+    residual = abs(lhs - rhs) / max(mpmath.mpf(1), abs(lhs))
+    verdict = "pass" if residual < cfg.tolerance else "fail"
+    return ResidualReport(identity="multiplication", r=r, p=p, z=zm,
+                          lhs=+lhs, rhs=+rhs, residual=+residual,
+                          tolerance=cfg.tolerance, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -1140,9 +1163,10 @@ def calibrate_conventions(cfg: EvalConfig = EvalConfig()) -> ConventionSet:
     Enumerates s_phi in {+1,-1}, sigma_phi in {-1,-2}, s_R in {+1,-1} and
     keeps the combinations for which (a) the multiplication residuals at
     r=1, p in {2,3} and r=2, p=2 anchors vanish within tolerance, and
-    (b) log Gamma_1 via G_1/R_1 matches the Hurwitz-zeta oracle.  The
-    front door's memo shares the expensive log values, both routes', across
-    all eight candidates: each argument takes one Hurwitz pass.  Raises
+    (b) log Gamma_1 via G_1/R_1 matches the Hurwitz-zeta oracle.  Each
+    anchor's convention-free parts (the multiplication formula's LHS,
+    psi_r(z) log p and log G_r(z); the oracle, log G_1 and the R_1 sum) are
+    computed once, and each candidate adds only its phi_r and s_R terms.  Raises
     CalibrationError (with the full residual table) unless DERIVED is the
     only survivor; returns DERIVED with its residuals as evidence.
     """
@@ -1151,23 +1175,27 @@ def calibrate_conventions(cfg: EvalConfig = EvalConfig()) -> ConventionSet:
         for sp in (1, -1) for sg in (-1, -2) for sr in (1, -1)
     ]
     with mpmath.workdps(cfg.precision.working_dps):
-        oracle_vals = {zq: barnes_zeta_oracle(1, zq, cfg.precision).value
-                       for zq in _ORACLE_ANCHORS}
+        mult_parts = {(r, p, zq): _multiplication_parts(r, p, _to_mp(zq), cfg)
+                      for r, p, zq in _MULT_ANCHORS}
+        oracle_parts = {zq: (barnes_zeta_oracle(1, zq, cfg.precision).value,
+                             log_multigamma(1, zq, cfg).value,
+                             _residual_sum(1, _to_mp(zq), cfg.precision)[0])
+                        for zq in _ORACLE_ANCHORS}
         rows = []
         survivors = []
         for cand in candidates:
             evidence = []
             worst = mpmath.mpf(0)
-            for r, p, zq in _MULT_ANCHORS:
-                rep = multiplication_residual(r, p, zq, cfg, conventions=cand)
+            for (r, p, zq), parts in mult_parts.items():
+                rep = _multiplication_report(r, p, _to_mp(zq), parts, cfg, cand)
                 evidence.append({
                     "anchor": "multiplication", "r": r, "p": p, "z": str(zq),
                     "residual": float(rep.residual),
                 })
                 worst = max(worst, rep.residual)
-            for zq in _ORACLE_ANCHORS:
-                got = log_gamma_r(1, zq, cfg, conventions=cand).value
-                resid = abs(got - oracle_vals[zq]) / max(mpmath.mpf(1), abs(oracle_vals[zq]))
+            for zq, (oracle, log_g, correction) in oracle_parts.items():
+                got = _log_gamma_r_value(1, log_g, correction, cand)
+                resid = abs(got - oracle) / max(mpmath.mpf(1), abs(oracle))
                 evidence.append({
                     "anchor": "oracle", "r": 1, "p": 1, "z": str(zq),
                     "residual": float(resid),

@@ -250,13 +250,27 @@ def test_eval_prints_every_digit_of_g_at_an_integer():
 def test_eval_past_the_float_range_is_not_a_verification_failure():
     # Re z = 10^400: the Hurwitz cutoff once went through a float and
     # overflowed, which eval reported as a verification failure (exit 3).
+    # err_est (9e372) leaves no digit of G: it prints as unknown, not as 0.
     code, out, err = run(["eval", "--r", "1", "--z", "1e400+1i", "--format", "json"])
     assert code == 0, err
     obj = json.loads(out)
     with mpmath.workdps(40):
         z = mpmath.mpc(mpmath.mpf(10) ** 400, 1)
+        want = mpmath.loggamma(z)
         assert obj["log"]["method"] == "zeta"
-        assert abs(mpmath.mpf(obj["log"]["re"]) / mpmath.re(mpmath.loggamma(z)) - 1) < 1e-15
+        assert abs(mpmath.mpf(obj["log"]["re"]) / mpmath.re(want) - 1) < 1e-15
+        # Im log G = 921.03 is 10^-400 of |log G|: the Hurwitz tail keeps it
+        assert abs(mpmath.mpf(obj["log"]["im"]) / mpmath.im(want) - 1) < 1e-15
+    assert float(obj["log"]["err_est"]) >= 1
+    assert obj["value"] == {"re": None, "im": None}
+    code, out, _ = run(["eval", "--r", "1", "--z", "1e400+1i", "--format", "csv"])
+    assert code == 0
+    header, row = (line.split(",") for line in out.splitlines())
+    cells = dict(zip(header, row))
+    assert cells["value_re"] == cells["value_im"] == "" and cells["log_re"]
+    code, out, _ = run(["eval", "--r", "1", "--z", "1e400+1i"])
+    assert code == 0
+    assert out.splitlines()[1].endswith("= unknown")
 
 
 @pytest.mark.parametrize("z", ["3", "3+0i"])

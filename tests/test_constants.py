@@ -197,14 +197,17 @@ def test_remainder_bound_stops_the_tail_or_raises(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-SDERIV_A = (1, Fraction(1, 3), Fraction(29, 4), mpmath.mpc(1, 150), mpmath.mpc(0.5, -12))
+# 1/3 + i/2 at 60 digits runs the fixed-point tail at a complex u with 40 to
+# 90 terms; at 10 and 30 digits the guard digits can hide an error of its grid.
+SDERIV_A = (1, Fraction(1, 3), Fraction(29, 4), mpmath.mpc(1, 150), mpmath.mpc(0.5, -12),
+            mpmath.mpc(mpmath.mpf(1) / 3, 0.5))
 
 
 def _as_mp(a):
     return mpf_frac(a) if isinstance(a, Fraction) else mpmath.mpmathify(a)
 
 
-@pytest.mark.parametrize("digits", [10, 30])
+@pytest.mark.parametrize("digits", [10, 30, 60])
 def test_sderivs_match_mpmath_up_to_j_40(digits):
     # the direct sum cancels about j log10(M + |a|) digits; the pass carries them
     prec = Precision(digits=digits)
@@ -217,7 +220,7 @@ def test_sderivs_match_mpmath_up_to_j_40(digits):
                 assert abs(value - want) <= mpmath.mpf(10) ** -digits * max(1, abs(want)), (a, j)
 
 
-@pytest.mark.parametrize("digits", [10, 30])
+@pytest.mark.parametrize("digits", [10, 30, 60])
 def test_one_pass_agrees_with_per_j_calls(digits):
     prec = Precision(digits=digits)
     for a in SDERIV_A:
@@ -249,3 +252,25 @@ def test_pass_runs_again_where_a_value_is_below_its_leading_term(monkeypatch):
     passes.clear()
     hurwitz_zeta_sderivs(21, 6, Precision(digits=10))
     assert len(passes) == 1
+
+
+def test_zeta_primes_below_four_take_one_pass(monkeypatch):
+    # every j < 4 of a precision comes from one pass at a = 1; j = 5 takes
+    # the pass of its own block, 4 <= j < 8
+    passes = []
+    real = constants._em_pass
+
+    def recording(js, *args):
+        passes.append(js)
+        return real(js, *args)
+
+    monkeypatch.setattr(constants, "_em_pass", recording)
+    prec = Precision(digits=37)  # a precision no other test memoizes
+    got = {j: zeta_prime_neg(j, prec) for j in (2, 0, 3, 1, 2)}
+    assert passes == [range(4)]
+    got[5] = zeta_prime_neg(5, prec)
+    assert passes == [range(4), range(4, 8)]
+    with mpmath.workdps(60):
+        for j, value in got.items():
+            want = mpmath.zeta(-j, 1, 1)
+            assert abs(value - want) <= mpmath.mpf(10) ** -37 * max(1, abs(want)), j
