@@ -32,10 +32,15 @@ mpmath's working precision, which is global: evaluate from one thread at a
 time.
 
 The product sweep runs in fixed point (_fixed_bits): level 0, log n and
-log(z+n), takes few logs (_integer_log_table, _level0_entries), and the
-levels above are exact integer sums of it, kept only at their two end
-points m = s+1 and s+N+1, s = floor(Re z) (_lattice_ends, memoized per
-fractional part); log G_k(N+1) is z = 0's sum (_sums_at).  Each product
+log(z+n), takes few logs (_integer_log_table, _level0_entries).  Integer
+odd series (_odd_series) stand in for them: log(1 + d/m) in the shifted
+row, log p = log(p-1) + 2 atanh(1/(2p-1)) for each prime p >= 16 in the
+integer row (mpmath.log for the six primes below 16), and the steps
+log(x+i+1) - log(x+i) = 2 atanh(1/(2x+2i+1)) of the differences
+Delta^j log x (_log_differences).  The levels above are exact integer
+sums of level 0, kept only at their two end points m = s+1 and s+N+1,
+s = floor(Re z) (_lattice_ends, memoized per fractional part);
+log G_k(N+1) is z = 0's sum (_sums_at).  Each product
 level is completed on its own, on the Gauss levels below it (_completed),
 so no value or err_est depends on what the memos held.  A single partial
 (gauss_partial, euler_partial) sums its lattices into private memos, an
@@ -49,7 +54,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, groupby, islice, repeat
 from operator import add, floordiv, mul, rshift, sub
 from typing import Any, Sequence, Union
 
@@ -276,12 +281,16 @@ def _from_fixed(re: int, im: int, bits: int, cplx: bool):
     return mpmath.mpc(value, mpmath.mpf((im, -bits))) if cplx else value
 
 
-# Bits the level-0 series and logs carry below the lattice grid, so that
-# their own rounding stays far below the one floor onto the grid.
+# Bits the level-0 series and logs, and the steps of _log_differences, carry
+# below their grid, so that their own rounding stays far below the one
+# floor onto the grid.
 _SERIES_GUARD = 10
 # Shifted entries log(z+n), z+n = m + d, with m below 2^4 (or below 2|d|)
 # take a direct log: a series there needs many terms for few entries.
 _FIRST_SERIES_OCTAVE = 4
+# Bits the integer row's prime logs carry below the grid while each is
+# summed from the logs of smaller primes, floored onto the grid once.
+_PRIME_GUARD = 30
 
 # _INT_TABLES[dps][n] = log n scaled by 2^bits (index 0 unused), grown on
 # demand, for the _INT_KEYS most recently used working precisions dps.
@@ -305,40 +314,74 @@ def _memoized(cache: dict, keys: int, key, make):
     return value
 
 
-def _smallest_prime_factors(lo: int, hi: int) -> list[int]:
-    """spf[n - lo] = the smallest prime factor of n for lo <= n <= hi (n itself below 2).
-
-    Sieves [lo, hi] alone, so a table grown in pieces sieves each n once.
-    """
-    spf = list(range(lo, hi + 1))
+def _smallest_prime_factors(hi: int) -> list[int]:
+    """spf[n] = the smallest prime factor of n for n <= hi (n itself below 2)."""
+    spf = list(range(hi + 1))
     # descending, so that the smallest divisor >= 2 of each n, a prime, writes last
     for p in range(math.isqrt(hi), 1, -1):
-        first = max(p * p, -(-lo // p) * p)
-        spf[first - lo::p] = [p] * len(range(first, hi + 1, p))
+        spf[p * p::p] = [p] * len(range(p * p, hi + 1, p))
     return spf
+
+
+def _prime_factors(n: int, spf: list[int]):
+    """The prime factors of n, with multiplicity, from the sieve spf."""
+    while n > 1:
+        yield spf[n]
+        n //= spf[n]
+
+
+def _prime_logs(primes: Sequence[int], spf: list[int], prec: int) -> dict[int, int]:
+    """{q: log q as an int scaled by 2^prec} for the primes given and those their logs take.
+
+    Each prime q below 2^_FIRST_SERIES_OCTAVE takes mpmath.log; every other
+    is log(q-1) + 2 atanh(1/(2q-1)), log(q-1) the sum of its prime factors'
+    logs.  They are at most (q-1)/2, one octave lower at least, so the
+    octaves run upwards, each one _odd_series over its primes, with the term
+    count of the octave's first m, 2^j.  A series is below its value by less
+    than 16 units (_odd_series; the bound _level0_entries states), an
+    mpmath.log, taken 10 bits finer and floored, by less than 2, and since
+    q-1 >= 16 is even and has two prime factors or more, log q is within
+    18 log2(q) - 16 units by induction over the octaves.
+    """
+    below, stack = {}, list(primes)  # below[q]: q-1's prime factors, () under 2^4
+    while stack:
+        q = stack.pop()
+        if q not in below:
+            below[q] = list(_prime_factors(q - 1, spf)) if q >> _FIRST_SERIES_OCTAVE else ()
+            stack.extend(below[q])
+    with mpmath.workprec(prec + 10):
+        logs = {q: to_fixed(mpmath.log(q)._mpf_, prec) for q in below if not below[q]}
+    for length, octave in groupby(sorted(q for q in below if below[q]), int.bit_length):
+        octave = list(octave)
+        top = (1 << prec) // ((1 << length) - 1)  # 1/(2m - 1) at m = 2^(length-1)
+        series = _odd_series([(1 << prec) // (2 * q - 1) for q in octave], 1, prec, prec - 1, top)
+        for q, s in zip(octave, series):
+            logs[q] = s + sum(map(logs.__getitem__, below[q]))
+    return logs
 
 
 def _integer_log_table(cfg: EvalConfig, n_max: int) -> list:
     """log n for 1 <= n <= n_max (list index n), as fixed-point ints: level 0.
 
-    Takes one log per prime: a prime's log is computed _SERIES_GUARD bits
-    past the grid and floored onto it, and a composite n with smallest prime
-    factor p is log p + log(n/p).  Entry n is therefore below log n by less
-    than Omega(n) (1 + 2^-10 log n) 2^-bits, Omega(n) <= log2(n) the number
-    of prime factors with multiplicity, and it depends on n alone, not on
-    how the table was grown.  The levels above are exact running sums of
-    this row: z = 0's lattice (_lattice_ends), or _integer_levels streamed.
+    A prime's log is summed _PRIME_GUARD bits past the grid (_prime_logs)
+    and floored onto it once, and a composite n with smallest prime factor
+    p is log p + log(n/p).  Entry n is therefore within Omega(n) (1 + 2^-25
+    log2 n) 2^-bits of log n, Omega(n) <= log2(n) the number of prime
+    factors with multiplicity, and it depends on n alone, not on how the
+    table was grown: a longer row recomputes the prime logs it needs and
+    keeps none.  The levels above are exact running sums of this row:
+    z = 0's lattice (_lattice_ends), or _integer_levels streamed.
     """
     row0 = _memoized(_INT_TABLES, _INT_KEYS, cfg.precision.working_dps, lambda: [None])
     if len(row0) <= n_max:
-        bits = _fixed_bits(cfg)
         lo = len(row0)
-        spf = _smallest_prime_factors(lo, n_max)
-        with mpmath.workprec(bits + _SERIES_GUARD):
-            for n in range(lo, n_max + 1):
-                p = spf[n - lo]
-                row0.append(row0[p] + row0[n // p] if p < n
-                            else to_fixed(mpmath.log(n)._mpf_, bits))
+        spf = _smallest_prime_factors(n_max)
+        logs = _prime_logs([n for n in range(max(lo, 2), n_max + 1) if spf[n] == n], spf,
+                           _fixed_bits(cfg) + _PRIME_GUARD)
+        for n in range(lo, n_max + 1):
+            p = spf[n]
+            row0.append(row0[p] + row0[n // p] if p < n  # log 1 = 0 below
+                        else logs.get(n, 0) >> _PRIME_GUARD)
     return row0
 
 
@@ -657,10 +700,13 @@ _LOG_DIFFS: list = [0, 0, []]
 def _log_differences(terms: int, scale: int) -> tuple[int, list[int]]:
     """(e, diffs): Delta^j log x within 2^(1-scale) as diffs[j-1] 2^-e, x = _X, for j <= terms.
 
-    Delta^j log x = sum_i (-1)^(j-i) binom(j, i) log(x+i) cancels about
-    j log2(2x) bits, so each log(x+i), i <= J, is floored onto 2^-(scale+J)
-    (within 1.01 units), and their exact differences miss by less than
-    1.01 2^j units.  A larger request rebuilds the table with twice the
+    Delta^j log x is the (j-1)-th difference at i = 0 of delta_i =
+    log(x+i+1) - log(x+i) = 2 atanh(1/(2x+2i+1)), i < J, and cancels about
+    j log2(2x) bits, so the delta_i are one _odd_series, _SERIES_GUARD bits
+    past 2^-(scale+J) and floored onto it: each is below its value by less
+    than 1 + 2^-7 units, and as those errors have one sign, their exact
+    differences miss by less than (1 + 2^-7) 2^max(j-2, 0) units, at most
+    2^(j-1) for j > 1.  A larger request rebuilds the table with twice the
     terms (at most _J_MAX), if it needs more, and 64 bits to spare.
     """
     held_scale, e, diffs = _LOG_DIFFS
@@ -668,10 +714,11 @@ def _log_differences(terms: int, scale: int) -> tuple[int, list[int]]:
         terms = max(terms, min(2 * len(diffs), _J_MAX)) if len(diffs) < terms else len(diffs)
         scale = max(scale, held_scale) + 64
         e = scale + terms
-        with mpmath.workprec(e + 10):
-            row = [to_fixed(mpmath.log(_X + i)._mpf_, e) for i in range(terms + 1)]
-        diffs = []
-        for _ in range(terms):
+        prec = e + _SERIES_GUARD
+        t = [(1 << prec) // (2 * (_X + i) + 1) for i in range(terms)]
+        row = _odd_series(t, 1, prec, 2 * prec - e - 1, t[0])
+        diffs = [row[0]]
+        for _ in range(terms - 1):
             row = list(map(sub, row[1:], row[:-1]))
             diffs.append(row[0])
         _LOG_DIFFS[:] = scale, e, diffs

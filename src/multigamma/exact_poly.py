@@ -239,21 +239,30 @@ _BERNOULLI: tuple[Fraction, ...] = (Fraction(1), Fraction(-1, 2))
 def _bernoulli_upto(n_max: int) -> tuple[Fraction, ...]:
     """B_0..B_m for some m >= n_max; callers index it.
 
-    sum_{k=0}^{n-1} binom(n+1, k) B_k = -(n+1) B_n for n >= 1, and the odd
-    B_k vanish from k = 3 on, so an even n sums k = 0, 1 and the even k only.
+    From the tangent numbers T_k, tan t = sum_k T_k t^(2k-1)/(2k-1)!, by
+    the in-place integer recurrence of Brent and Harvey, "Fast computation
+    of Bernoulli, Tangent and Secant numbers" (arXiv:1108.0286), Algorithm
+    TangentNumbers: T_k = (k-1)! to start, then for k = 2..K and j = k..K,
+    T_j = (j-k) T_{j-1} + (j-k+2) T_j.  Then B_2k = (-1)^(k-1) 2k T_k /
+    (2^2k (2^2k - 1)), and the odd B_n vanish from n = 3 on.  A request past
+    the table rebuilds it to at least twice its length, so a rising request
+    rebuilds it only a few times, and to 5/4 of the request, as the
+    Euler-Maclaurin tails of one Hurwitz pass ask for a few more terms at
+    each j.
     """
     global _BERNOULLI
     if len(_BERNOULLI) > n_max:
         return _BERNOULLI
-    out = list(_BERNOULLI)
-    for n in range(len(out), n_max + 1):
-        if n % 2:
-            out.append(Fraction(0))
-            continue
-        acc = 1 + (n + 1) * out[1]
-        for k in range(2, n, 2):
-            acc += math.comb(n + 1, k) * out[k]
-        out.append(-acc / (n + 1))
+    half = max(n_max + n_max // 4, 2 * len(_BERNOULLI)) // 2 + 1
+    tangent = [0, 1]  # T_0 unused
+    for k in range(2, half + 1):
+        tangent.append((k - 1) * tangent[-1])
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    out = [Fraction(1), Fraction(-1, 2)]
+    for k in range(1, half + 1):
+        out += [Fraction((-1) ** (k - 1) * 2 * k * tangent[k], (4**k - 1) << 2 * k), Fraction(0)]
     _BERNOULLI = tuple(out)
     return _BERNOULLI
 

@@ -247,6 +247,25 @@ def test_euler_completion_is_its_partial_plus_the_newton_tail():
                 assert abs(euler.value - gauss.value) <= euler.err_est + gauss.err_est, (r, z)
 
 
+def test_log_differences_are_within_2_to_the_j_minus_1_units(monkeypatch):
+    # Delta^j log x, x = N + 1, is the (j-1)-th difference of the floored
+    # steps 2 atanh(1/(2x+2i+1)): within 2^(j-1) units of 2^-e for every
+    # j <= _J_MAX, measured against mpmath logs J + 20 digits finer, as
+    # first built and as rebuilt for more terms and a finer scale.
+    monkeypatch.setattr(evaluate, "_LOG_DIFFS", [0, 0, []])
+    for terms, scale in ((40, evaluate._fixed_bits(CFG30)),
+                         (evaluate._J_MAX, evaluate._fixed_bits(EvalConfig(Precision(60))))):
+        e, diffs = evaluate._log_differences(terms, scale)
+        assert evaluate._LOG_DIFFS == [e - len(diffs), e, diffs] and len(diffs) >= terms
+        extra = math.ceil((len(diffs) + 20) * math.log2(10))
+        with mpmath.workprec(e + extra + 10):
+            row = [int(mpmath.floor(mpmath.log(evaluate._X + i) * 2**(e + extra)))
+                   for i in range(len(diffs) + 1)]
+        for j, got in enumerate(diffs, 1):
+            row = [b - a for a, b in zip(row, row[1:])]
+            assert abs((got << extra) - row[0]) <= (2**(j - 1) + 1) << extra, (terms, j)
+
+
 def prime_count(n):
     """pi(n), by trial division."""
     return sum(all(k % p for p in range(2, math.isqrt(k) + 1)) for k in range(2, n + 1))
@@ -256,8 +275,8 @@ def test_one_call_takes_one_row_of_logs(monkeypatch):
     # Every level of the shifted lattice derives from the one row log(z+n),
     # n <= N, and only its entries below the series cutoff take a log: with
     # the integer row warm, a product takes a handful (the front door's
-    # zeta route adds the logs of its Hurwitz pass).  The integer row
-    # takes one log per prime.
+    # zeta route adds the logs of its Hurwitz pass).  The integer row takes
+    # six (test_cold_integer_table_takes_logs_of_the_primes_below_16_only).
     log_multigamma(1, Fraction(7, 2), CFG30)
     calls = []
     real_log = mpmath.log
@@ -548,17 +567,42 @@ def test_rung_memo_keeps_the_latest_fractional_parts_only(monkeypatch):
 
 def test_integer_table_grown_in_pieces_equals_one_build(monkeypatch):
     # The integer lattice keeps level 0 alone, and it must be what one full
-    # build gives, however it was grown.
+    # build gives, however it was grown: at once, from 100 on, or in small
+    # steps past N, where each step recomputes the prime logs it needs.
     top = 2**14 + 13
+    for digits in (30, 60, 120):
+        cfg = EvalConfig(precision=Precision(digits=digits))
+        monkeypatch.setattr(evaluate, "_INT_TABLES", {})
+        row0 = list(evaluate._integer_log_table(cfg, top))
+        for sizes in ((100, top), (evaluate._N, evaluate._N + 1, evaluate._N + 13, 3000, top)):
+            monkeypatch.setattr(evaluate, "_INT_TABLES", {})
+            for n_max in sizes:
+                got = evaluate._integer_log_table(cfg, n_max)
+            assert got == row0, (digits, sizes)
+        # n <= 300 covers primes and composites, then every 37th and the
+        # last entry, each within Omega(n) (1 + 2^-10 log n) 2^-bits of log n
+        bits = evaluate._fixed_bits(cfg)
+        with mpmath.workdps(cfg.precision.working_dps + 20):
+            for n in LEVEL0_NS + [top]:
+                bound = prime_factor_count(n) * (1 + mpmath.log(n) / 2**10)
+                assert abs(row0[n] - mpmath.log(n) * 2**bits) <= bound, (digits, n)
+
+
+def test_cold_integer_table_takes_logs_of_the_primes_below_16_only(monkeypatch):
+    # Every prime from 16 on is log(p-1) + 2 atanh(1/(2p-1)), summed from
+    # the logs below it: a cold build to past 2^14 takes six logs.
+    logged = []
+    real_log = evaluate.mpmath.log
+
+    def counting(x, *args, **kwargs):
+        logged.append(x)
+        return real_log(x, *args, **kwargs)
+
     monkeypatch.setattr(evaluate, "_INT_TABLES", {})
-    row0 = list(evaluate._integer_log_table(CFG30, top))
-    monkeypatch.setattr(evaluate, "_INT_TABLES", {})
-    evaluate._integer_log_table(CFG30, 100)
-    assert evaluate._integer_log_table(CFG30, top) == row0
-    # n <= 300 covers primes and composites, then every 37th and the last entry
-    with mpmath.workdps(CFG30.precision.working_dps + 20):
-        for n in LEVEL0_NS + [top]:
-            assert_within_16_ulps(row0[n], 0, mpmath.log(n), CFG30)
+    monkeypatch.setattr(evaluate.mpmath, "log", counting)
+    row0 = evaluate._integer_log_table(CFG30, 2**14 + 13)
+    assert len(row0) == 2**14 + 14
+    assert sorted(logged) == [2, 3, 5, 7, 11, 13]
 
 
 @pytest.mark.parametrize("digits", [30, 60])

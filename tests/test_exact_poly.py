@@ -72,8 +72,15 @@ def stirling_oracle(r):
 
 
 def test_bernoulli_against_series_division():
-    # 160 = 2 order_cap at 60 digits, the Hurwitz Euler-Maclaurin sum's need
-    assert bernoulli_numbers(160) == bernoulli_oracle(160)
+    # 160 = 2 order_cap at 60 digits, the Hurwitz Euler-Maclaurin sum's
+    # need, with room to spare
+    assert bernoulli_numbers(240) == bernoulli_oracle(240)
+
+
+def test_bernoulli_against_mpmath_bernfrac():
+    nums = bernoulli_numbers(300)
+    for n, b in enumerate(nums):
+        assert (b.numerator, b.denominator) == tuple(map(int, mpmath.bernfrac(n))), n
 
 
 def test_bernoulli_table_does_not_depend_on_the_order_of_requests(monkeypatch):
